@@ -28,6 +28,7 @@ from .covariance import (
 )
 from .errors import (
     CorrsmoothError,
+    DegenerateCorrelationError,
     EmptyWindowError,
     KernelConstructionError,
     NoElbowError,

@@ -26,7 +26,8 @@ from .kernels import (
     build_annulus_kernel,
     kernel_moments,
 )
-from .locfit import Dataset, _fit_all_ws, _Workspace, fit_all, hat_matrix, rss
+from .locfit import Dataset, _fit_all_ws, _fit_and_hat_diagonal, _Workspace, rss
+from .locfit import fit_all  # noqa: F401  (perfbench's tracer test checks this binding)
 
 __all__ = [
     "BandwidthSelection",
@@ -95,7 +96,7 @@ def default_grid(
     elif isinstance(kernel, ProductEpanechnikovKernel):
         lo, hi = 0.0, 1.0
         ws = _Workspace(data, kernel)
-        dist = np.abs(ws.disp).max(axis=-1)  # Chebyshev: all coords inside support
+        dist = np.abs(ws.disp).max(axis=0)  # Chebyshev: all coords inside support
     else:
         raise TypeError(f"unsupported kernel {type(kernel).__name__}")
 
@@ -258,15 +259,17 @@ def elbow_scan(
 def gcv_score(data: Dataset, ko, h: float) -> float:
     """GCV criterion RSS/(1 - tr(H)/n)^2 at one bandwidth; +inf if infeasible.
 
-    The smoother trace uses only the n diagonal hat coefficients.
+    The fit and the hat diagonal come from one solve of the local normal
+    equations; tr(H) is the sum of that diagonal, never the n x n matrix.
     """
-    fit = fit_all(data, h, ko)
+    return _gcv_score_ws(_Workspace(data, ko), h)
+
+
+def _gcv_score_ws(ws: _Workspace, h: float) -> float:
+    fit, hat_diagonal = _fit_and_hat_diagonal(ws, h)
     if fit.singular_count:
         return np.inf
-    c, singular = hat_matrix(data, h, ko)
-    if singular.any():
-        return np.inf
-    denom = 1.0 - float(np.trace(c)) / data.n
+    denom = 1.0 - float(hat_diagonal.sum()) / ws.data.n
     if denom <= 0.0:
         return np.inf
     return rss(fit) / denom**2
@@ -275,11 +278,14 @@ def gcv_score(data: Dataset, ko, h: float) -> float:
 def gcv_select(data: Dataset, ko, grid) -> float:
     """Generalized cross-validation baseline: minimize the GCV score on a grid.
 
+    One workspace serves the whole grid, and each candidate's trace comes
+    from the hat diagonal of the same solve as its fit (see gcv_score).
     This selector ignores error correlation by design and serves as the
     naive reference the annulus pipeline is compared against.
     """
     grid = _validate_grid(grid)
-    scores = np.array([gcv_score(data, ko, float(h)) for h in grid])
+    ws = _Workspace(data, ko)
+    scores = np.array([_gcv_score_ws(ws, float(h)) for h in grid])
     if not np.any(np.isfinite(scores)):
         raise NoFeasibleBandwidthError(
             "every candidate bandwidth was infeasible for GCV; "

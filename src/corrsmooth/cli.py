@@ -54,6 +54,7 @@ from .simulate import (
     SimScenario,
     ZETA_DEFAULT,
     generate,
+    min_epan_mse,
     parse_method,
     run_table,
 )
@@ -482,7 +483,12 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_bench(cfg: dict) -> int:
-    """End-to-end smoke benchmark on a small synthetic scenario."""
+    """End-to-end smoke benchmark on a small synthetic scenario.
+
+    Times the stages a simulation trial spends its time on: kernel build,
+    annulus selection, final fit, covariance, GCV on the product grid and
+    the minEpan scan at the chosen bandwidth.
+    """
     import time
 
     outdir = _outdir(cfg)
@@ -510,6 +516,12 @@ def cmd_bench(cfg: dict) -> int:
         cal = calibrate_b(data, fit, sigma2_hat)
         covariance_curve(data, fit, cal.chosen_b, sigma2_hat=sigma2_hat)
         timings.append(("covariance_s", time.perf_counter() - t0))
+        t0 = time.perf_counter()
+        gcv_select(data, ko, default_grid(data, ko))
+        timings.append(("gcv_s", time.perf_counter() - t0))
+        t0 = time.perf_counter()
+        min_epan_mse(sim, extra_h=[h_o])
+        timings.append(("min_epan_s", time.perf_counter() - t0))
     _write_report(
         outdir / "bench.txt",
         [("command", "bench"), ("n", data.n), ("h_o", h_o), ("status", "ok")],

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyWindowError, SingularFitError
+from .errors import DegenerateCorrelationError, EmptyWindowError, SingularFitError
 from .kernels import BoundaryKernel
 from .locfit import Dataset, FitResult, fit_all, pairwise_distances, rss
 
@@ -358,7 +358,9 @@ def estimate_correlation(cov: CovarianceEstimate, mode: str = "by_chat0") -> Cor
         raise ValueError(f"unknown mode {mode!r}")
     denom = cov.sigma2_tilde if mode == "by_chat0" else cov.sigma2_hat
     if not np.isfinite(denom) or denom <= 0.0:
-        raise ValueError(f"nonpositive denominator {denom!r} for mode {mode}")
+        raise DegenerateCorrelationError(
+            f"nonpositive denominator {denom!r} for mode {mode}"
+        )
     rho = cov.c_hat / denom
     if mode == "by_chat0" and cov.t_grid[0] == 0.0:
         rho[0] = 1.0

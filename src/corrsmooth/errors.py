@@ -27,6 +27,10 @@ class NoElbowError(CorrsmoothError):
     """The stability heuristic found no elbow in the scanned trace."""
 
 
+class DegenerateCorrelationError(CorrsmoothError, ValueError):
+    """The correlation curve's normalizing variance is nonpositive or not finite."""
+
+
 class EmptyWindowError(CorrsmoothError):
     """Covariance smoothing window contained no pairs."""
 

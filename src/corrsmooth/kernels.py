@@ -98,9 +98,29 @@ class ProductEpanechnikovKernel:
         u = np.asarray(u, dtype=float)
         if u.shape[-1] != self.dim:
             raise ValueError(f"expected trailing axis of length {self.dim}")
-        per = 0.75 * np.maximum(0.0, 1.0 - u * u)
-        per = np.where(np.abs(u) <= 1.0, per, 0.0)
-        return per.prod(axis=-1)
+        flat = u.reshape(-1, self.dim)
+        out = self.component_product(flat[:, d] for d in range(self.dim))
+        return out.reshape(u.shape[:-1])[()]
+
+    @staticmethod
+    def component_product(components):
+        """K at the points whose d-th coordinates are the d-th array of components.
+
+        Factors (3/4)(1 - u_d^2) are multiplied one at a time in coordinate
+        order.  fmin caps u_d^2 at 1, so |u_d| > 1, NaN and +-inf all give the
+        factor 0.  Each factor is built in place in the fresh array u_d * u_d.
+        """
+        out = None
+        for u_d in components:
+            f = u_d * u_d
+            np.fmin(f, 1.0, out=f)
+            np.subtract(1.0, f, out=f)
+            f *= 0.75
+            if out is None:
+                out = f
+            else:
+                out *= f
+        return out
 
 
 @dataclass(frozen=True)

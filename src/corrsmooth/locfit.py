@@ -69,6 +69,13 @@ class Dataset:
             raise ValueError("points and responses must be finite")
         if metric == "haversine" and d != 2:
             raise ValueError("haversine metric requires D=2 (latitude, longitude)")
+        if metric == "haversine":
+            bad = np.flatnonzero(np.abs(pts[:, 0]) > 90.0)
+            if bad.size:
+                row = int(bad[0])
+                raise ValueError(
+                    f"latitude must lie in [-90, 90]; row {row} has {pts[row, 0]!r}"
+                )
         pts = pts.copy()
         y = y.copy()
         pts.setflags(write=False)
@@ -120,20 +127,21 @@ def _metric_distances(data: Dataset, targets: np.ndarray) -> np.ndarray:
 
 
 def _component_displacements(data: Dataset, targets: np.ndarray) -> np.ndarray:
-    """(m, n, D) displacements feeding product-kernel weights.
+    """(D, m, n) displacements feeding product-kernel weights, one contiguous
+    (m, n) array per coordinate.
 
     Euclidean: raw coordinate differences.  Haversine: north/east
     great-circle components in km (local equirectangular scaling), so
     product-kernel bandwidths stay in the same km units as radial ones.
     """
     pts = data.points
-    diff = pts[None, :, :] - targets[:, None, :]
+    diff = pts.T[:, None, :] - targets.T[:, :, None]
     if data.metric == "euclidean":
         return diff
     lat_mid = np.radians((pts[None, :, 0] + targets[:, None, 0]) / 2.0)
-    north = EARTH_RADIUS_KM * np.radians(diff[:, :, 0])
-    east = EARTH_RADIUS_KM * np.cos(lat_mid) * np.radians(diff[:, :, 1])
-    return np.stack([north, east], axis=-1)
+    north = EARTH_RADIUS_KM * np.radians(diff[0])
+    east = EARTH_RADIUS_KM * np.cos(lat_mid) * np.radians(diff[1])
+    return np.stack([north, east])
 
 
 class _Workspace:
@@ -162,20 +170,20 @@ class _Workspace:
             raise ValueError(f"bandwidth must be positive, got {h}")
         if self.dist is not None:
             return self.kernel.profile(self.dist / h)
-        return self.kernel.value(self.disp / h)
+        return self.kernel.component_product(d / h for d in self.disp)
 
 
-def _solve_batched(a: np.ndarray, b: np.ndarray):
+def _solve_batched(a: np.ndarray, *rhs: np.ndarray):
     """Gaussian elimination with partial pivoting over a batch of small systems.
 
-    Returns (solutions, singular_mask); singular systems yield NaN rows.
+    One elimination serves every (m, k) right-hand side in rhs; pivots depend
+    on a alone.  Returns ([solution per rhs], singular_mask); singular systems
+    yield NaN rows.
     """
-    a = a.copy()
-    b = b.copy()
     m, k, _ = a.shape
     scale = np.abs(a).reshape(m, -1).max(axis=1)
     singular = scale <= 0.0
-    aug = np.concatenate([a, b[:, :, None]], axis=2)
+    aug = np.concatenate([a] + [b[:, :, None] for b in rhs], axis=2)
     rows = np.arange(m)
     for j in range(k):
         piv = np.abs(aug[:, j:, j]).argmax(axis=1) + j
@@ -188,16 +196,19 @@ def _solve_batched(a: np.ndarray, b: np.ndarray):
         if j + 1 < k:
             factors = aug[:, j + 1 :, j] / safe[:, None]
             aug[:, j + 1 :, j:] -= factors[:, :, None] * aug[:, j : j + 1, j:]
-    x = np.zeros((m, k))
-    for j in range(k - 1, -1, -1):
-        pivots = aug[:, j, j]
-        safe = np.where(np.abs(pivots) > 0.0, pivots, 1.0)
-        acc = aug[:, j, k]
-        if j + 1 < k:
-            acc = acc - np.einsum("ml,ml->m", aug[:, j, j + 1 : k], x[:, j + 1 :])
-        x[:, j] = acc / safe
-    x[singular] = np.nan
-    return x, singular
+    solutions = []
+    for col in range(k, k + len(rhs)):
+        x = np.zeros((m, k))
+        for j in range(k - 1, -1, -1):
+            pivots = aug[:, j, j]
+            safe = np.where(np.abs(pivots) > 0.0, pivots, 1.0)
+            acc = aug[:, j, col]
+            if j + 1 < k:
+                acc = acc - np.einsum("ml,ml->m", aug[:, j, j + 1 : k], x[:, j + 1 :])
+            x[:, j] = acc / safe
+        x[singular] = np.nan
+        solutions.append(x)
+    return solutions, singular
 
 
 def _normal_systems(ws: _Workspace, weights: np.ndarray):
@@ -234,7 +245,7 @@ def _normal_systems(ws: _Workspace, weights: np.ndarray):
 def _fit_targets(ws: _Workspace, h: float):
     weights = ws.weights(h)
     a, rhs = _normal_systems(ws, weights)
-    beta, singular = _solve_batched(a, rhs)
+    (beta,), singular = _solve_batched(a, rhs)
     return beta[:, 0], singular
 
 
@@ -264,7 +275,10 @@ def fit_all(data: Dataset, h: float, kernel) -> FitResult:
 
 
 def _fit_all_ws(ws: _Workspace, h: float) -> FitResult:
-    est, singular = _fit_targets(ws, h)
+    return _fit_result(ws, h, *_fit_targets(ws, h))
+
+
+def _fit_result(ws: _Workspace, h: float, est: np.ndarray, singular: np.ndarray) -> FitResult:
     residuals = ws.data.responses - est
     return FitResult(
         fitted=est,
@@ -273,6 +287,24 @@ def _fit_all_ws(ws: _Workspace, h: float) -> FitResult:
         kernel=ws.kernel,
         singular_count=int(singular.sum()),
     )
+
+
+def _fit_and_hat_diagonal(ws: _Workspace, h: float):
+    """In-sample fit and the diagonal of its hat matrix from one elimination.
+
+    ws must target the design points.  Entry i repeats hat_matrix's
+    arithmetic for c_ii, so the diagonal's sum equals np.trace of the hat
+    matrix bit for bit; rows of singular systems are NaN.
+    """
+    weights = ws.weights(h)
+    a, rhs = _normal_systems(ws, weights)
+    e1 = np.zeros_like(rhs)
+    e1[:, 0] = 1.0
+    (beta, z), singular = _solve_batched(a, rhs, e1)
+    x = ws.data.points
+    lin = np.diagonal(z[:, 1:] @ x.T) - np.einsum("ik,ik->i", z[:, 1:], x)
+    diagonal = np.diagonal(weights) * (z[:, 0] + lin)
+    return _fit_result(ws, h, beta[:, 0], singular), diagonal
 
 
 def hat_coefficients(data: Dataset, i: int, h: float, kernel) -> np.ndarray:
@@ -285,7 +317,7 @@ def hat_coefficients(data: Dataset, i: int, h: float, kernel) -> np.ndarray:
     a, _ = _normal_systems(ws, weights)
     e1 = np.zeros((1, data.dim + 1))
     e1[0, 0] = 1.0
-    z, singular = _solve_batched(a, e1)
+    (z,), singular = _solve_batched(a, e1)
     if singular[0]:
         raise SingularFitError(f"singular local fit at design point {i}", x=xt)
     z = z[0]
@@ -303,7 +335,7 @@ def hat_matrix(data: Dataset, h: float, kernel):
     n, d = data.n, data.dim
     e1 = np.zeros((n, d + 1))
     e1[:, 0] = 1.0
-    z, singular = _solve_batched(a, e1)
+    (z,), singular = _solve_batched(a, e1)
     x = data.points
     lin = z[:, 1:] @ x.T - np.einsum("ik,ik->i", z[:, 1:], x)[:, None]
     c = weights * (z[:, 0][:, None] + lin)

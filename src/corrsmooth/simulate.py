@@ -32,7 +32,7 @@ from .covariance import (
 )
 from .errors import CorrsmoothError, SingularFitError
 from .kernels import MIN_PRODUCT, ProductEpanechnikovKernel, build_annulus_kernel
-from .locfit import Dataset, fit_all, hat_matrix, pairwise_distances
+from .locfit import Dataset, _fit_all_ws, _Workspace, fit_all, hat_matrix, pairwise_distances
 
 __all__ = [
     "FAMILIES",
@@ -278,7 +278,10 @@ def parse_method(text: str) -> MethodSpec:
         return MethodSpec(kind="gcv")
     match = _ZA_RE.match(token)
     if match:
-        return MethodSpec(kind="za", c1=float(match.group(1)), c2=float(match.group(2)))
+        c1, c2 = float(match.group(1)), float(match.group(2))
+        if not 0.0 < c1 < c2:
+            raise ValueError(f"method {text!r} needs 0 < c1 < c2")
+        return MethodSpec(kind="za", c1=c1, c2=c2)
     raise ValueError(f"unknown method {text!r}; expected gcv or za(c1,c2)")
 
 
@@ -384,9 +387,10 @@ def min_epan_mse(sim: SimulatedData, extra_h=()) -> float:
     ko = ProductEpanechnikovKernel(data.dim)
     hs = list(default_grid(data, ko))
     hs.extend(float(h) for h in extra_h if np.isfinite(h))
+    ws = _Workspace(data, ko)
     best = np.inf
     for h in sorted(set(hs)):
-        fit = fit_all(data, h, ko)
+        fit = _fit_all_ws(ws, h)
         if fit.singular_count:
             continue
         best = min(best, mse_prac(fit.fitted, sim.mu_true))
@@ -418,8 +422,10 @@ def run_table(
     """Run every scenario x method over seeded trials and aggregate the metrics.
 
     Adds a "minEpan" row (exhaustive-scan reference) and a "Raw" row
-    (true-error covariance reference) per scenario.  Per-trial failures
-    are counted and excluded; child seeds make trials order-independent.
+    (true-error covariance reference) per scenario.  Per-trial numerical
+    failures (CorrsmoothError) are counted and excluded; any other
+    exception is a bug and propagates.  Child seeds make trials
+    order-independent.
     """
     method_specs = [parse_method(m) if isinstance(m, str) else m for m in methods]
     rows: list[ResultRow] = []
@@ -444,16 +450,16 @@ def run_table(
                         sim, spec, objective=objective, n_star=n_star,
                         delta_n=delta_n, zeta=zeta,
                     )
-                except (CorrsmoothError, ValueError):
+                except CorrsmoothError:
                     outcomes[spec.label] = None
             try:
                 raw = run_raw_trial(sim, n_star=n_star, delta_n=delta_n, zeta=zeta)
-            except (CorrsmoothError, ValueError):
+            except CorrsmoothError:
                 raw = None
             chosen = [o.h for o in outcomes.values() if o is not None]
             try:
                 scan = min_epan_mse(sim, extra_h=chosen)
-            except (CorrsmoothError, ValueError):
+            except CorrsmoothError:
                 scan = None
             return outcomes, raw, scan
 

@@ -82,6 +82,25 @@ def test_fit_missing_y_column(tmp_path):
     assert code != 0
 
 
+def test_fit_rejects_impossible_latitude(tmp_path, capsys):
+    path = tmp_path / "geo.csv"
+    rows = [[30.0 + 0.1 * i, -90.0 + 0.2 * i, 1.0] for i in range(10)]
+    rows[6][0] = 91.0
+    path.write_text("x1,x2,y\n" + "".join(f"{a},{b},{c}\n" for a, b, c in rows))
+    code = main(["fit", "--input", str(path), "--metric", "haversine",
+                 "--output-dir", str(tmp_path / "o")])
+    assert code == 1
+    assert "row 6" in capsys.readouterr().err
+
+
+def test_simulate_rejects_bad_za_spec(tmp_path, capsys):
+    scen = tmp_path / "scenes.txt"
+    scen.write_text("family=spherical c=2.0 D=2 n=150 seed=1 trials=1 methods=za(2,1)\n")
+    code = main(["simulate", "--scenarios", str(scen), "--output-dir", str(tmp_path / "o")])
+    assert code == 1
+    assert "0 < c1 < c2" in capsys.readouterr().err
+
+
 def test_fit_missing_input_flag(tmp_path):
     assert main(["fit", "--output-dir", str(tmp_path / "o")]) == 1
 
@@ -247,7 +266,11 @@ def test_config_echo_round_trip(tmp_path, affine_csv):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_bench_runs(tmp_path):
+def test_bench_runs(tmp_path, capsys):
     out = tmp_path / "bench"
     assert main(["bench", "--n", "150", "--output-dir", str(out)]) == 0
     assert "status=ok" in (out / "bench.txt").read_text()
+    printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    stages = ("build_kernel_s", "select_s", "fit_s", "covariance_s", "gcv_s", "min_epan_s")
+    assert sorted(printed) == sorted(stages)
+    assert all(float(printed[s]) >= 0.0 for s in stages)

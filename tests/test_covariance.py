@@ -13,7 +13,12 @@ from corrsmooth.covariance import (
     estimate_covariance,
     sigma2_rss,
 )
-from corrsmooth.errors import EmptyWindowError, SingularFitError
+from corrsmooth.errors import (
+    CorrsmoothError,
+    DegenerateCorrelationError,
+    EmptyWindowError,
+    SingularFitError,
+)
 from corrsmooth.kernels import ProductEpanechnikovKernel
 from corrsmooth.locfit import Dataset, fit_all, pairwise_distances
 from corrsmooth.simulate import (
@@ -253,8 +258,10 @@ def test_correlation_rejects_nonpositive_denominator():
         t_grid=np.array([0.0]), c_hat=np.array([-0.1]), b=0.05,
         sigma2_hat=np.nan, sigma2_tilde=-0.1, truncation_t=0.0,
     )
-    with pytest.raises(ValueError, match="denominator"):
+    with pytest.raises(ValueError, match="denominator") as err:
         estimate_correlation(cov, "by_chat0")
+    assert isinstance(err.value, DegenerateCorrelationError)
+    assert isinstance(err.value, CorrsmoothError)
     with pytest.raises(ValueError, match="mode"):
         estimate_correlation(cov, "raw")
 

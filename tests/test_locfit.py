@@ -160,6 +160,17 @@ def test_haversine_requires_two_columns():
                 responses=np.zeros(10), metric="haversine")
 
 
+def test_haversine_rejects_impossible_latitude():
+    pts = np.array([[10.0, 5.0], [89.9, 0.0], [-90.5, 3.0], [95.0, 1.0]])
+    with pytest.raises(ValueError, match=r"latitude.*row 2"):
+        Dataset(points=pts, responses=np.zeros(4), metric="haversine")
+    pts[2, 0] = -90.0
+    pts[3, 0] = 90.0
+    Dataset(points=pts, responses=np.zeros(4), metric="haversine")
+    # the bound applies only to latitude/longitude data
+    Dataset(points=pts * 2.0, responses=np.zeros(4))
+
+
 def test_dataset_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="D\\+2"):

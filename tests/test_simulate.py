@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import squareform
 
+from corrsmooth.errors import SingularFitError
 from corrsmooth.kernels import ProductEpanechnikovKernel, build_annulus_kernel
 from corrsmooth.locfit import Dataset, hat_coefficients, pairwise_distances
 from corrsmooth.simulate import (
@@ -226,6 +227,42 @@ def test_parse_method():
     assert spec.label == "ZA(1,1.5)"
     with pytest.raises(ValueError):
         parse_method("za[1,2]")
+    for bad in ("za(2,1)", "za(1,1)", "za(0,1)", "za(-1,0.5)"):
+        with pytest.raises(ValueError, match="0 < c1 < c2"):
+            parse_method(bad)
+
+
+def _failing_trial(exc):
+    def trial(*args, **kwargs):
+        raise exc
+    return trial
+
+
+def test_run_table_counts_numerical_failures(monkeypatch):
+    import corrsmooth.simulate as sim_mod
+
+    monkeypatch.setattr(sim_mod, "run_method_trial", _failing_trial(SingularFitError("boom")))
+    model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
+    scn = SimScenario("mu2d", 150, model, seed=909, n_trials=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = run_table([scn], ["gcv"], n_star=40)
+    gcv = rows[2]
+    assert gcv.method == "GCV" and gcv.failures == 2
+    assert np.isnan(gcv.mse_prac_mean)
+    assert rows[0].failures == 0 and rows[1].failures == 0
+
+
+@pytest.mark.parametrize("exc_type", [TypeError, ValueError])
+def test_run_table_propagates_programming_errors(monkeypatch, exc_type):
+    # only CorrsmoothError counts as a trial failure; a plain ValueError is a bug
+    import corrsmooth.simulate as sim_mod
+
+    monkeypatch.setattr(sim_mod, "run_method_trial", _failing_trial(exc_type("bug")))
+    model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
+    scn = SimScenario("mu2d", 150, model, seed=909, n_trials=1)
+    with pytest.raises(exc_type, match="bug"):
+        run_table([scn], ["gcv"], n_star=40)
 
 
 def test_run_table_single_trial_structure():
