@@ -40,13 +40,11 @@ from .kernels import (
     MIN_PRODUCT,
     MIN_VARIANCE,
     BoundaryKernel,
-    CovarianceKernel1D,
     KernelMoments,
     ProductEpanechnikovKernel,
     RadialAnnulusKernel,
     build_annulus_kernel,
     eval_kernel,
-    kernel_from_text,
     kernel_moments,
     kernel_to_text,
 )
@@ -55,7 +53,6 @@ from .locfit import (
     Dataset,
     FitResult,
     fit_all,
-    fit_at,
     fit_points,
     hat_coefficients,
     hat_matrix,

@@ -21,7 +21,6 @@ from .errors import CorrsmoothError, NoElbowError, NoFeasibleBandwidthError
 from .kernels import (
     DEFAULT_C2_OFFSET,
     MIN_AMISE,
-    ProductEpanechnikovKernel,
     RadialAnnulusKernel,
     build_annulus_kernel,
     kernel_moments,
@@ -76,32 +75,18 @@ def _neighbor_counts(dist: np.ndarray, lo: float, hi: float, h: float) -> np.nda
     return mask.sum(axis=1)
 
 
-def default_grid(
-    data: Dataset,
-    kernel,
-    size: int = DEFAULT_GRID_SIZE,
-    min_neighbors: int | None = None,
-    coverage: float = _NEIGHBOR_COVERAGE,
-) -> np.ndarray:
+def default_grid(data: Dataset, kernel, size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     """Log-spaced candidate bandwidths over the data-driven feasible range.
 
-    The lower end is the smallest h at which >= coverage of the points
-    have at least 2(D+1) neighbors with positive kernel weight; the upper
-    end is where the kernel reach spans half the cloud diameter.
+    The lower end is the smallest h at which >= 99% of the points have at
+    least 2(D+1) neighbors with positive kernel weight.  The upper end
+    depends on the kernel: diam/(2*c1) for the annulus kernel, where its
+    inner radius spans half the cloud's metric diameter, and the full
+    Chebyshev diameter for the product kernel, where its support spans
+    the whole cloud.
     """
-    if isinstance(kernel, RadialAnnulusKernel):
-        lo, hi = kernel.c1, kernel.c2
-        ws = _Workspace(data, kernel)
-        dist = ws.dist
-    elif isinstance(kernel, ProductEpanechnikovKernel):
-        lo, hi = 0.0, 1.0
-        ws = _Workspace(data, kernel)
-        dist = np.abs(ws.disp).max(axis=0)  # Chebyshev: all coords inside support
-    else:
-        raise TypeError(f"unsupported kernel {type(kernel).__name__}")
-
-    if min_neighbors is None:
-        min_neighbors = 2 * (data.dim + 1)
+    dist, lo, hi = kernel.reach(kernel.geometry(data, data.points))
+    min_neighbors = 2 * (data.dim + 1)
     positive = dist[dist > 0.0]
     if positive.size == 0:
         raise NoFeasibleBandwidthError("all design points coincide")
@@ -113,17 +98,16 @@ def default_grid(
             f"degenerate bandwidth range [{h_lo_scan:.3g}, {h_max:.3g}]"
         )
     candidates = np.geomspace(h_lo_scan, h_max, _SCAN_CANDIDATES)
-    n = data.n
     h_min = None
     for h in candidates:
         counts = _neighbor_counts(dist, lo, hi, h)
-        if (counts >= min_neighbors).mean() >= coverage:
+        if (counts >= min_neighbors).mean() >= _NEIGHBOR_COVERAGE:
             h_min = float(h)
             break
     if h_min is None or h_min >= h_max:
         raise NoFeasibleBandwidthError(
             f"no bandwidth gives {min_neighbors} positive-weight neighbors to "
-            f"{coverage:.0%} of the {n} points; the design may be too sparse"
+            f"{_NEIGHBOR_COVERAGE:.0%} of the {data.n} points; the design may be too sparse"
         )
     return np.geomspace(h_min, h_max, size)
 
@@ -167,20 +151,19 @@ def select_h_z(data: Dataset, kz: RadialAnnulusKernel, grid) -> BandwidthSelecti
     return BandwidthSelection(h_z=float(grid[best]), grid=grid, rss_trace=trace)
 
 
-def factor_ratio(kz, ko, dim: int | None = None) -> float:
+def factor_ratio(kz, ko) -> float:
     """Moment-ratio constant converting the RSS-optimal bandwidth of one
-    kernel into the MISE-optimal bandwidth of another."""
-    if dim is None:
-        dim = kz.dim
+    kernel into the MISE-optimal bandwidth of another, in kz's dimension."""
+    dim = kz.dim
     mz = kernel_moments(kz, dim)
     mo = kernel_moments(ko, dim)
     ratio = (mo.muK2 * mz.mu2**2) / (mo.mu2**2 * mz.muK2)
     return float(ratio ** (1.0 / (dim + 4)))
 
 
-def factor_convert(sel: BandwidthSelection, kz, ko, dim: int | None = None) -> float:
+def factor_convert(sel: BandwidthSelection, kz, ko) -> float:
     """Convert sel.h_z to the target-kernel bandwidth; records it on sel."""
-    ratio = factor_ratio(kz, ko, dim)
+    ratio = factor_ratio(kz, ko)
     sel.factor_ratio = ratio
     sel.h_o = sel.h_z * ratio
     return sel.h_o
@@ -189,7 +172,6 @@ def factor_convert(sel: BandwidthSelection, kz, ko, dim: int | None = None) -> f
 def elbow_scan(
     data: Dataset,
     c1_list,
-    dim: int | None = None,
     objective: str = MIN_AMISE,
     c2_offset: float = DEFAULT_C2_OFFSET,
     stability_tol: float = 0.10,
@@ -207,8 +189,7 @@ def elbow_scan(
         raise ValueError("need >= 3 candidates for stability detection")
     if np.any(np.diff(c1_arr) <= 0.0):
         raise ValueError("c1 candidates must be strictly increasing")
-    if dim is None:
-        dim = data.dim
+    dim = data.dim
 
     cbar = np.full(c1_arr.shape, np.nan)
     h_zs = np.full(c1_arr.shape, np.nan)
@@ -333,36 +314,26 @@ def _laplacian_integral(mu, dim: int, grid_per_axis: int, eps: float = 1e-4) -> 
     return float(total.mean())
 
 
-def oracle_bandwidth(
-    model,
-    mu,
-    ko,
-    n: int,
-    f: str = "uniform",
-    domain_volume: float = 1.0,
-    grid_per_axis: int | None = None,
-) -> float:
+def oracle_bandwidth(model, mu, ko, n: int) -> float:
     """Closed-form bandwidth minimizing the leading MISE term for a known model.
 
-    Valid for alpha in (0, 1]; the alpha = 1 branch adds the domain volume
-    to the correlation integral.  mu must be the known regression function
-    (callable on (m, D) arrays); only the uniform design density is supported.
+    Assumes the uniform design density on [0, 1]^D.  Valid for alpha in
+    (0, 1]; the alpha = 1 branch adds the domain volume (1) to the
+    correlation integral.  mu must be the known regression function
+    (callable on (m, D) arrays).
     """
-    if f != "uniform":
-        raise ValueError("only the uniform design density is supported")
     alpha = model.alpha
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if model.sigma2 <= 0.0:
         raise ValueError("degenerate noise: sigma2 must be positive for the oracle")
     dim = model.dim
-    if grid_per_axis is None:
-        grid_per_axis = 201 if dim <= 2 else 61
+    grid_per_axis = 201 if dim <= 2 else 61
     c_rho = _radial_correlation_integral(model.family, model.c, dim)
     delta_f = _laplacian_integral(mu, dim, grid_per_axis)
     if delta_f == 0.0:
         raise CorrsmoothError("curvature integral is zero; oracle bandwidth diverges")
     mo = kernel_moments(ko, dim)
-    noise = model.sigma2 * (c_rho + domain_volume) if alpha == 1.0 else model.sigma2 * c_rho
+    noise = model.sigma2 * (c_rho + 1.0) if alpha == 1.0 else model.sigma2 * c_rho
     const = (4.0 * noise / delta_f**2) * (mo.muK2 / mo.mu2**2)
     return float(const ** (1.0 / (dim + 4)) * n ** (-alpha / (dim + 4)))

@@ -112,16 +112,6 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _coerce(raw: str, default):
-    if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes")
-    if isinstance(default, int) and not isinstance(default, bool):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
-
-
 def _resolve(args, defaults: dict) -> dict:
     """Command defaults, overridden by the config file, overridden by flags."""
     cfg = dict(defaults)
@@ -130,7 +120,7 @@ def _resolve(args, defaults: dict) -> dict:
             if key not in cfg:
                 raise UsageError(f"unknown config key {key!r}")
             try:
-                cfg[key] = _coerce(raw, defaults[key])
+                cfg[key] = type(defaults[key])(raw)
             except ValueError as err:
                 raise UsageError(f"bad config value for {key}: {err}") from err
     for key in cfg:
@@ -151,21 +141,35 @@ def _outdir(cfg: dict) -> Path:
 
 
 def _parse_float_list(text: str, what: str) -> np.ndarray:
-    """Accept 'a,b,c' or 'start:stop:step' range syntax."""
+    """Accept 'a,b,c' or 'start:stop:step' range syntax (stop included,
+    step > 0); the list must not be empty."""
     text = text.strip()
     try:
         if ":" in text:
             start, stop, step = (float(p) for p in text.split(":"))
-            return np.arange(start, stop + step / 2.0, step)
-        return np.asarray([float(p) for p in text.split(",") if p.strip()])
+            if not step > 0.0:
+                raise UsageError(f"{what} {text!r} needs a positive step")
+            values = np.arange(start, stop + step / 2.0, step)
+        else:
+            values = np.asarray([float(p) for p in text.split(",") if p.strip()])
     except ValueError as err:
         raise UsageError(f"cannot parse {what} {text!r}: {err}") from err
+    if values.size == 0:
+        raise UsageError(f"{what} {text!r} is empty")
+    return values
 
 
-def _grid_from_cfg(cfg, data, kernel):
+def _select_h_o(cfg, data, ko):
+    """Annulus-kernel RSS selection on the configured grid, converted to ko."""
+    kz = build_annulus_kernel(
+        cfg["c1"], cfg["c1"] + cfg["c2_offset"], data.dim, cfg["objective"]
+    )
     if cfg["grid"]:
-        return _parse_float_list(cfg["grid"], "bandwidth grid")
-    return default_grid(data, kernel, size=cfg["grid_size"])
+        grid = _parse_float_list(cfg["grid"], "bandwidth grid")
+    else:
+        grid = default_grid(data, kz, size=cfg["grid_size"])
+    sel = select_h_z(data, kz, grid)
+    return kz, sel, factor_convert(sel, kz, ko)
 
 
 def _load_dataset(cfg) -> Dataset:
@@ -187,13 +191,8 @@ def cmd_fit(cfg: dict) -> int:
     data = _load_dataset(cfg)
     outdir = _outdir(cfg)
     _echo_config(outdir, cfg)
-    kz = build_annulus_kernel(
-        cfg["c1"], cfg["c1"] + cfg["c2_offset"], data.dim, cfg["objective"]
-    )
     ko = ProductEpanechnikovKernel(data.dim)
-    grid = _grid_from_cfg(cfg, data, kz)
-    sel = select_h_z(data, kz, grid)
-    h_o = factor_convert(sel, kz, ko)
+    kz, sel, h_o = _select_h_o(cfg, data, ko)
     fit = fit_all(data, h_o, ko)
 
     _write_csv(
@@ -287,6 +286,33 @@ def cmd_elbow(cfg: dict) -> int:
     return 0
 
 
+def _read_key_values(path: Path) -> dict:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return dict(line.split("=", 1) for line in lines if "=" in line)
+
+
+def _fit_dir_h_o(cfg: dict, data: Dataset) -> float:
+    """h_o from a fit run's report, once that run is known to be a fit of
+    the same input file with the same metric."""
+    fit_dir = Path(cfg["fit_dir"])
+    try:
+        report = _read_key_values(fit_dir / "report.txt")
+        echo = _read_key_values(fit_dir / "config_echo.txt")
+        if report.get("command") != "fit":
+            raise UsageError(f"{fit_dir} holds no fit run (command={report.get('command')!r})")
+        for key, ours, theirs in (
+            ("input", Path(cfg["input"]).resolve(), Path(echo["input"]).resolve()),
+            ("metric", data.metric, echo["metric"].lower()),
+        ):
+            if ours != theirs:
+                raise UsageError(
+                    f"the fit in {fit_dir} used {key}={echo[key]!r}, not {cfg[key]!r}"
+                )
+        return float(report["h_o"])
+    except (OSError, KeyError, ValueError) as err:
+        raise UsageError(f"cannot recover h_o from {fit_dir}: {err}") from err
+
+
 def cmd_covariance(cfg: dict) -> int:
     if not cfg["input"]:
         raise UsageError("covariance requires --input CSV")
@@ -294,33 +320,19 @@ def cmd_covariance(cfg: dict) -> int:
     outdir = _outdir(cfg)
     _echo_config(outdir, cfg)
     ko = ProductEpanechnikovKernel(data.dim)
-
-    if cfg["fit_dir"]:
-        report_path = Path(cfg["fit_dir"]) / "report.txt"
-        try:
-            entries = dict(
-                line.split("=", 1)
-                for line in report_path.read_text(encoding="utf-8").splitlines()
-                if "=" in line
-            )
-            h_o = float(entries["h_o"])
-        except (OSError, KeyError, ValueError) as err:
-            raise UsageError(f"cannot recover h_o from {report_path}: {err}") from err
-    else:
-        kz = build_annulus_kernel(
-            cfg["c1"], cfg["c1"] + cfg["c2_offset"], data.dim, cfg["objective"]
-        )
-        sel = select_h_z(data, kz, _grid_from_cfg(cfg, data, kz))
-        h_o = factor_convert(sel, kz, ko)
-
-    fit = fit_all(data, h_o, ko)
-    h_t = variance_fit_bandwidth(h_o, data.n, data.dim)
-    sigma2_hat = sigma2_rss(data, h_t, ko)
     b_candidates = (
         _parse_float_list(cfg["b_candidates"], "b candidates")
         if cfg["b_candidates"]
         else default_b_candidates(data, size=cfg["b_count"])
     )
+    if cfg["fit_dir"]:
+        h_o = _fit_dir_h_o(cfg, data)
+    else:
+        h_o = _select_h_o(cfg, data, ko)[2]
+
+    fit = fit_all(data, h_o, ko)
+    h_t = variance_fit_bandwidth(h_o, data.n, data.dim)
+    sigma2_hat = sigma2_rss(data, h_t, ko)
     cal = calibrate_b(data, fit, sigma2_hat, b_candidates, delta_n=cfg["delta_n"])
     truncation = cfg["truncation_t"] if cfg["truncation_t"] >= 0.0 else None
     curve = covariance_curve(
@@ -540,11 +552,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sub, defaults):
-    sub.add_argument("--config", default=None, help="key=value config file; flags win")
-    sub.add_argument("--output-dir", dest="output_dir", default=None)
-
-
 _FIT_DEFAULTS = dict(
     input="", metric="euclidean", c1=1.0, c2_offset=DEFAULT_C2_OFFSET,
     objective=MIN_AMISE, grid="", grid_size=30, surface_grid=25,
@@ -568,71 +575,44 @@ _SIM_DEFAULTS = dict(
 )
 _BENCH_DEFAULTS = dict(n=300, seed=0, output_dir="corrsmooth_out/bench")
 
+_COMMANDS = (
+    ("fit", cmd_fit, _FIT_DEFAULTS, "select bandwidth and fit the surface"),
+    ("elbow", cmd_elbow, _ELBOW_DEFAULTS, "scan c1 candidates for the elbow"),
+    ("covariance", cmd_covariance, _COV_DEFAULTS, "estimate the error covariance curve"),
+    ("simulate", cmd_simulate, _SIM_DEFAULTS, "run the seeded simulation tables"),
+    ("bench", cmd_bench, _BENCH_DEFAULTS, "time the pipeline on a synthetic run"),
+)
+_CHOICES = {
+    "metric": ("euclidean", "haversine"),
+    "objective": _OBJECTIVES,
+    "rho_mode": ("by_chat0", "by_sigma2_hat"),
+}
+_HELP = {
+    "fit_dir": "reuse h_o from a previous fit run's report",
+    "grid": "explicit grid 'a,b,c' or 'lo:hi:step'",
+    "truncation_t": "fixed truncation lag; negative means pilot rule",
+    "scenarios": "scenario file; bundled if omitted",
+    "trials": "override per-scenario trials",
+}
+
 
 def _build_parser() -> _Parser:
+    """One subparser per command and one flag per key of its defaults table;
+    flags default to None so that _resolve sees which were given."""
     parser = _Parser(prog="corrsmooth", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_fit = subs.add_parser("fit", help="select bandwidth and fit the surface")
-    _add_common(p_fit, _FIT_DEFAULTS)
-    p_fit.add_argument("--input", default=None)
-    p_fit.add_argument("--metric", choices=("euclidean", "haversine"), default=None)
-    p_fit.add_argument("--c1", type=float, default=None)
-    p_fit.add_argument("--c2-offset", dest="c2_offset", type=float, default=None)
-    p_fit.add_argument("--objective", choices=_OBJECTIVES, default=None)
-    p_fit.add_argument("--grid", default=None, help="explicit grid 'a,b,c' or 'lo:hi:step'")
-    p_fit.add_argument("--grid-size", dest="grid_size", type=int, default=None)
-    p_fit.add_argument("--surface-grid", dest="surface_grid", type=int, default=None)
-    p_fit.set_defaults(func=cmd_fit, defaults=_FIT_DEFAULTS)
-
-    p_elbow = subs.add_parser("elbow", help="scan c1 candidates for the elbow")
-    _add_common(p_elbow, _ELBOW_DEFAULTS)
-    p_elbow.add_argument("--input", default=None)
-    p_elbow.add_argument("--metric", choices=("euclidean", "haversine"), default=None)
-    p_elbow.add_argument("--c1-list", dest="c1_list", default=None)
-    p_elbow.add_argument("--c2-offset", dest="c2_offset", type=float, default=None)
-    p_elbow.add_argument("--objective", choices=_OBJECTIVES, default=None)
-    p_elbow.add_argument("--stability-tol", dest="stability_tol", type=float, default=None)
-    p_elbow.add_argument("--grid-size", dest="grid_size", type=int, default=None)
-    p_elbow.set_defaults(func=cmd_elbow, defaults=_ELBOW_DEFAULTS)
-
-    p_cov = subs.add_parser("covariance", help="estimate the error covariance curve")
-    _add_common(p_cov, _COV_DEFAULTS)
-    p_cov.add_argument("--input", default=None)
-    p_cov.add_argument("--metric", choices=("euclidean", "haversine"), default=None)
-    p_cov.add_argument("--fit-dir", dest="fit_dir", default=None,
-                       help="reuse h_o from a previous fit run's report")
-    p_cov.add_argument("--c1", type=float, default=None)
-    p_cov.add_argument("--c2-offset", dest="c2_offset", type=float, default=None)
-    p_cov.add_argument("--objective", choices=_OBJECTIVES, default=None)
-    p_cov.add_argument("--grid", default=None)
-    p_cov.add_argument("--grid-size", dest="grid_size", type=int, default=None)
-    p_cov.add_argument("--b-candidates", dest="b_candidates", default=None)
-    p_cov.add_argument("--b-count", dest="b_count", type=int, default=None)
-    p_cov.add_argument("--delta-n", dest="delta_n", type=float, default=None)
-    p_cov.add_argument("--n-star", dest="n_star", type=int, default=None)
-    p_cov.add_argument("--truncation-t", dest="truncation_t", type=float, default=None,
-                       help="fixed truncation lag; negative means pilot rule")
-    p_cov.add_argument("--rho-mode", dest="rho_mode",
-                       choices=("by_chat0", "by_sigma2_hat"), default=None)
-    p_cov.set_defaults(func=cmd_covariance, defaults=_COV_DEFAULTS)
-
-    p_sim = subs.add_parser("simulate", help="run the seeded simulation tables")
-    _add_common(p_sim, _SIM_DEFAULTS)
-    p_sim.add_argument("--scenarios", default=None, help="scenario file; bundled if omitted")
-    p_sim.add_argument("--trials", type=int, default=None, help="override per-scenario trials")
-    p_sim.add_argument("--objective", choices=_OBJECTIVES, default=None)
-    p_sim.add_argument("--n-star", dest="n_star", type=int, default=None)
-    p_sim.add_argument("--delta-n", dest="delta_n", type=float, default=None)
-    p_sim.add_argument("--zeta", type=float, default=None)
-    p_sim.add_argument("--threads", type=int, default=None)
-    p_sim.set_defaults(func=cmd_simulate, defaults=_SIM_DEFAULTS)
-
-    p_bench = subs.add_parser("bench", help="time the pipeline on a synthetic run")
-    _add_common(p_bench, _BENCH_DEFAULTS)
-    p_bench.add_argument("--n", type=int, default=None)
-    p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.set_defaults(func=cmd_bench, defaults=_BENCH_DEFAULTS)
+    for name, func, defaults, help_text in _COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("--config", default=None, help="key=value config file; flags win")
+        sub.add_argument("--output-dir", dest="output_dir", default=None)
+        for key, default in defaults.items():
+            if key == "output_dir":
+                continue
+            sub.add_argument(
+                "--" + key.replace("_", "-"), dest=key, type=type(default), default=None,
+                choices=_CHOICES.get(key), help=_HELP.get(key),
+            )
+        sub.set_defaults(func=func, defaults=defaults)
     return parser
 
 

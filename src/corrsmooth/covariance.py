@@ -94,6 +94,15 @@ def estimate_covariance(residuals, distances, t: float, b: float) -> float:
     return _PairSums(residuals, distances).estimate(float(t), float(b))
 
 
+def _interpolate_truncated(t, t_grid, values, truncation_t):
+    """Piecewise-linear curve; identically 0 at and beyond truncation."""
+    t = np.asarray(t, dtype=float)
+    out = np.interp(t, t_grid, values)
+    beyond = (t >= truncation_t) & (t > 0.0)
+    out = np.where(beyond, 0.0, out)
+    return float(out) if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class CovarianceEstimate:
     t_grid: np.ndarray
@@ -106,12 +115,7 @@ class CovarianceEstimate:
     bound_flag: bool = False
 
     def interpolate(self, t):
-        """Piecewise-linear curve; identically 0 at and beyond truncation."""
-        t = np.asarray(t, dtype=float)
-        out = np.interp(t, self.t_grid, self.c_hat)
-        beyond = (t >= self.truncation_t) & (t > 0.0)
-        out = np.where(beyond, 0.0, out)
-        return float(out) if out.ndim == 0 else out
+        return _interpolate_truncated(t, self.t_grid, self.c_hat, self.truncation_t)
 
 
 @dataclass(frozen=True)
@@ -133,11 +137,7 @@ class CorrelationCurve:
     clamped: bool
 
     def interpolate(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.interp(t, self.t_grid, self.rho)
-        beyond = (t >= self.truncation_t) & (t > 0.0)
-        out = np.where(beyond, 0.0, out)
-        return float(out) if out.ndim == 0 else out
+        return _interpolate_truncated(t, self.t_grid, self.rho, self.truncation_t)
 
 
 def sigma2_rss(data: Dataset, h_t: float, ko) -> float:

@@ -8,6 +8,9 @@ Conventions:
     both over R^D.  For radial kernels these reduce to 1-D integrals in r
     via the surface area of the unit sphere, which keeps them exact for
     polynomial profiles.
+  - The two fitting kernels own their geometry: geometry() computes what
+    weights() consumes and what reach() turns into the distances the
+    bandwidth grid scans, so no caller branches on the kernel kind.
 
 The annulus kernel is a cubic polynomial in r supported on [c1, c2] and
 identically zero elsewhere, normalized to integrate to 1 over R^D.  Its
@@ -24,6 +27,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import KernelConstructionError
+from .locfit import _component_displacements, _metric_distances
 
 __all__ = [
     "MIN_VARIANCE",
@@ -31,14 +35,12 @@ __all__ = [
     "MIN_PRODUCT",
     "RadialAnnulusKernel",
     "ProductEpanechnikovKernel",
-    "CovarianceKernel1D",
     "BoundaryKernel",
     "KernelMoments",
     "build_annulus_kernel",
     "kernel_moments",
     "eval_kernel",
     "kernel_to_text",
-    "kernel_from_text",
     "sphere_surface",
 ]
 
@@ -83,9 +85,16 @@ class RadialAnnulusKernel:
         val = ((a * r + b) * r + c) * r + d
         return np.where(inside, val, 0.0)
 
-    @property
-    def support(self):
-        return (self.c1, self.c2)
+    def geometry(self, data, targets):
+        """(m, n) metric distances from each target to each design point."""
+        return _metric_distances(data, targets)
+
+    def weights(self, dist, h):
+        return self.profile(dist / h)
+
+    def reach(self, dist):
+        """The distances default_grid scans, and the support (c1, c2) in units of h."""
+        return dist, self.c1, self.c2
 
 
 @dataclass(frozen=True)
@@ -101,6 +110,20 @@ class ProductEpanechnikovKernel:
         flat = u.reshape(-1, self.dim)
         out = self.component_product(flat[:, d] for d in range(self.dim))
         return out.reshape(u.shape[:-1])[()]
+
+    def geometry(self, data, targets):
+        """(D, m, n) coordinate displacements from each target to each design point."""
+        if self.dim != data.dim:
+            raise ValueError("kernel dimension does not match dataset")
+        return _component_displacements(data, targets)
+
+    def weights(self, disp, h):
+        return self.component_product(d / h for d in disp)
+
+    def reach(self, disp):
+        """Chebyshev distances, below h exactly when every coordinate is inside
+        the support, and the support (0, 1) in units of h."""
+        return np.abs(disp).max(axis=0), 0.0, 1.0
 
     @staticmethod
     def component_product(components):
@@ -121,15 +144,6 @@ class ProductEpanechnikovKernel:
             else:
                 out *= f
         return out
-
-
-@dataclass(frozen=True)
-class CovarianceKernel1D:
-    """Epanechnikov kernel on (-1, 1) used to smooth the covariance lag."""
-
-    def value(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.where(np.abs(u) <= 1.0, 0.75 * np.maximum(0.0, 1.0 - u * u), 0.0)
 
 
 @dataclass(frozen=True)
@@ -303,10 +317,6 @@ def kernel_moments(kernel, dim: int | None = None) -> KernelMoments:
         d = kernel.dim if dim is None else int(dim)
         # per-coordinate: int u^2 (3/4)(1-u^2) du = 1/5, int K^2 = 3/5
         return KernelMoments(mu2=0.2, muK2=0.6**d)
-    if isinstance(kernel, CovarianceKernel1D):
-        if dim not in (None, 1):
-            raise ValueError("covariance kernel is one-dimensional")
-        return KernelMoments(mu2=0.2, muK2=0.6)
     if isinstance(kernel, BoundaryKernel):
         from scipy import integrate
 
@@ -338,7 +348,7 @@ def eval_kernel(kernel, u):
         if u.ndim == 1 and u.shape[0] == kernel.dim:
             return float(kernel.value(u))
         return kernel.value(u)
-    if isinstance(kernel, (CovarianceKernel1D, BoundaryKernel)):
+    if isinstance(kernel, BoundaryKernel):
         u = np.asarray(u, dtype=float)
         out = kernel.value(u)
         return float(out) if out.ndim == 0 else out
@@ -353,29 +363,7 @@ def kernel_to_text(kernel) -> str:
         return " ".join(parts)
     if isinstance(kernel, ProductEpanechnikovKernel):
         return f"product_epanechnikov {kernel.dim}"
-    if isinstance(kernel, CovarianceKernel1D):
-        return "covariance_1d"
     if isinstance(kernel, BoundaryKernel):
         return f"boundary {kernel.q!r}"
     raise TypeError(f"cannot serialize {type(kernel).__name__}")
 
-
-def kernel_from_text(text: str):
-    parts = text.split()
-    if not parts:
-        raise ValueError("empty kernel record")
-    kind = parts[0]
-    if kind == "annulus":
-        if len(parts) != 8:
-            raise ValueError(f"annulus record needs 7 fields, got {len(parts) - 1}")
-        c1, c2 = float(parts[1]), float(parts[2])
-        dim = int(parts[3])
-        coeffs = tuple(float(p) for p in parts[4:8])
-        return RadialAnnulusKernel(c1=c1, c2=c2, coeffs=coeffs, dim=dim)
-    if kind == "product_epanechnikov":
-        return ProductEpanechnikovKernel(dim=int(parts[1]))
-    if kind == "covariance_1d":
-        return CovarianceKernel1D()
-    if kind == "boundary":
-        return BoundaryKernel(q=float(parts[1]))
-    raise ValueError(f"unknown kernel kind {kind!r}")

@@ -16,16 +16,14 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import pdist
 
 from .errors import SingularFitError
-from .kernels import ProductEpanechnikovKernel, RadialAnnulusKernel, kernel_to_text
 
 __all__ = [
     "EARTH_RADIUS_KM",
     "Dataset",
     "FitResult",
-    "fit_at",
     "fit_all",
     "fit_points",
     "hat_coefficients",
@@ -101,10 +99,6 @@ class FitResult:
     kernel: object
     singular_count: int
 
-    @property
-    def kernel_id(self) -> str:
-        return kernel_to_text(self.kernel)
-
 
 def _haversine(lat1, lon1, lat2, lon2):
     """Great-circle distance in km between degree coordinates."""
@@ -145,7 +139,7 @@ def _component_displacements(data: Dataset, targets: np.ndarray) -> np.ndarray:
 
 
 class _Workspace:
-    """Per-dataset precomputation shared across bandwidths of one kernel kind."""
+    """Per-dataset precomputation, and the kernel's geometry, shared across bandwidths."""
 
     def __init__(self, data: Dataset, kernel, targets: np.ndarray | None = None):
         self.data = data
@@ -154,23 +148,12 @@ class _Workspace:
         x = data.points
         self.xxt = np.einsum("jk,jl->jkl", x, x)
         self.xy = x * data.responses[:, None]
-        if isinstance(kernel, RadialAnnulusKernel):
-            self.dist = _metric_distances(data, self.targets)
-            self.disp = None
-        elif isinstance(kernel, ProductEpanechnikovKernel):
-            if kernel.dim != data.dim:
-                raise ValueError("kernel dimension does not match dataset")
-            self.disp = _component_displacements(data, self.targets)
-            self.dist = None
-        else:
-            raise TypeError(f"unsupported fitting kernel {type(kernel).__name__}")
+        self.geometry = kernel.geometry(data, self.targets)
 
     def weights(self, h: float) -> np.ndarray:
         if h <= 0:
             raise ValueError(f"bandwidth must be positive, got {h}")
-        if self.dist is not None:
-            return self.kernel.profile(self.dist / h)
-        return self.kernel.component_product(d / h for d in self.disp)
+        return self.kernel.weights(self.geometry, h)
 
 
 def _solve_batched(a: np.ndarray, *rhs: np.ndarray):
@@ -247,18 +230,6 @@ def _fit_targets(ws: _Workspace, h: float):
     a, rhs = _normal_systems(ws, weights)
     (beta,), singular = _solve_batched(a, rhs)
     return beta[:, 0], singular
-
-
-def fit_at(data: Dataset, x, h: float, kernel) -> float:
-    """Local linear estimate at a single point; raises on a singular system."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (data.dim,):
-        raise ValueError(f"x must be a {data.dim}-vector")
-    ws = _Workspace(data, kernel, targets=x[None, :])
-    est, singular = _fit_targets(ws, h)
-    if singular[0]:
-        raise SingularFitError(f"singular local fit at x={x.tolist()}", x=x)
-    return float(est[0])
 
 
 def fit_points(data: Dataset, targets, h: float, kernel):
@@ -359,11 +330,6 @@ def pairwise_distances(data: Dataset) -> np.ndarray:
     iu, ju = np.triu_indices(data.n, k=1)
     pts = data.points
     return _haversine(pts[iu, 0], pts[iu, 1], pts[ju, 0], pts[ju, 1])
-
-
-def distance_matrix(data: Dataset) -> np.ndarray:
-    """Symmetric (n, n) metric distance matrix with zero diagonal."""
-    return squareform(pairwise_distances(data))
 
 
 def load_csv(path, metric: str = "euclidean") -> Dataset:

@@ -5,7 +5,10 @@ desk scale.
 Randomness discipline: every trial owns a child of numpy's SeedSequence
 spawned from the scenario seed, fed to a PCG64 Generator.  Uniform design
 draws come first, then the standard normals behind the correlated errors,
-so identical seeds give bit-identical datasets.
+so identical seeds give bit-identical datasets at a fixed BLAS thread
+count.  The correlated errors pass through a dense eigendecomposition and
+a matrix-vector product, which round differently with, say, one and two
+OpenBLAS threads.
 """
 
 from __future__ import annotations
@@ -235,8 +238,7 @@ def sse_cor(rho_hat, model: CorrelationModel, distances, n: int, zeta: float = Z
     mask = rho_true >= zeta
     if not mask.any():
         return 0.0
-    est = rho_hat.interpolate(d[mask]) if hasattr(rho_hat, "interpolate") else np.asarray(rho_hat)[mask]
-    diff = est - rho_true[mask]
+    diff = rho_hat.interpolate(d[mask]) - rho_true[mask]
     return float(diff @ diff)
 
 
@@ -314,10 +316,8 @@ class ResultRow:
     failures: int
 
 
-def _covariance_metrics(sim, residuals, sigma2_hat, n_star, delta_n, zeta, b_candidates):
-    cal = calibrate_b(
-        sim.dataset, residuals, sigma2_hat, b_candidates=b_candidates, delta_n=delta_n
-    )
+def _covariance_metrics(sim, residuals, sigma2_hat, n_star, delta_n, zeta):
+    cal = calibrate_b(sim.dataset, residuals, sigma2_hat, delta_n=delta_n)
     curve = covariance_curve(
         sim.dataset, residuals, cal.chosen_b, n_star=n_star, sigma2_hat=sigma2_hat
     )
@@ -333,7 +333,6 @@ def run_method_trial(
     n_star: int = 200,
     delta_n: float = DELTA_N_DEFAULT,
     zeta: float = ZETA_DEFAULT,
-    b_candidates=None,
 ) -> TrialOutcome:
     """Full pipeline for one method on one simulated trial."""
     data = sim.dataset
@@ -354,9 +353,7 @@ def run_method_trial(
     prac = mse_prac(fit.fitted, sim.mu_true)
     h_t = variance_fit_bandwidth(h, sim.n, dim)
     s2 = sigma2_rss(data, h_t, ko)
-    sse, fallback = _covariance_metrics(
-        sim, fit.residuals, s2, n_star, delta_n, zeta, b_candidates
-    )
+    sse, fallback = _covariance_metrics(sim, fit.residuals, s2, n_star, delta_n, zeta)
     return TrialOutcome(
         h=h, mse_prac=prac, sigma2_hat=s2, sse_cor=sse, calibration_fallback=fallback
     )
@@ -367,14 +364,11 @@ def run_raw_trial(
     n_star: int = 200,
     delta_n: float = DELTA_N_DEFAULT,
     zeta: float = ZETA_DEFAULT,
-    b_candidates=None,
 ) -> TrialOutcome:
     """Reference pipeline treating the true errors as observed."""
     errors = sim.errors
     s2 = float(errors @ errors / errors.shape[0])
-    sse, fallback = _covariance_metrics(
-        sim, errors, s2, n_star, delta_n, zeta, b_candidates
-    )
+    sse, fallback = _covariance_metrics(sim, errors, s2, n_star, delta_n, zeta)
     return TrialOutcome(
         h=np.nan, mse_prac=np.nan, sigma2_hat=s2, sse_cor=sse, calibration_fallback=fallback
     )

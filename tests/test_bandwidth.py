@@ -104,9 +104,9 @@ def test_default_grid_bounds():
     assert grid.size == 30
     assert np.all(np.diff(grid) > 0)
     # upper end: annulus reach covers half the cloud diameter
-    from corrsmooth.locfit import distance_matrix
+    from corrsmooth.locfit import pairwise_distances
 
-    diam = distance_matrix(sim.dataset).max()
+    diam = pairwise_distances(sim.dataset).max()
     assert grid[-1] == pytest.approx(diam / (2.0 * KZ.c1))
     # lower end keeps at least 2(D+1) annulus neighbors for 99% of points
     fit = fit_all(sim.dataset, grid[0], KZ)

@@ -274,3 +274,58 @@ def test_bench_runs(tmp_path, capsys):
     stages = ("build_kernel_s", "select_s", "fit_s", "covariance_s", "gcv_s", "min_epan_s")
     assert sorted(printed) == sorted(stages)
     assert all(float(printed[s]) >= 0.0 for s in stages)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--grid", "1:2:0"],
+    ["elbow", "--c1-list", "1:2:0"],
+    ["covariance", "--b-candidates", "0.1:0.3:0"],
+    ["fit", "--grid", "0.3:0.2:0.05"],  # empty range
+])
+def test_bad_list_ranges_are_usage_errors(tmp_path, affine_csv, capsys, argv):
+    code = main([*argv, "--input", str(affine_csv), "--output-dir", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.fixture()
+def affine_fit_dir(tmp_path, affine_csv):
+    fit_out = tmp_path / "fit"
+    assert main([
+        "fit", "--input", str(affine_csv), "--c1", "1.0", "--grid-size", "10",
+        "--surface-grid", "4", "--output-dir", str(fit_out),
+    ]) == 0
+    return fit_out
+
+
+def test_covariance_fit_dir_rejects_other_input(tmp_path, affine_csv, affine_fit_dir, capsys):
+    other = tmp_path / "other.csv"
+    other.write_bytes(affine_csv.read_bytes())
+    code = main([
+        "covariance", "--input", str(other), "--fit-dir", str(affine_fit_dir),
+        "--output-dir", str(tmp_path / "cov"),
+    ])
+    assert code == 1
+    assert "used input=" in capsys.readouterr().err
+
+
+def test_covariance_fit_dir_rejects_other_metric(tmp_path, affine_csv, affine_fit_dir, capsys):
+    code = main([
+        "covariance", "--input", str(affine_csv), "--metric", "haversine",
+        "--fit-dir", str(affine_fit_dir), "--output-dir", str(tmp_path / "cov"),
+    ])
+    assert code == 1
+    assert "used metric='euclidean'" in capsys.readouterr().err
+
+
+def test_covariance_fit_dir_rejects_non_fit_report(tmp_path, affine_csv, capsys):
+    elbow_out = tmp_path / "elbow"
+    elbow_out.mkdir()
+    (elbow_out / "report.txt").write_text("command=elbow\nchosen_c1=1.0\nh_o=0.3\n")
+    (elbow_out / "config_echo.txt").write_text(f"input={affine_csv}\nmetric=euclidean\n")
+    code = main([
+        "covariance", "--input", str(affine_csv), "--fit-dir", str(elbow_out),
+        "--output-dir", str(tmp_path / "cov"),
+    ])
+    assert code == 1
+    assert "command='elbow'" in capsys.readouterr().err

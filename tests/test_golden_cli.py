@@ -1,0 +1,144 @@
+"""Byte-identity of the CLI artifacts and --help texts with recorded digests.
+
+A child interpreter, with OpenBLAS on one thread, writes a small seeded
+lat/lon CSV and a two-line scenario file, then runs ``elbow``, ``fit``,
+``covariance --fit-dir`` and ``simulate`` through ``cli.main``.  The
+sha256 of every artifact and of each command's stdout must equal the
+digests below, which were recorded before the kernel dispatch moved into
+``kernels`` and the parser was generated from the defaults tables.
+Path-valued keys of ``config_echo.txt`` are left out, because the run
+directory differs per test.  Re-record a digest only together with a
+CHANGES.md note that says which output moved and why.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import corrsmooth
+
+_SCRIPT = """
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from corrsmooth.cli import main
+
+root = Path(sys.argv[1])
+rng = np.random.default_rng(2718)
+n = 120
+lat = 30.0 + 3.0 * rng.random(n)
+lon = -92.0 + 4.0 * rng.random(n)
+y = 2.0 * np.sin(np.pi * (lon + 92.0) / 2.0) + 2.0 * ((lat - 30.0) / 3.0) ** 2
+y = y + 0.3 * rng.standard_normal(n)
+csv_path = root / "geo.csv"
+csv_path.write_text("x1,x2,y\\n" + "".join(
+    f"{a!r},{b!r},{c!r}\\n" for a, b, c in zip(lat.tolist(), lon.tolist(), y.tolist())
+))
+scenes = root / "scenes.txt"
+scenes.write_text(
+    "family=spherical c=2.0 D=2 n=80 seed=5 trials=1 methods=za(1,1.5);gcv\\n"
+    "family=exponential c=1.0 D=2 n=80 seed=6 trials=2 methods=za(2,2.5)\\n"
+)
+geo = ["--input", str(csv_path), "--metric", "haversine"]
+runs = {
+    "elbow": [*geo, "--c1-list", "0.5:2.5:0.25", "--grid-size", "8"],
+    "fit": [*geo, "--c1", "1.0", "--grid-size", "10", "--surface-grid", "6"],
+    "covariance": [*geo, "--fit-dir", str(root / "fit"), "--n-star", "30"],
+    "simulate": ["--scenarios", str(scenes), "--n-star", "20"],
+}
+path_keys = {b"input", b"output_dir", b"fit_dir", b"scenarios"}
+digests = {}
+for name, argv in runs.items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([name, *argv, "--output-dir", str(root / name)])
+    digests[f"{name}/exit"] = code
+    text = out.getvalue().replace(str(root), "<root>").encode()
+    digests[f"{name}/stdout"] = hashlib.sha256(text).hexdigest()
+    for path in sorted((root / name).iterdir()):
+        data = path.read_bytes()
+        if path.name == "config_echo.txt":
+            data = b"".join(
+                line for line in data.splitlines(keepends=True)
+                if line.split(b"=", 1)[0] not in path_keys
+            )
+        digests[f"{name}/{path.name}"] = hashlib.sha256(data).hexdigest()
+helps = {}
+for name in ("fit", "elbow", "covariance", "simulate", "bench"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):
+        main([name, "--help"])
+    helps[name] = out.getvalue()
+print(json.dumps({"artifacts": digests, "help": helps}))
+"""
+
+_ARTIFACTS = {
+    "elbow/exit": 0,
+    "elbow/stdout": "3d563e6d48ac8fe1728baa7af9850896642e0e49aecdc46c4f71b5c9b8a3f7bc",
+    "elbow/config_echo.txt": "af304780e898846bb2c6a32aebfa9e1c45e0cf8c2586f084afd70eb7a0698ac4",
+    "elbow/elbow.csv": "c05390a409db238485e072c8768b83999dd24fd48e2992dd0d9810cea1b00f65",
+    "elbow/report.txt": "485486f631be34da52ee83ffff79f6c246681f0fa9436dec28c993fd22337a05",
+    "fit/exit": 0,
+    "fit/stdout": "fc766e815ee7a3801673eda162af80d78dcffbe17b5c045f54ae117763fffe0d",
+    "fit/config_echo.txt": "139a529140991b8a4387592ff35fb5a1ae90d94c1e5a73f45326c683a18de14c",
+    "fit/fitted.csv": "00f60ac72d050d8285a02d6eb57bac8111c71a9c56cddea6fcd7b73644cfbde5",
+    "fit/report.txt": "b9e8f7442803309223c6f653d9a4de79a62d14f80e87f79282446a16e26b339d",
+    "fit/rss_trace.csv": "60b963d7aad5918bd935cc0d7593c42da231123f0c65d3c3d84883d7a7c954fa",
+    "fit/surface.csv": "c446bee5dfee8b7892cd045abd6c83c8c29fc544c1fef919a191092bcd53ca2e",
+    "covariance/exit": 0,
+    "covariance/stdout": "df20ee3366cc1a8d5c0ff7ba89351cf6d74e15677ac17a0310ab6676be99d30f",
+    "covariance/calibration.csv": "cf89854e985336e4b87b376d3ef4088d6644cf3953b6998a31a1319ae63c1f07",
+    "covariance/config_echo.txt": "870f46c6386a34020979735a26f1f5ad7c66b90e8736be635440516b1a8bf722",
+    "covariance/covariance.csv": "55bf89b44169b365d1c41d5d939c705018a6c422c66ae6e800f78990df524202",
+    "covariance/report.txt": "9b4457aa678109b036c1e6ec1998ad62cb9347511f41409b7b9f283b91d80156",
+    "simulate/exit": 0,
+    "simulate/stdout": "6f695a41d5c6ded018f37a55275d8b889aa21807cc8a70b79b35ffcb841462ac",
+    "simulate/config_echo.txt": "fcc4325184ed9cdf1735f2d3f9b0c6da125157ac4faeee1fe71a9877404caebf",
+    "simulate/failures.csv": "ff2a908c7b6ccdb4c54b9c9ad2075d7208dae7a70135ca5cd8d21d079e19bf74",
+    "simulate/report.txt": "af1a93ae963adb57d567e21b149feceaf9b492e63688ba22936442b1c7108e65",
+    "simulate/table_mse_prac.csv": "5f7e3ce04623b30956b042d9202275413fc872223ea7704188bdb19e1349d307",
+    "simulate/table_mse_sigma2.csv": "5d6b8a05099a786efa175b3d4dbc3e276ecc8358501dbe55837a714f39e50b39",
+    "simulate/table_sse_cor.csv": "824951d32652eb85753198e0693b21a661793b9b244b5823c11c9ac12b9c7a87",
+}
+
+# --help at COLUMNS=100 (argparse as in Python 3.11).
+_HELP = {
+    "fit": "0c6f550c827d7d86651d3a4ac66baeb6e452a38dbc83a261195daad888838a8e",
+    "elbow": "8af58b26a7b3d2fede65ac5328667c707cb93eba8fa85b98f6d0cb0529a12654",
+    "covariance": "c147d6bdb92454ac3be80d5b76c4686741610d8d1899eabe61f7c2ff7312fd1e",
+    "simulate": "1841227d4c8de2a3ac7f1a8071ccbbe681ad02173eab1052247adf3b7382a2ec",
+    "bench": "f4419f060cfc6a411e13e96a8f604118db32ff3bd6376b956cc6aba192b4a927",
+}
+# The one help line that changed since the recording: covariance --grid
+# gained the help text that fit --grid already had.
+_GRID_HELP = "  --grid GRID           explicit grid 'a,b,c' or 'lo:hi:step'\n"
+
+
+def _run_golden(tmp_path):
+    src = str(Path(corrsmooth.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", COLUMNS="100")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _SCRIPT, str(tmp_path)], env=env, capture_output=True,
+        text=True, timeout=120, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def test_cli_artifacts_and_help_match_recorded_digests(tmp_path):
+    result = _run_golden(tmp_path)
+    assert result["artifacts"] == _ARTIFACTS
+    helps = dict(result["help"])
+    assert _GRID_HELP in helps["covariance"]
+    helps["covariance"] = helps["covariance"].replace(_GRID_HELP, "  --grid GRID\n")
+    digests = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in helps.items()}
+    assert digests == _HELP

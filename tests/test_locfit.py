@@ -8,7 +8,7 @@ from corrsmooth.locfit import (
     EARTH_RADIUS_KM,
     Dataset,
     fit_all,
-    fit_at,
+    fit_points,
     hat_coefficients,
     hat_matrix,
     load_csv,
@@ -28,22 +28,26 @@ def test_affine_reproduction(dim):
     assert np.abs(fit.fitted - data.responses).max() < 1e-10
     x = np.full(dim, 0.37)
     truth = 1.0 + x @ np.arange(1, dim + 1, dtype=float)
-    assert abs(fit_at(data, x, 0.4, ko) - truth) < 1e-10
+    est, singular = fit_points(data, x[None, :], 0.4, ko)
+    assert not singular[0]
+    assert abs(est[0] - truth) < 1e-10
 
 
 def test_constant_responses_reproduced():
     rng = np.random.default_rng(5)
     data = Dataset(points=rng.random((80, 2)), responses=np.full(80, 5.0))
-    est = fit_at(data, [0.4, 0.6], 0.3, ProductEpanechnikovKernel(2))
-    assert abs(est - 5.0) < 1e-12
+    est, singular = fit_points(data, [[0.4, 0.6]], 0.3, ProductEpanechnikovKernel(2))
+    assert not singular[0]
+    assert abs(est[0] - 5.0) < 1e-12
 
 
-def test_collinear_points_raise_singular():
+def test_collinear_points_give_nan_and_singular_mask():
     t = np.linspace(0.0, 1.0, 5)
     pts = np.column_stack([t, 2.0 * t])  # rank-deficient design in D=2
     data = Dataset(points=pts, responses=t)
-    with pytest.raises(SingularFitError):
-        fit_at(data, [0.5, 1.0], 1.0, ProductEpanechnikovKernel(2))
+    est, singular = fit_points(data, [[0.5, 1.0]], 1.0, ProductEpanechnikovKernel(2))
+    assert np.isnan(est[0])
+    assert singular[0]
 
 
 def test_annulus_with_tiny_h_marks_every_point_singular():
@@ -70,8 +74,9 @@ def test_hat_coefficient_identities():
     assert c[i] == 0.0  # annulus kernel vanishes at the origin
     assert abs(c.sum() - 1.0) < 1e-10  # constant preservation
     assert np.abs(c @ (data.points - data.points[i])).max() < 1e-10
-    fitted = fit_at(data, data.points[i], 0.35, kz)
-    assert abs(c @ data.responses - fitted) < 1e-12
+    fitted, singular = fit_points(data, data.points[i][None, :], 0.35, kz)
+    assert not singular[0]
+    assert abs(c @ data.responses - fitted[0]) < 1e-12
 
 
 def test_hat_matrix_matches_per_row_and_explicit_algebra():

@@ -294,6 +294,17 @@ def test_run_table_deterministic_and_thread_invariant():
     assert r1 == r3
 
 
+def test_run_table_rows_equal_across_trial_thread_counts():
+    # four trials spread over two worker threads, with the GCV sweep as well
+    scn = SimScenario("mu2d", 150, CorrelationModel("exponential", c=1.0), seed=11, n_trials=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        one = run_table([scn], ["za(1,1.5)", "gcv"], n_star=30, threads=1)
+        two = run_table([scn], ["za(1,1.5)", "gcv"], n_star=30, threads=2)
+    assert [r.method for r in one] == ["minEpan", "Raw", "ZA(1,1.5)", "GCV"]
+    assert one == two
+
+
 def test_min_epan_bounds_method_on_every_trial():
     model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
     scn = SimScenario("mu2d", 200, model, seed=606, n_trials=2)
