@@ -25,7 +25,7 @@ from .kernels import (
     build_annulus_kernel,
     kernel_moments,
 )
-from .locfit import Dataset, _fit_all_ws, _fit_and_hat_diagonal, _Workspace, rss
+from .locfit import Dataset, InSampleGeometry, _fit_all_ws, _fit_and_hat_diagonal, _Workspace, rss
 from .locfit import fit_all  # noqa: F401  (perfbench's tracer test checks this binding)
 
 __all__ = [
@@ -67,44 +67,45 @@ class ElbowDiagnostic:
     kernels: list = field(default_factory=list)
 
 
-def _neighbor_counts(dist: np.ndarray, lo: float, hi: float, h: float) -> np.ndarray:
-    if lo > 0.0:
-        mask = (dist > lo * h) & (dist < hi * h)
-    else:
-        mask = (dist > 0.0) & (dist < hi * h)
-    return mask.sum(axis=1)
-
-
-def default_grid(data: Dataset, kernel, size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
+def default_grid(
+    data: Dataset, kernel, size: int = DEFAULT_GRID_SIZE, geometry: InSampleGeometry | None = None
+) -> np.ndarray:
     """Log-spaced candidate bandwidths over the data-driven feasible range.
 
-    The lower end is the smallest h at which >= 99% of the points have at
-    least 2(D+1) neighbors with positive kernel weight.  The upper end
-    depends on the kernel: diam/(2*c1) for the annulus kernel, where its
-    inner radius spans half the cloud's metric diameter, and the full
-    Chebyshev diameter for the product kernel, where its support spans
-    the whole cloud.
+    The lower end is the smallest of 256 log-spaced scan candidates at which
+    >= 99% of the points have at least 2(D+1) neighbors with positive kernel
+    weight, that is at distance d with lo*h < d < hi*h for the kernel's
+    support (lo, hi) in units of h.  The upper end depends on the kernel:
+    diam/(2*c1) for the annulus kernel, where its inner radius spans half
+    the cloud's metric diameter, and the full Chebyshev diameter for the
+    product kernel, where its support spans the whole cloud.
+
+    The kernel's reach gives each point's distances as one sorted row, so
+    a point's neighbor counts for all candidates come from two searchsorted
+    calls on its row.  A selection passes its InSampleGeometry, whose
+    sorted rows then serve every kernel scanned on the same data.
     """
-    dist, lo, hi = kernel.reach(kernel.geometry(data, data.points))
+    rows, lo, hi = kernel.reach(geometry or InSampleGeometry(data))
     min_neighbors = 2 * (data.dim + 1)
-    positive = dist[dist > 0.0]
-    if positive.size == 0:
+    first_positive = np.count_nonzero(rows <= 0.0, axis=1)
+    has_positive = first_positive < rows.shape[1]
+    if not has_positive.any():
         raise NoFeasibleBandwidthError("all design points coincide")
-    diam = float(dist.max())
+    diam = float(rows[:, -1].max())
     h_max = diam / (2.0 * lo) if lo > 0.0 else diam
-    h_lo_scan = float(positive.min()) / hi
+    h_lo_scan = float(rows[has_positive, first_positive[has_positive]].min()) / hi
     if h_lo_scan >= h_max:
         raise NoFeasibleBandwidthError(
             f"degenerate bandwidth range [{h_lo_scan:.3g}, {h_max:.3g}]"
         )
     candidates = np.geomspace(h_lo_scan, h_max, _SCAN_CANDIDATES)
-    h_min = None
-    for h in candidates:
-        counts = _neighbor_counts(dist, lo, hi, h)
-        if (counts >= min_neighbors).mean() >= _NEIGHBOR_COVERAGE:
-            h_min = float(h)
-            break
-    if h_min is None or h_min >= h_max:
+    inner, outer = lo * candidates, hi * candidates
+    counts = np.empty((rows.shape[0], candidates.size), dtype=np.intp)
+    for i, row in enumerate(rows):
+        counts[i] = np.searchsorted(row, outer, "left") - np.searchsorted(row, inner, "right")
+    covered = np.flatnonzero((counts >= min_neighbors).mean(axis=0) >= _NEIGHBOR_COVERAGE)
+    h_min = float(candidates[covered[0]]) if covered.size else h_max
+    if h_min >= h_max:
         raise NoFeasibleBandwidthError(
             f"no bandwidth gives {min_neighbors} positive-weight neighbors to "
             f"{_NEIGHBOR_COVERAGE:.0%} of the {data.n} points; the design may be too sparse"
@@ -123,14 +124,17 @@ def _validate_grid(grid) -> np.ndarray:
     return grid
 
 
-def select_h_z(data: Dataset, kz: RadialAnnulusKernel, grid) -> BandwidthSelection:
+def select_h_z(
+    data: Dataset, kz: RadialAnnulusKernel, grid, geometry: InSampleGeometry | None = None
+) -> BandwidthSelection:
     """Pick the grid bandwidth minimizing in-sample RSS under the annulus kernel.
 
     Infeasible candidates (any singular local fit) carry an +inf sentinel;
-    ties break toward the smaller bandwidth.
+    ties break toward the smaller bandwidth.  The fits read their distances
+    from geometry when one is given.
     """
     grid = _validate_grid(grid)
-    ws = _Workspace(data, kz)
+    ws = _Workspace(data, kz, geometry=geometry)
     trace = np.full(grid.shape, np.inf)
     for idx, h in enumerate(grid):
         fit = _fit_all_ws(ws, h)
@@ -182,7 +186,8 @@ def elbow_scan(
     Per candidate: build the annulus kernel (c2 = c1 + offset), select its
     RSS bandwidth, and record C-bar = (mu(K^2)/mu2^2)^(1/(D+4)) / h.  The
     chosen c1 is the first with two consecutive relative changes below
-    stability_tol.  Failed candidates become gaps, not fatal errors.
+    stability_tol.  Failed candidates become gaps, not fatal errors.  One
+    InSampleGeometry serves every candidate's grid and selection.
     """
     c1_arr = np.asarray(list(c1_list), dtype=float)
     if c1_arr.size < 3:
@@ -194,11 +199,12 @@ def elbow_scan(
     cbar = np.full(c1_arr.shape, np.nan)
     h_zs = np.full(c1_arr.shape, np.nan)
     kernels: list = [None] * c1_arr.size
+    geometry = InSampleGeometry(data)
     for idx, c1 in enumerate(c1_arr):
         try:
             kz = build_annulus_kernel(c1, c1 + c2_offset, dim, objective)
-            grid = default_grid(data, kz, size=grid_size)
-            sel = select_h_z(data, kz, grid)
+            grid = default_grid(data, kz, size=grid_size, geometry=geometry)
+            sel = select_h_z(data, kz, grid, geometry=geometry)
         except (ValueError, CorrsmoothError):
             continue
         m = kernel_moments(kz, dim)

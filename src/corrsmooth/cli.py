@@ -48,7 +48,7 @@ from .kernels import (
     build_annulus_kernel,
     kernel_to_text,
 )
-from .locfit import Dataset, fit_all, fit_points, load_csv, rss
+from .locfit import Dataset, InSampleGeometry, fit_all, fit_points, load_csv, rss
 from .simulate import (
     CorrelationModel,
     SimScenario,
@@ -123,6 +123,10 @@ def _resolve(args, defaults: dict) -> dict:
                 cfg[key] = type(defaults[key])(raw)
             except ValueError as err:
                 raise UsageError(f"bad config value for {key}: {err}") from err
+            if key in _CHOICES and cfg[key] not in _CHOICES[key]:
+                raise UsageError(
+                    f"bad config value for {key}: {raw!r} is not one of {_CHOICES[key]}"
+                )
     for key in cfg:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
@@ -164,11 +168,12 @@ def _select_h_o(cfg, data, ko):
     kz = build_annulus_kernel(
         cfg["c1"], cfg["c1"] + cfg["c2_offset"], data.dim, cfg["objective"]
     )
+    geometry = InSampleGeometry(data)
     if cfg["grid"]:
         grid = _parse_float_list(cfg["grid"], "bandwidth grid")
     else:
-        grid = default_grid(data, kz, size=cfg["grid_size"])
-    sel = select_h_z(data, kz, grid)
+        grid = default_grid(data, kz, size=cfg["grid_size"], geometry=geometry)
+    sel = select_h_z(data, kz, grid, geometry=geometry)
     return kz, sel, factor_convert(sel, kz, ko)
 
 
@@ -498,8 +503,9 @@ def cmd_bench(cfg: dict) -> int:
     """End-to-end smoke benchmark on a small synthetic scenario.
 
     Times the stages a simulation trial spends its time on: kernel build,
-    annulus selection, final fit, covariance, GCV on the product grid and
-    the minEpan scan at the chosen bandwidth.
+    the annulus and product bandwidth grids, annulus selection, final fit,
+    covariance, GCV on the product grid and the minEpan scan at the chosen
+    bandwidth.
     """
     import time
 
@@ -517,7 +523,11 @@ def cmd_bench(cfg: dict) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         t0 = time.perf_counter()
-        sel = select_h_z(data, kz, default_grid(data, kz))
+        geometry = InSampleGeometry(data)
+        grid_z = default_grid(data, kz, geometry=geometry)
+        grid_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        sel = select_h_z(data, kz, grid_z, geometry=geometry)
         h_o = factor_convert(sel, kz, ko)
         timings.append(("select_s", time.perf_counter() - t0))
         t0 = time.perf_counter()
@@ -529,7 +539,11 @@ def cmd_bench(cfg: dict) -> int:
         covariance_curve(data, fit, cal.chosen_b, sigma2_hat=sigma2_hat)
         timings.append(("covariance_s", time.perf_counter() - t0))
         t0 = time.perf_counter()
-        gcv_select(data, ko, default_grid(data, ko))
+        grid_o = default_grid(data, ko)
+        grid_s += time.perf_counter() - t0
+        timings.append(("grid_s", grid_s))
+        t0 = time.perf_counter()
+        gcv_select(data, ko, grid_o)
         timings.append(("gcv_s", time.perf_counter() - t0))
         t0 = time.perf_counter()
         min_epan_mse(sim, extra_h=[h_o])

@@ -9,8 +9,10 @@ Conventions:
     via the surface area of the unit sphere, which keeps them exact for
     polynomial profiles.
   - The two fitting kernels own their geometry: geometry() computes what
-    weights() consumes and what reach() turns into the distances the
-    bandwidth grid scans, so no caller branches on the kernel kind.
+    weights() consumes, in_sample() reads or computes it at the design
+    points from a shared InSampleGeometry, and reach() turns that into the
+    sorted distance rows the bandwidth grid scans, so no caller branches on
+    the kernel kind.
 
 The annulus kernel is a cubic polynomial in r supported on [c1, c2] and
 identically zero elsewhere, normalized to integrate to 1 over R^D.  Its
@@ -89,12 +91,17 @@ class RadialAnnulusKernel:
         """(m, n) metric distances from each target to each design point."""
         return _metric_distances(data, targets)
 
+    def in_sample(self, shared):
+        """The shared (n, n) metric distances between the design points."""
+        return shared.distances
+
     def weights(self, dist, h):
         return self.profile(dist / h)
 
-    def reach(self, dist):
-        """The distances default_grid scans, and the support (c1, c2) in units of h."""
-        return dist, self.c1, self.c2
+    def reach(self, shared):
+        """Per-row sorted distances for default_grid's scan, and the support
+        (c1, c2) in units of h."""
+        return shared.sorted_distances, self.c1, self.c2
 
 
 @dataclass(frozen=True)
@@ -117,13 +124,22 @@ class ProductEpanechnikovKernel:
             raise ValueError("kernel dimension does not match dataset")
         return _component_displacements(data, targets)
 
+    def in_sample(self, shared):
+        """(D, n, n) displacements between the design points, computed afresh:
+        they are not kept on the shared geometry."""
+        return self.geometry(shared.data, shared.data.points)
+
     def weights(self, disp, h):
         return self.component_product(d / h for d in disp)
 
-    def reach(self, disp):
-        """Chebyshev distances, below h exactly when every coordinate is inside
-        the support, and the support (0, 1) in units of h."""
-        return np.abs(disp).max(axis=0), 0.0, 1.0
+    def reach(self, shared):
+        """Per-row sorted Chebyshev distances, below h exactly when every
+        coordinate is inside the support, and the support (0, 1) in units of h."""
+        disp = self.in_sample(shared)
+        np.abs(disp, out=disp)
+        cheb = disp.max(axis=0)
+        cheb.sort(axis=1)
+        return cheb, 0.0, 1.0
 
     @staticmethod
     def component_product(components):

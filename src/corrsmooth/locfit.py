@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -24,6 +25,7 @@ __all__ = [
     "EARTH_RADIUS_KM",
     "Dataset",
     "FitResult",
+    "InSampleGeometry",
     "fit_all",
     "fit_points",
     "hat_coefficients",
@@ -132,28 +134,69 @@ def _component_displacements(data: Dataset, targets: np.ndarray) -> np.ndarray:
     diff = pts.T[:, None, :] - targets.T[:, :, None]
     if data.metric == "euclidean":
         return diff
-    lat_mid = np.radians((pts[None, :, 0] + targets[:, None, 0]) / 2.0)
-    north = EARTH_RADIUS_KM * np.radians(diff[0])
-    east = EARTH_RADIUS_KM * np.cos(lat_mid) * np.radians(diff[1])
-    return np.stack([north, east])
+    # In place, with the ufuncs in the order of north = R * radians(dlat)
+    # and east = (R * cos(lat_mid)) * radians(dlon).
+    scale = pts[None, :, 0] + targets[:, None, 0]
+    scale /= 2.0
+    np.radians(scale, out=scale)
+    np.cos(scale, out=scale)
+    scale *= EARTH_RADIUS_KM
+    np.radians(diff, out=diff)
+    diff[0] *= EARTH_RADIUS_KM
+    diff[1] *= scale
+    return diff
+
+
+class InSampleGeometry:
+    """A dataset's (n, n) metric distance matrix and its per-row sorted copy,
+    each built on first use.
+
+    One object serves one bandwidth selection: the grid scan reads the
+    sorted rows and the in-sample fits read the matrix, so neither is
+    recomputed per kernel or per candidate.  It is meant to be dropped when
+    the selection ends, so the arrays do not outlive it into later fits.
+    """
+
+    def __init__(self, data: Dataset):
+        self.data = data
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        return _metric_distances(self.data, self.data.points)
+
+    @cached_property
+    def sorted_distances(self) -> np.ndarray:
+        return np.sort(self.distances, axis=1)
 
 
 class _Workspace:
-    """Per-dataset precomputation, and the kernel's geometry, shared across bandwidths."""
+    """Per-dataset precomputation, and the kernel's geometry, shared across bandwidths.
 
-    def __init__(self, data: Dataset, kernel, targets: np.ndarray | None = None):
+    Without targets the workspace fits at the design points; a given
+    InSampleGeometry then supplies the kernel's geometry there, in place of
+    computing it again.
+    """
+
+    def __init__(
+        self, data: Dataset, kernel, targets: np.ndarray | None = None,
+        geometry: InSampleGeometry | None = None,
+    ):
         self.data = data
         self.kernel = kernel
-        self.targets = data.points if targets is None else np.asarray(targets, dtype=float)
         x = data.points
         self.xxt = np.einsum("jk,jl->jkl", x, x)
         self.xy = x * data.responses[:, None]
-        self.geometry = kernel.geometry(data, self.targets)
+        if targets is None:
+            self.targets = x
+            self.kernel_geometry = kernel.in_sample(geometry or InSampleGeometry(data))
+        else:
+            self.targets = np.asarray(targets, dtype=float)
+            self.kernel_geometry = kernel.geometry(data, self.targets)
 
     def weights(self, h: float) -> np.ndarray:
         if h <= 0:
             raise ValueError(f"bandwidth must be positive, got {h}")
-        return self.kernel.weights(self.geometry, h)
+        return self.kernel.weights(self.kernel_geometry, h)
 
 
 def _solve_batched(a: np.ndarray, *rhs: np.ndarray):

@@ -35,7 +35,9 @@ from .covariance import (
 )
 from .errors import CorrsmoothError, SingularFitError
 from .kernels import MIN_PRODUCT, ProductEpanechnikovKernel, build_annulus_kernel
-from .locfit import Dataset, _fit_all_ws, _Workspace, fit_all, hat_matrix, pairwise_distances
+from .locfit import (
+    Dataset, InSampleGeometry, _fit_all_ws, _Workspace, fit_all, hat_matrix, pairwise_distances,
+)
 
 __all__ = [
     "FAMILIES",
@@ -340,7 +342,9 @@ def run_method_trial(
     ko = ProductEpanechnikovKernel(dim)
     if spec.kind == "za":
         kz = build_annulus_kernel(spec.c1, spec.c2, dim, objective)
-        sel = select_h_z(data, kz, default_grid(data, kz))
+        geometry = InSampleGeometry(data)
+        sel = select_h_z(data, kz, default_grid(data, kz, geometry=geometry), geometry=geometry)
+        del geometry  # frees the n x n distances before the product-kernel fits
         h = factor_convert(sel, kz, ko)
     elif spec.kind == "gcv":
         h = gcv_select(data, ko, default_grid(data, ko))

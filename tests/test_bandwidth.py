@@ -172,7 +172,7 @@ def test_elbow_constant_trace_picks_second_element(monkeypatch):
     data = make_affine_dataset(n=80, dim=2, seed=6)
     c1s = np.array([0.5, 1.0, 1.5, 2.0])
 
-    def fake_select(d, kz, grid):
+    def fake_select(d, kz, grid, geometry=None):
         m = kernel_moments(kz)
         h = (m.muK2 / m.mu2**2) ** (1.0 / 6.0) / 7.0  # forces C-bar == 7
         return bw.BandwidthSelection(h_z=h, grid=grid, rss_trace=np.array([0.0]))
@@ -191,7 +191,7 @@ def test_elbow_strictly_decreasing_trace_errors(monkeypatch):
     c1s = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
     values = iter([16.0, 8.0, 4.0, 2.0, 1.0])
 
-    def fake_select(d, kz, grid):
+    def fake_select(d, kz, grid, geometry=None):
         m = kernel_moments(kz)
         h = (m.muK2 / m.mu2**2) ** (1.0 / 6.0) / next(values)
         return bw.BandwidthSelection(h_z=h, grid=grid, rss_trace=np.array([0.0]))
@@ -217,6 +217,46 @@ def test_elbow_gap_handling():
     assert not diag.feasible[0]
     assert np.isnan(diag.cbar_list[0])
     assert diag.chosen_c1 in (1.0, 1.5, 2.0)
+
+
+@pytest.fixture()
+def distance_builds(monkeypatch):
+    """Records the target count of every metric distance matrix built."""
+    import corrsmooth.kernels as kernels_mod
+    import corrsmooth.locfit as locfit_mod
+
+    builds = []
+    real = locfit_mod._metric_distances
+
+    def counting(data, targets):
+        builds.append(len(targets))
+        return real(data, targets)
+
+    monkeypatch.setattr(locfit_mod, "_metric_distances", counting)
+    monkeypatch.setattr(kernels_mod, "_metric_distances", counting)
+    return builds
+
+
+def test_elbow_scan_builds_distance_matrix_once(distance_builds):
+    model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
+    sim = generate(SimScenario("mu2d", 200, model, seed=9, n_trials=1), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        diag = elbow_scan(sim.dataset, [0.5, 1.0, 1.5, 2.0, 2.5], grid_size=10)
+    assert diag.feasible.all()
+    assert distance_builds == [200]
+
+
+def test_za_trial_builds_distance_matrix_once(distance_builds):
+    from corrsmooth.simulate import MethodSpec, run_method_trial
+
+    model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
+    sim = generate(SimScenario("mu2d", 150, model, seed=9, n_trials=1), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = run_method_trial(sim, MethodSpec("za", 1.0, 1.5), n_star=40)
+    assert np.isfinite(out.h)
+    assert distance_builds == [150]
 
 
 def test_elbow_determinism():

@@ -271,9 +271,24 @@ def test_bench_runs(tmp_path, capsys):
     assert main(["bench", "--n", "150", "--output-dir", str(out)]) == 0
     assert "status=ok" in (out / "bench.txt").read_text()
     printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
-    stages = ("build_kernel_s", "select_s", "fit_s", "covariance_s", "gcv_s", "min_epan_s")
+    stages = ("build_kernel_s", "grid_s", "select_s", "fit_s", "covariance_s", "gcv_s",
+              "min_epan_s")
     assert sorted(printed) == sorted(stages)
     assert all(float(printed[s]) >= 0.0 for s in stages)
+
+
+@pytest.mark.parametrize("line", ["rho_mode=by_nothing", "objective=bogus"])
+def test_config_value_outside_choices_is_usage_error(tmp_path, affine_csv, capsys, line):
+    config = tmp_path / "cov.cfg"
+    config.write_text(f"{line}\n")
+    out = tmp_path / "cov"
+    code = main([
+        "covariance", "--config", str(config), "--input", str(affine_csv),
+        "--output-dir", str(out),
+    ])
+    assert code == 1
+    assert "is not one of" in capsys.readouterr().err
+    assert not (out / "covariance.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,8 +2,9 @@
 
 The references below are the formulas the sweeps used before they shared
 one workspace and one solve per candidate: the np.where/prod kernel value,
-GCV from fit_all plus the n x n hat matrix, and the minEpan scan as a
-fit_all loop.  Every comparison is exact (==), not approximate.
+GCV from fit_all plus the n x n hat matrix, the minEpan scan as a fit_all
+loop, and the bandwidth grid's floor found by one n x n neighbor mask per
+scan candidate.  Every comparison is exact (==), not approximate.
 """
 
 import os
@@ -17,7 +18,11 @@ import pytest
 import corrsmooth
 
 from corrsmooth.bandwidth import default_grid, gcv_score, gcv_select
-from corrsmooth.kernels import ProductEpanechnikovKernel
+from corrsmooth.kernels import (
+    ProductEpanechnikovKernel,
+    RadialAnnulusKernel,
+    build_annulus_kernel,
+)
 from corrsmooth.locfit import Dataset, fit_all, hat_matrix, rss
 from corrsmooth.simulate import (
     CorrelationModel,
@@ -56,6 +61,69 @@ def reference_min_epan_mse(sim, extra_h=()):
         if fit.singular_count == 0:
             best = min(best, mse_prac(fit.fitted, sim.mu_true))
     return best
+
+
+def reference_support(data, kernel):
+    """The distances a kernel's grid scans and its support (lo, hi) in units of h."""
+    if isinstance(kernel, RadialAnnulusKernel):
+        return kernel.geometry(data, data.points), kernel.c1, kernel.c2
+    return np.abs(kernel.geometry(data, data.points)).max(axis=0), 0.0, 1.0
+
+
+def reference_default_grid(data, kernel, size=30):
+    dist, lo, hi = reference_support(data, kernel)
+    min_neighbors = 2 * (data.dim + 1)
+    positive = dist[dist > 0.0]
+    diam = float(dist.max())
+    h_max = diam / (2.0 * lo) if lo > 0.0 else diam
+    for h in np.geomspace(float(positive.min()) / hi, h_max, 256):
+        if lo > 0.0:
+            mask = (dist > lo * h) & (dist < hi * h)
+        else:
+            mask = (dist > 0.0) & (dist < hi * h)
+        if (mask.sum(axis=1) >= min_neighbors).mean() >= 0.99:
+            return np.geomspace(float(h), h_max, size)
+    raise AssertionError("reference scan found no floor")
+
+
+def _grid_datasets():
+    rng = np.random.default_rng(7)
+    yield "euclidean", Dataset(points=rng.random((200, 2)), responses=rng.normal(size=200))
+    # every site of a 13 x 13 integer lattice twice: distances tie among
+    # themselves and with the scan thresholds lo*h and hi*h
+    side = np.arange(13.0)
+    sites = np.stack(np.meshgrid(side, side, indexing="ij"), axis=-1).reshape(-1, 2)
+    lattice = np.concatenate([sites, sites])
+    yield "lattice", Dataset(points=lattice, responses=rng.normal(size=lattice.shape[0]))
+    lat = 30.0 + 7.0 * rng.random(300)
+    lon = -92.0 + 14.0 * rng.random(300)
+    yield "haversine", Dataset(
+        points=np.column_stack([lat, lon]), responses=rng.normal(size=300), metric="haversine"
+    )
+
+
+_GRID_KERNELS = {
+    "za(1,1.5)": build_annulus_kernel(1.0, 1.5, 2),
+    "za(2.5,3)": build_annulus_kernel(2.5, 3.0, 2),
+    "product": ProductEpanechnikovKernel(2),
+}
+
+
+@pytest.mark.parametrize("kernel_name", sorted(_GRID_KERNELS))
+def test_default_grid_matches_mask_scan(kernel_name):
+    kernel = _GRID_KERNELS[kernel_name]
+    for name, data in _grid_datasets():
+        ref = reference_default_grid(data, kernel)
+        assert np.array_equal(default_grid(data, kernel), ref), name
+
+
+def test_lattice_tie_at_hi_h_decides_the_product_floor():
+    # each point of the doubled lattice has >= 6 neighbors at Chebyshev
+    # distance exactly 1 = hi*h of the first scan candidate; the strict
+    # d < hi*h leaves them out there, so the floor is the second candidate
+    data = dict(_grid_datasets())["lattice"]
+    grid = default_grid(data, ProductEpanechnikovKernel(2))
+    assert grid[0] == np.geomspace(1.0, 12.0, 256)[1]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
