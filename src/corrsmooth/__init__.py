@@ -72,7 +72,6 @@ from .simulate import (
     generate,
     min_epan_mse,
     mse_prac,
-    mse_sigma2,
     mu2d,
     mu3d,
     parse_method,

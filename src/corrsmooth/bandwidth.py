@@ -157,12 +157,13 @@ def select_h_z(
 
 def factor_ratio(kz, ko) -> float:
     """Moment-ratio constant converting the RSS-optimal bandwidth of one
-    kernel into the MISE-optimal bandwidth of another, in kz's dimension."""
-    dim = kz.dim
-    mz = kernel_moments(kz, dim)
-    mo = kernel_moments(ko, dim)
+    kernel into the MISE-optimal bandwidth of another of the same dimension."""
+    if kz.dim != ko.dim:
+        raise ValueError(f"kernel dimensions differ: {kz.dim} and {ko.dim}")
+    mz = kernel_moments(kz)
+    mo = kernel_moments(ko)
     ratio = (mo.muK2 * mz.mu2**2) / (mo.mu2**2 * mz.muK2)
-    return float(ratio ** (1.0 / (dim + 4)))
+    return float(ratio ** (1.0 / (kz.dim + 4)))
 
 
 def factor_convert(sel: BandwidthSelection, kz, ko) -> float:
@@ -207,7 +208,7 @@ def elbow_scan(
             sel = select_h_z(data, kz, grid, geometry=geometry)
         except (ValueError, CorrsmoothError):
             continue
-        m = kernel_moments(kz, dim)
+        m = kernel_moments(kz)
         h_zs[idx] = sel.h_z
         cbar[idx] = (m.muK2 / m.mu2**2) ** (1.0 / (dim + 4)) / sel.h_z
         kernels[idx] = kz
@@ -334,12 +335,14 @@ def oracle_bandwidth(model, mu, ko, n: int) -> float:
     if model.sigma2 <= 0.0:
         raise ValueError("degenerate noise: sigma2 must be positive for the oracle")
     dim = model.dim
+    if ko.dim != dim:
+        raise ValueError(f"kernel dimension {ko.dim} differs from the model's {dim}")
     grid_per_axis = 201 if dim <= 2 else 61
     c_rho = _radial_correlation_integral(model.family, model.c, dim)
     delta_f = _laplacian_integral(mu, dim, grid_per_axis)
     if delta_f == 0.0:
         raise CorrsmoothError("curvature integral is zero; oracle bandwidth diverges")
-    mo = kernel_moments(ko, dim)
+    mo = kernel_moments(ko)
     noise = model.sigma2 * (c_rho + 1.0) if alpha == 1.0 else model.sigma2 * c_rho
     const = (4.0 * noise / delta_f**2) * (mo.muK2 / mo.mu2**2)
     return float(const ** (1.0 / (dim + 4)) * n ** (-alpha / (dim + 4)))

