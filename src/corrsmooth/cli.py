@@ -113,7 +113,8 @@ def _load_config_file(path: str) -> dict:
 
 def _checked(key: str, raw, kind: type):
     """raw converted to kind; a UsageError unless the value is one of key's
-    _CHOICES and within its _LOWER_BOUNDS."""
+    _CHOICES and within its _LOWER_BOUNDS and _UPPER_BOUNDS (NaN is within
+    neither)."""
     try:
         value = kind(raw)
     except ValueError as err:
@@ -125,6 +126,12 @@ def _checked(key: str, raw, kind: type):
         if not (value > low if strict else value >= low):
             raise UsageError(
                 f"bad value for {key}: {raw!r} is not {'>' if strict else '>='} {low}"
+            )
+    if key in _UPPER_BOUNDS:
+        high, strict = _UPPER_BOUNDS[key]
+        if not (value < high if strict else value <= high):
+            raise UsageError(
+                f"bad value for {key}: {raw!r} is not {'<' if strict else '<='} {high}"
             )
     return value
 
@@ -617,7 +624,10 @@ _LOWER_BOUNDS = {
     "threads": (1, False), "trials": (0, False), "grid_size": (1, False),
     "surface_grid": (1, False), "b_count": (1, False), "n_star": (2, False),
     "delta_n": (0.0, False), "c1": (0.0, True), "c2_offset": (0.0, True), "n": (4, False),
+    "zeta": (0.0, True), "stability_tol": (0.0, True),
 }
+# (highest accepted value, whether that value itself is excluded)
+_UPPER_BOUNDS = {"zeta": (1.0, True)}
 _HELP = {
     "fit_dir": "reuse h_o from a previous fit run's report",
     "grid": "explicit grid 'a,b,c' or 'lo:hi:step'",

@@ -12,7 +12,8 @@ Conventions:
     weights() consumes, in_sample() reads or computes it at the design
     points from a shared InSampleGeometry, and reach() turns that into the
     sorted distance rows the bandwidth grid scans, so no caller branches on
-    the kernel kind.
+    the kernel kind.  weights() returns the dense weights together with the
+    ascending row-major flat positions of their support.
 
 The annulus kernel is a cubic polynomial in r supported on [c1, c2] and
 identically zero elsewhere, normalized to integrate to 1 over R^D.  Its
@@ -72,6 +73,12 @@ def _radial_mass(c1: float, c2: float, power: int) -> float:
 
 
 @dataclass(frozen=True)
+class KernelMoments:
+    mu2: float
+    muK2: float
+
+
+@dataclass(frozen=True)
 class RadialAnnulusKernel:
     """Cubic-in-radius kernel supported on the annulus c1 <= ||u|| <= c2."""
 
@@ -80,12 +87,15 @@ class RadialAnnulusKernel:
     coeffs: tuple  # (A, B, C, D): A r^3 + B r^2 + C r + D
     dim: int
 
+    def cubic(self, r):
+        """The cubic A r^3 + B r^2 + C r + D at r, without the support cutoff."""
+        a, b, c, d = self.coeffs
+        return ((a * r + b) * r + c) * r + d
+
     def profile(self, r):
         r = np.asarray(r, dtype=float)
-        a, b, c, d = self.coeffs
         inside = (r >= self.c1) & (r <= self.c2)
-        val = ((a * r + b) * r + c) * r + d
-        return np.where(inside, val, 0.0)
+        return np.where(inside, self.cubic(r), 0.0)
 
     def geometry(self, data, targets):
         """(m, n) metric distances from each target to each design point."""
@@ -96,12 +106,43 @@ class RadialAnnulusKernel:
         return shared.distances
 
     def weights(self, dist, h):
-        return self.profile(dist / h)
+        """profile(dist / h) and the flat positions of its support.
+
+        The cubic is evaluated at the support positions only and scattered
+        into the zeroed array of radii, so every value equals profile's.
+        """
+        r = dist / h
+        support = np.flatnonzero((r >= self.c1) & (r <= self.c2))
+        flat = r.reshape(-1)
+        values = self.cubic(flat[support])
+        flat.fill(0.0)
+        flat[support] = values
+        return r, support
 
     def reach(self, shared):
         """Per-row sorted distances for default_grid's scan, and the support
         (c1, c2) in units of h."""
         return shared.sorted_distances, self.c1, self.c2
+
+    def moments(self) -> KernelMoments:
+        """mu2 and mu(K^2), exact for the cubic profile."""
+        _, v, q = _annulus_vectors(self.c1, self.c2, self.dim)
+        theta = np.asarray(self.coeffs, dtype=float)
+        return KernelMoments(mu2=float(v @ theta), muK2=float(theta @ q @ theta))
+
+    def evaluate(self, u):
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 0:
+            return float(self.profile(abs(u)))
+        if u.ndim == 1 and u.shape[0] == self.dim:
+            return float(self.profile(np.linalg.norm(u)))
+        if u.ndim >= 2 and u.shape[-1] == self.dim:
+            return self.profile(np.linalg.norm(u, axis=-1))
+        return self.profile(np.abs(u))  # array of radii
+
+    def to_text(self) -> str:
+        parts = ["annulus", repr(self.c1), repr(self.c2), str(self.dim)]
+        return " ".join(parts + [repr(c) for c in self.coeffs])
 
 
 @dataclass(frozen=True)
@@ -130,7 +171,9 @@ class ProductEpanechnikovKernel:
         return self.geometry(shared.data, shared.data.points)
 
     def weights(self, disp, h):
-        return self.component_product(d / h for d in disp)
+        """K(disp / h) and the flat positions of its nonzero entries."""
+        out = self.component_product(d / h for d in disp)
+        return out, np.flatnonzero(out != 0.0)
 
     def reach(self, shared):
         """Per-row sorted Chebyshev distances, below h exactly when every
@@ -140,6 +183,23 @@ class ProductEpanechnikovKernel:
         cheb = disp.max(axis=0)
         cheb.sort(axis=1)
         return cheb, 0.0, 1.0
+
+    def moments(self) -> KernelMoments:
+        # per-coordinate: int u^2 (3/4)(1-u^2) du = 1/5, int K^2 = 3/5
+        return KernelMoments(mu2=0.2, muK2=0.6**self.dim)
+
+    def evaluate(self, u):
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 0:
+            if self.dim != 1:
+                raise ValueError("scalar input requires dim=1 product kernel")
+            u = u.reshape(1)
+        if u.ndim == 1 and u.shape[0] == self.dim:
+            return float(self.value(u))
+        return self.value(u)
+
+    def to_text(self) -> str:
+        return f"product_epanechnikov {self.dim}"
 
     @staticmethod
     def component_product(components):
@@ -188,11 +248,20 @@ class BoundaryKernel:
         inside = (t >= -1.0) & (t <= q)
         return np.where(inside, core, 0.0)
 
+    def moments(self) -> KernelMoments:
+        """mu2 and mu(K^2) by quadrature over [-1, q]."""
+        from scipy import integrate
 
-@dataclass(frozen=True)
-class KernelMoments:
-    mu2: float
-    muK2: float
+        mu2, _ = integrate.quad(lambda t: t * t * float(self.value(t)), -1.0, self.q)
+        muk2, _ = integrate.quad(lambda t: float(self.value(t)) ** 2, -1.0, self.q)
+        return KernelMoments(mu2=float(mu2), muK2=float(muk2))
+
+    def evaluate(self, u):
+        out = self.value(np.asarray(u, dtype=float))
+        return float(out) if out.ndim == 0 else out
+
+    def to_text(self) -> str:
+        return f"boundary {self.q!r}"
 
 
 def _annulus_vectors(c1, c2, dim):
@@ -322,63 +391,27 @@ def build_annulus_kernel(
     return RadialAnnulusKernel(c1=c1, c2=c2, coeffs=tuple(float(t) for t in theta), dim=dim)
 
 
+_KERNELS = (RadialAnnulusKernel, ProductEpanechnikovKernel, BoundaryKernel)
+
+
+def _known_kernel(kernel, failure: str):
+    """kernel itself if it is one of the three kernel classes; else a TypeError."""
+    if not isinstance(kernel, _KERNELS):
+        raise TypeError(f"{failure} {type(kernel).__name__}")
+    return kernel
+
+
 def kernel_moments(kernel) -> KernelMoments:
     """mu2 and mu(K^2) in the kernel's own dimension, exact for polynomial
     profiles, quadrature otherwise."""
-    if isinstance(kernel, RadialAnnulusKernel):
-        w, v, q = _annulus_vectors(kernel.c1, kernel.c2, kernel.dim)
-        theta = np.asarray(kernel.coeffs, dtype=float)
-        return KernelMoments(mu2=float(v @ theta), muK2=float(theta @ q @ theta))
-    if isinstance(kernel, ProductEpanechnikovKernel):
-        # per-coordinate: int u^2 (3/4)(1-u^2) du = 1/5, int K^2 = 3/5
-        return KernelMoments(mu2=0.2, muK2=0.6**kernel.dim)
-    if isinstance(kernel, BoundaryKernel):
-        from scipy import integrate
-
-        mu2, _ = integrate.quad(lambda t: t * t * float(kernel.value(t)), -1.0, kernel.q)
-        muk2, _ = integrate.quad(lambda t: float(kernel.value(t)) ** 2, -1.0, kernel.q)
-        return KernelMoments(mu2=float(mu2), muK2=float(muk2))
-    raise TypeError(
-        f"moments require a bounded-support kernel, got {type(kernel).__name__}"
-    )
+    return _known_kernel(kernel, "moments require a bounded-support kernel, got").moments()
 
 
 def eval_kernel(kernel, u):
     """Evaluate a kernel at a D-vector, a batch of vectors, or a scalar lag."""
-    if isinstance(kernel, RadialAnnulusKernel):
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 0:
-            return float(kernel.profile(abs(u)))
-        if u.ndim == 1 and u.shape[0] == kernel.dim:
-            return float(kernel.profile(np.linalg.norm(u)))
-        if u.ndim >= 2 and u.shape[-1] == kernel.dim:
-            return kernel.profile(np.linalg.norm(u, axis=-1))
-        return kernel.profile(np.abs(u))  # array of radii
-    if isinstance(kernel, ProductEpanechnikovKernel):
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 0:
-            if kernel.dim != 1:
-                raise ValueError("scalar input requires dim=1 product kernel")
-            u = u.reshape(1)
-        if u.ndim == 1 and u.shape[0] == kernel.dim:
-            return float(kernel.value(u))
-        return kernel.value(u)
-    if isinstance(kernel, BoundaryKernel):
-        u = np.asarray(u, dtype=float)
-        out = kernel.value(u)
-        return float(out) if out.ndim == 0 else out
-    raise TypeError(f"cannot evaluate {type(kernel).__name__}")
+    return _known_kernel(kernel, "cannot evaluate").evaluate(u)
 
 
 def kernel_to_text(kernel) -> str:
     """One-line plain-text record for reproducing a kernel across runs."""
-    if isinstance(kernel, RadialAnnulusKernel):
-        parts = ["annulus", repr(kernel.c1), repr(kernel.c2), str(kernel.dim)]
-        parts += [repr(c) for c in kernel.coeffs]
-        return " ".join(parts)
-    if isinstance(kernel, ProductEpanechnikovKernel):
-        return f"product_epanechnikov {kernel.dim}"
-    if isinstance(kernel, BoundaryKernel):
-        return f"boundary {kernel.q!r}"
-    raise TypeError(f"cannot serialize {type(kernel).__name__}")
-
+    return _known_kernel(kernel, "cannot serialize").to_text()

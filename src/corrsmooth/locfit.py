@@ -5,6 +5,14 @@ target point.  Kernel weights enter un-normalized: the estimator is
 invariant to any positive rescaling of the weights, so the 1/h factor is
 dropped to avoid overflow at tiny bandwidths.
 
+The normal equations need the weighted sums s0 = sum_j w_ij, p = sum_j
+w_ij x_j, s2 = sum_j w_ij x_j x_j^T, t0 = sum_j w_ij y_j and t1 = sum_j
+w_ij x_j y_j.  Only s2 reads the kernel's support alone, through a CSR array
+of the weights: its dense form was a sequential sum over every j, so
+skipping the exact zeros leaves each bit of it unchanged.  s0 is numpy's
+pairwise row sum and p, t0, t1 are BLAS products of the dense weights; their
+summation order depends on where the zeros sit, so they stay dense.
+
 Singularity is decided by partial-pivoted elimination on the normal
 matrix: a fit is singular when some pivot falls below 1e-12 relative to
 the largest entry of that system.
@@ -17,6 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.spatial.distance import pdist
 
 from .errors import SingularFitError
@@ -172,6 +181,9 @@ class InSampleGeometry:
 class _Workspace:
     """Per-dataset precomputation, and the kernel's geometry, shared across bandwidths.
 
+    xxt holds each design point's x x^T flattened to one row of D*D entries,
+    the right-hand side of the sparse second-moment product.
+
     Without targets the workspace fits at the design points; a given
     InSampleGeometry then supplies the kernel's geometry there, in place of
     computing it again.
@@ -184,7 +196,7 @@ class _Workspace:
         self.data = data
         self.kernel = kernel
         x = data.points
-        self.xxt = np.einsum("jk,jl->jkl", x, x)
+        self.xxt = np.einsum("jk,jl->jkl", x, x).reshape(data.n, -1)
         self.xy = x * data.responses[:, None]
         if targets is None:
             self.targets = x
@@ -193,10 +205,19 @@ class _Workspace:
             self.targets = np.asarray(targets, dtype=float)
             self.kernel_geometry = kernel.geometry(data, self.targets)
 
-    def weights(self, h: float) -> np.ndarray:
+    def weights(self, h: float):
+        """The (m, n) kernel weights, and the same weights restricted to the
+        kernel's support as a CSR array whose rows list ascending columns."""
         if h <= 0:
             raise ValueError(f"bandwidth must be positive, got {h}")
-        return self.kernel.weights(self.kernel_geometry, h)
+        weights, positions = self.kernel.weights(self.kernel_geometry, h)
+        m, n = weights.shape
+        index = np.int32 if weights.size < 2**31 else np.int64
+        indptr = np.searchsorted(positions, np.arange(m + 1) * n).astype(index)
+        data = weights.reshape(-1)[positions]
+        columns = positions.astype(index)
+        columns %= n
+        return weights, csr_array((data, columns, indptr), shape=(m, n), copy=False)
 
 
 def _solve_batched(a: np.ndarray, *rhs: np.ndarray):
@@ -237,17 +258,27 @@ def _solve_batched(a: np.ndarray, *rhs: np.ndarray):
     return solutions, singular
 
 
-def _normal_systems(ws: _Workspace, weights: np.ndarray):
-    """Assemble the weighted normal equations for every target at once."""
+def _normal_systems(ws: _Workspace, h: float):
+    """The kernel weights at bandwidth h and the weighted normal equations
+    (a, rhs) for every target at once.
+
+    The second moments s2 = sum_j w_ij x_j x_j^T are summed over each row's
+    support only: the CSR product adds the stored weights in ascending column
+    order, one multiply and one add each, as a dense sequential sum over all
+    j does, and the entries it skips add exact zeros.  s0 (numpy's pairwise
+    row sum) and the BLAS products p, t0 and t1 stay dense, because their
+    summation order depends on where the zeros sit.
+    """
     data = ws.data
     x = data.points
     y = data.responses
     xt = ws.targets
     m, d = xt.shape[0], data.dim
 
+    weights, on_support = ws.weights(h)
+    s2 = (on_support @ ws.xxt).reshape(m, d, d)
     s0 = weights.sum(axis=1)
     p = weights @ x
-    s2 = np.einsum("ij,jkl->ikl", weights, ws.xxt)
     t0 = weights @ y
     t1 = weights @ ws.xy
 
@@ -265,12 +296,11 @@ def _normal_systems(ws: _Workspace, weights: np.ndarray):
     rhs = np.empty((m, d + 1))
     rhs[:, 0] = t0
     rhs[:, 1:] = t1 - xt * t0[:, None]
-    return a, rhs
+    return weights, a, rhs
 
 
 def _fit_targets(ws: _Workspace, h: float):
-    weights = ws.weights(h)
-    a, rhs = _normal_systems(ws, weights)
+    _, a, rhs = _normal_systems(ws, h)
     (beta,), singular = _solve_batched(a, rhs)
     return beta[:, 0], singular
 
@@ -310,8 +340,7 @@ def _fit_and_hat_diagonal(ws: _Workspace, h: float):
     arithmetic for c_ii, so the diagonal's sum equals np.trace of the hat
     matrix bit for bit; rows of singular systems are NaN.
     """
-    weights = ws.weights(h)
-    a, rhs = _normal_systems(ws, weights)
+    weights, a, rhs = _normal_systems(ws, h)
     e1 = np.zeros_like(rhs)
     e1[:, 0] = 1.0
     (beta, z), singular = _solve_batched(a, rhs, e1)
@@ -327,8 +356,7 @@ def hat_coefficients(data: Dataset, i: int, h: float, kernel) -> np.ndarray:
         raise ValueError(f"index {i} out of range")
     xt = data.points[i]
     ws = _Workspace(data, kernel, targets=xt[None, :])
-    weights = ws.weights(h)
-    a, _ = _normal_systems(ws, weights)
+    weights, a, _ = _normal_systems(ws, h)
     e1 = np.zeros((1, data.dim + 1))
     e1[0, 0] = 1.0
     (z,), singular = _solve_batched(a, e1)
@@ -344,8 +372,7 @@ def hat_matrix(data: Dataset, h: float, kernel):
     Returns (C, singular_mask); singular rows are NaN.
     """
     ws = _Workspace(data, kernel)
-    weights = ws.weights(h)
-    a, _ = _normal_systems(ws, weights)
+    weights, a, _ = _normal_systems(ws, h)
     n, d = data.n, data.dim
     e1 = np.zeros((n, d + 1))
     e1[:, 0] = 1.0

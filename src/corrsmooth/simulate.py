@@ -5,16 +5,23 @@ desk scale.
 Randomness discipline: every trial owns a child of numpy's SeedSequence
 spawned from the scenario seed, fed to a PCG64 Generator.  Uniform design
 draws come first, then the standard normals behind the correlated errors,
-so identical seeds give bit-identical datasets at a fixed BLAS thread
-count.  The correlated errors pass through a dense eigendecomposition and
-a matrix-vector product, which round differently with, say, one and two
-OpenBLAS threads.
+so identical seeds give bit-identical datasets.  The correlated errors
+pass through a dense eigendecomposition, which rounds differently with,
+say, one and two OpenBLAS threads; numpy's bundled OpenBLAS is therefore
+pinned to one thread around it.  Where that library's thread-count calls
+are missing, a warning says so and the datasets again depend on the BLAS
+thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import re
+import threading
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.spatial.distance import squareform
@@ -167,11 +174,57 @@ class SimulatedData:
     n: int
 
 
+_BLAS_PIN_LOCK = threading.Lock()
+
+
+@cache
+def _openblas_threads():
+    """The (get, set) thread-count calls of numpy's bundled OpenBLAS, or None."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes = []
+    get.restype = ctypes.c_int
+    set_.argtypes = [ctypes.c_int]
+    set_.restype = None
+    return get, set_
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore the old
+    count.  The count is process-wide, so trials running in threads take
+    turns under a lock."""
+    calls = _openblas_threads()
+    if calls is None:
+        warnings.warn(
+            "cannot pin numpy's OpenBLAS to one thread; seeded errors may "
+            "depend on the BLAS thread count",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        yield
+        return
+    get, set_ = calls
+    with _BLAS_PIN_LOCK:
+        old = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(old)
+
+
 def draw_correlated_errors(cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Gaussian vector with the given covariance via symmetric eigendecomposition.
 
     Negative eigenvalues are clipped at 0 after a tiny diagonal jitter;
     one retry with a larger jitter covers numerically indefinite inputs.
+    The eigendecomposition runs on one BLAS thread, so its bytes do not
+    depend on the machine's core count.
     """
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0]
@@ -179,7 +232,8 @@ def draw_correlated_errors(cov: np.ndarray, rng: np.random.Generator) -> np.ndar
     last_err = None
     for jitter in (1e-10, 1e-8):
         try:
-            vals, vecs = np.linalg.eigh(cov + jitter * scale * np.eye(n))
+            with _one_blas_thread():
+                vals, vecs = np.linalg.eigh(cov + jitter * scale * np.eye(n))
             break
         except np.linalg.LinAlgError as err:  # pragma: no cover - rare
             last_err = err

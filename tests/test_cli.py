@@ -306,6 +306,12 @@ def test_config_value_outside_choices_is_usage_error(tmp_path, affine_csv, capsy
     (["covariance", "--delta-n", "-1"], "", None),
     (["covariance", "--delta-n", "nan"], "", None),
     (["elbow", "--c2-offset", "0"], "", None),
+    (["elbow", "--stability-tol", "0"], "", None),
+    (["elbow", "--stability-tol", "nan"], "", None),
+    (["simulate", "--zeta", "0"], "", None),
+    (["simulate", "--zeta", "1"], "", None),
+    (["simulate", "--zeta", "2"], "", None),
+    (["simulate"], "zeta=1.5", None),
     (["bench", "--n", "2"], "", None),
 ])
 def test_out_of_range_options_exit_1_before_fitting(

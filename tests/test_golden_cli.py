@@ -123,9 +123,10 @@ _HELP = {
 _GRID_HELP = "  --grid GRID           explicit grid 'a,b,c' or 'lo:hi:step'\n"
 
 
-def _run_golden(tmp_path):
+def _run_golden(tmp_path, blas_threads="1"):
     src = str(Path(corrsmooth.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", COLUMNS="100")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
+               COLUMNS="100")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", _SCRIPT, str(tmp_path)], env=env, capture_output=True,
@@ -142,3 +143,9 @@ def test_cli_artifacts_and_help_match_recorded_digests(tmp_path):
     helps["covariance"] = helps["covariance"].replace(_GRID_HELP, "  --grid GRID\n")
     digests = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in helps.items()}
     assert digests == _HELP
+
+
+def test_cli_artifacts_match_recorded_digests_on_two_blas_threads(tmp_path):
+    # simulate's seeded errors come from an eigendecomposition pinned to one
+    # BLAS thread, so the artifacts keep their bytes with two
+    assert _run_golden(tmp_path, blas_threads="2")["artifacts"] == _ARTIFACTS

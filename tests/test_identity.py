@@ -1,10 +1,13 @@
-"""Bit-for-bit identity of the product-kernel sweeps with their reference forms.
+"""Bit-for-bit identity of the fitting paths with their reference forms.
 
-The references below are the formulas the sweeps used before they shared
-one workspace and one solve per candidate: the np.where/prod kernel value,
-GCV from fit_all plus the n x n hat matrix, the minEpan scan as a fit_all
-loop, and the bandwidth grid's floor found by one n x n neighbor mask per
-scan candidate.  Every comparison is exact (==), not approximate.
+The references below are the formulas the fits used before they shared
+one workspace and one solve per candidate and before they summed second
+moments over the kernel's support only: the np.where/prod kernel value, the
+annulus profile on every entry, the normal equations with s2 as one einsum
+over all design points, GCV from fit_all plus the n x n hat matrix, the
+minEpan scan as a fit_all loop, and the bandwidth grid's floor found by one
+n x n neighbor mask per scan candidate.  Every comparison is exact (== or
+equal bytes), not approximate.
 """
 
 import os
@@ -23,7 +26,17 @@ from corrsmooth.kernels import (
     RadialAnnulusKernel,
     build_annulus_kernel,
 )
-from corrsmooth.locfit import Dataset, fit_all, hat_matrix, rss
+from corrsmooth.locfit import (
+    Dataset,
+    _normal_systems,
+    _solve_batched,
+    _Workspace,
+    fit_all,
+    fit_points,
+    hat_coefficients,
+    hat_matrix,
+    rss,
+)
 from corrsmooth.simulate import (
     CorrelationModel,
     SimScenario,
@@ -183,6 +196,162 @@ def test_min_epan_mse_matches_fit_all_loop():
     assert min_epan_mse(sim, extra_h=extra) == reference_min_epan_mse(sim, extra[:2])
 
 
+def reference_weights(ws, h):
+    """The kernel at every entry: the annulus profile of dist / h, or the
+    np.where/prod product value."""
+    if isinstance(ws.kernel, RadialAnnulusKernel):
+        return ws.kernel.profile(ws.kernel_geometry / h)
+    return reference_product_value(np.moveaxis(ws.kernel_geometry, 0, -1) / h)
+
+
+def reference_normal_systems(ws, weights):
+    """The normal equations with every sum dense, s2 by einsum over all j."""
+    data = ws.data
+    x, y, xt = data.points, data.responses, ws.targets
+    m, d = xt.shape[0], data.dim
+    s0 = weights.sum(axis=1)
+    p = weights @ x
+    s2 = np.einsum("ij,jkl->ikl", weights, np.einsum("jk,jl->jkl", x, x))
+    t0 = weights @ y
+    t1 = weights @ (x * y[:, None])
+    a = np.empty((m, d + 1, d + 1))
+    a[:, 0, 0] = s0
+    a0k = p - s0[:, None] * xt
+    a[:, 0, 1:] = a0k
+    a[:, 1:, 0] = a0k
+    a[:, 1:, 1:] = (
+        s2
+        - xt[:, :, None] * p[:, None, :]
+        - p[:, :, None] * xt[:, None, :]
+        + s0[:, None, None] * xt[:, :, None] * xt[:, None, :]
+    )
+    rhs = np.empty((m, d + 1))
+    rhs[:, 0] = t0
+    rhs[:, 1:] = t1 - xt * t0[:, None]
+    return a, rhs
+
+
+def reference_solution(ws, h, rhs_fn):
+    weights = reference_weights(ws, h)
+    a, rhs = reference_normal_systems(ws, weights)
+    (z,), singular = _solve_batched(a, rhs_fn(rhs))
+    return weights, z, singular
+
+
+def reference_hat_matrix(data, h, kernel):
+    ws = _Workspace(data, kernel)
+    weights, z, singular = reference_solution(ws, h, _unit_rhs)
+    x = data.points
+    lin = z[:, 1:] @ x.T - np.einsum("ik,ik->i", z[:, 1:], x)[:, None]
+    return weights * (z[:, 0][:, None] + lin), singular
+
+
+def reference_hat_coefficients(data, i, h, kernel):
+    xt = data.points[i]
+    ws = _Workspace(data, kernel, targets=xt[None, :])
+    weights, z, _ = reference_solution(ws, h, _unit_rhs)
+    return weights[0] * (z[0, 0] + (data.points - xt) @ z[0, 1:])
+
+
+def _unit_rhs(rhs):
+    e1 = np.zeros_like(rhs)
+    e1[:, 0] = 1.0
+    return e1
+
+
+def assert_same_bytes(new, ref):
+    assert new.shape == ref.shape and new.dtype == ref.dtype
+    assert new.tobytes() == ref.tobytes()
+
+
+def assert_systems_match_reference(ws, h):
+    weights, a, rhs = _normal_systems(ws, h)
+    assert_same_bytes(weights, reference_weights(ws, h))
+    a_ref, rhs_ref = reference_normal_systems(ws, weights)
+    assert_same_bytes(a, a_ref)
+    assert_same_bytes(rhs, rhs_ref)
+
+
+@pytest.mark.parametrize("kernel_name", ["za(1,1.5)", "za(2.5,3)"])
+def test_annulus_moment_sums_match_dense_on_haversine_design(kernel_name):
+    data = dict(_grid_datasets())["haversine"]
+    assert (data.points[:, 1] < 0.0).all()
+    kernel = _GRID_KERNELS[kernel_name]
+    ws = _Workspace(data, kernel)
+    for h in default_grid(data, kernel):
+        assert_systems_match_reference(ws, float(h))
+
+
+@pytest.mark.parametrize("c1, c2, hs", [(1.0, 1.5, (2.0, 4.0, 10.0)), (2.5, 3.0, (2.0, 4.0))])
+def test_annulus_moment_sums_match_dense_when_distances_tie_support_edges(c1, c2, hs):
+    data = dict(_grid_datasets())["lattice"]
+    kernel = build_annulus_kernel(c1, c2, 2)
+    ws = _Workspace(data, kernel)
+    for h in hs:
+        r = ws.kernel_geometry / h
+        assert (r == c1).any() and (r == c2).any()  # both inclusive edges are hit
+        assert_systems_match_reference(ws, h)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_product_moment_sums_match_dense(dim):
+    rng = np.random.default_rng(60 + dim)
+    data = Dataset(points=rng.random((180, dim)), responses=rng.normal(size=180))
+    kernel = ProductEpanechnikovKernel(dim)
+    ws = _Workspace(data, kernel)
+    for h in default_grid(data, kernel):
+        assert_systems_match_reference(ws, float(h))
+
+
+@pytest.mark.parametrize("kernel_name", sorted(_GRID_KERNELS))
+def test_singular_rows_match_dense(kernel_name):
+    # far below the grid floor some targets have no design point in the
+    # annulus; the product kernel keeps only each target's own point
+    data = dict(_grid_datasets())["euclidean"]
+    kernel = _GRID_KERNELS[kernel_name]
+    h = float(default_grid(data, kernel)[0]) / 8.0
+    ws = _Workspace(data, kernel)
+    weights, _, _ = _normal_systems(ws, h)
+    if isinstance(kernel, RadialAnnulusKernel):
+        assert not weights.any(axis=1).all()  # rows with an empty support
+    assert_systems_match_reference(ws, h)
+    fit = fit_all(data, h, kernel)
+    _, z, singular = reference_solution(ws, h, lambda rhs: rhs)
+    assert fit.singular_count == int(singular.sum()) > 0
+    assert_same_bytes(fit.fitted, z[:, 0])
+
+
+@pytest.mark.parametrize("kernel_name", sorted(_GRID_KERNELS))
+def test_out_of_sample_fit_matches_dense(kernel_name):
+    data = dict(_grid_datasets())["haversine"]
+    kernel = _GRID_KERNELS[kernel_name]
+    rng = np.random.default_rng(5)
+    targets = np.column_stack([30.0 + 7.0 * rng.random(90), -92.0 + 14.0 * rng.random(90)])
+    for h in default_grid(data, kernel)[::7]:
+        est, singular = fit_points(data, targets, float(h), kernel)
+        ws = _Workspace(data, kernel, targets=targets)
+        assert_systems_match_reference(ws, float(h))
+        _, z, singular_ref = reference_solution(ws, float(h), lambda rhs: rhs)
+        assert_same_bytes(est, z[:, 0])
+        assert np.array_equal(singular, singular_ref)
+
+
+@pytest.mark.parametrize("kernel_name", sorted(_GRID_KERNELS))
+def test_hat_matrix_and_coefficients_match_dense(kernel_name):
+    data = dict(_grid_datasets())["euclidean"]
+    kernel = _GRID_KERNELS[kernel_name]
+    for h in default_grid(data, kernel)[::9]:
+        c, singular = hat_matrix(data, float(h), kernel)
+        c_ref, singular_ref = reference_hat_matrix(data, float(h), kernel)
+        assert_same_bytes(c, c_ref)
+        assert np.array_equal(singular, singular_ref)
+        for i in np.flatnonzero(~singular)[::40]:
+            assert_same_bytes(
+                hat_coefficients(data, int(i), float(h), kernel),
+                reference_hat_coefficients(data, int(i), float(h), kernel),
+            )
+
+
 _GOLDEN_SCRIPT = """
 import warnings
 from corrsmooth.simulate import CorrelationModel, SimScenario, run_table
@@ -196,36 +365,46 @@ for row in rows:
 """
 
 
-def test_run_table_golden_rows():
-    """run_table rows for one small seeded scenario, recorded before the
-    product-kernel sweeps shared one workspace and one solve per candidate.
+_GOLDEN_BASE = ("family='spherical', c=2.0, alpha=1.0, dim=2, n=150, sigma2=0.1, "
+                "seed=2024, n_trials=1")
+_GOLDEN_ROWS = [
+    f"ResultRow({_GOLDEN_BASE}, method='minEpan', mse_prac_mean=0.014403563971919607, "
+    "mse_prac_sd=0.0, mse_sigma2_mean=nan, mse_sigma2_sd=nan, sse_cor_mean=nan, "
+    "sse_cor_sd=nan, failures=0)",
+    f"ResultRow({_GOLDEN_BASE}, method='Raw', mse_prac_mean=nan, mse_prac_sd=nan, "
+    "mse_sigma2_mean=0.0003526009937590173, mse_sigma2_sd=0.0, "
+    "sse_cor_mean=3.7447634036751647, sse_cor_sd=0.0, failures=0)",
+    f"ResultRow({_GOLDEN_BASE}, method='ZA(1,1.5)', mse_prac_mean=0.026484976687090676, "
+    "mse_prac_sd=0.0, mse_sigma2_mean=9.050663955276551e-05, mse_sigma2_sd=0.0, "
+    "sse_cor_mean=3.877842649180275, sse_cor_sd=0.0, failures=0)",
+    f"ResultRow({_GOLDEN_BASE}, method='GCV', mse_prac_mean=0.024325235634415052, "
+    "mse_prac_sd=0.0, mse_sigma2_mean=0.0016933304833041535, mse_sigma2_sd=0.0, "
+    "sse_cor_mean=28.437441485498766, sse_cor_sd=0.0, failures=0)",
+]
 
-    The rows come from a child interpreter with OpenBLAS pinned to one
-    thread, because generate's eigendecomposition rounds differently with
-    more BLAS threads.  Re-record these values only together with a
-    CHANGES.md note that says which numbers moved and why.
-    """
+
+def _golden_rows(blas_threads):
     src = str(Path(corrsmooth.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", _GOLDEN_SCRIPT], env=env, capture_output=True,
         text=True, timeout=120, check=True,
     )
-    base = ("family='spherical', c=2.0, alpha=1.0, dim=2, n=150, sigma2=0.1, "
-            "seed=2024, n_trials=1")
-    expected = [
-        f"ResultRow({base}, method='minEpan', mse_prac_mean=0.014403563971919607, "
-        "mse_prac_sd=0.0, mse_sigma2_mean=nan, mse_sigma2_sd=nan, sse_cor_mean=nan, "
-        "sse_cor_sd=nan, failures=0)",
-        f"ResultRow({base}, method='Raw', mse_prac_mean=nan, mse_prac_sd=nan, "
-        "mse_sigma2_mean=0.0003526009937590173, mse_sigma2_sd=0.0, "
-        "sse_cor_mean=3.7447634036751647, sse_cor_sd=0.0, failures=0)",
-        f"ResultRow({base}, method='ZA(1,1.5)', mse_prac_mean=0.026484976687090676, "
-        "mse_prac_sd=0.0, mse_sigma2_mean=9.050663955276551e-05, mse_sigma2_sd=0.0, "
-        "sse_cor_mean=3.877842649180275, sse_cor_sd=0.0, failures=0)",
-        f"ResultRow({base}, method='GCV', mse_prac_mean=0.024325235634415052, "
-        "mse_prac_sd=0.0, mse_sigma2_mean=0.0016933304833041535, mse_sigma2_sd=0.0, "
-        "sse_cor_mean=28.437441485498766, sse_cor_sd=0.0, failures=0)",
-    ]
-    assert out.stdout.splitlines() == expected
+    return out.stdout.splitlines()
+
+
+def test_run_table_golden_rows():
+    """run_table rows for one small seeded scenario, recorded before the
+    product-kernel sweeps shared one workspace and one solve per candidate.
+
+    The rows come from a child interpreter with OpenBLAS on one thread, as
+    they did before generate pinned its eigendecomposition to one thread.
+    Re-record these values only together with a CHANGES.md note that says
+    which numbers moved and why.
+    """
+    assert _golden_rows("1") == _GOLDEN_ROWS
+
+
+def test_run_table_golden_rows_on_two_blas_threads():
+    assert _golden_rows("2") == _GOLDEN_ROWS
