@@ -113,26 +113,20 @@ def _load_config_file(path: str) -> dict:
 
 def _checked(key: str, raw, kind: type):
     """raw converted to kind; a UsageError unless the value is one of key's
-    _CHOICES and within its _LOWER_BOUNDS and _UPPER_BOUNDS (NaN is within
-    neither)."""
+    _CHOICES and inside its _BOUNDS interval (NaN is inside none)."""
     try:
         value = kind(raw)
     except ValueError as err:
         raise UsageError(f"bad value for {key}: {err}") from err
     if key in _CHOICES and value not in _CHOICES[key]:
         raise UsageError(f"bad value for {key}: {raw!r} is not one of {_CHOICES[key]}")
-    if key in _LOWER_BOUNDS:
-        low, strict = _LOWER_BOUNDS[key]
-        if not (value > low if strict else value >= low):
-            raise UsageError(
-                f"bad value for {key}: {raw!r} is not {'>' if strict else '>='} {low}"
-            )
-    if key in _UPPER_BOUNDS:
-        high, strict = _UPPER_BOUNDS[key]
-        if not (value < high if strict else value <= high):
-            raise UsageError(
-                f"bad value for {key}: {raw!r} is not {'<' if strict else '<='} {high}"
-            )
+    if key in _BOUNDS:
+        low, low_open, high, high_open = _BOUNDS[key]
+        above = value > low if low_open else value >= low
+        below = value < high if high_open else value <= high
+        if not (above and below):
+            interval = f"{'(' if low_open else '['}{low}, {high}{')' if high_open else ']'}"
+            raise UsageError(f"bad value for {key}: {raw!r} is not in {interval}")
     return value
 
 
@@ -619,15 +613,15 @@ _CHOICES = {
     "objective": _OBJECTIVES,
     "rho_mode": _RHO_MODES,
 }
-# (lowest accepted value, whether that value itself is excluded)
-_LOWER_BOUNDS = {
-    "threads": (1, False), "trials": (0, False), "grid_size": (1, False),
-    "surface_grid": (1, False), "b_count": (1, False), "n_star": (2, False),
-    "delta_n": (0.0, False), "c1": (0.0, True), "c2_offset": (0.0, True), "n": (4, False),
-    "zeta": (0.0, True), "stability_tol": (0.0, True),
+# (low, whether low is excluded, high, whether high is excluded)
+_BOUNDS = {
+    "threads": (1, False, np.inf, False), "trials": (0, False, np.inf, False),
+    "grid_size": (1, False, np.inf, False), "surface_grid": (1, False, np.inf, False),
+    "b_count": (1, False, np.inf, False), "n_star": (2, False, np.inf, False),
+    "delta_n": (0.0, False, np.inf, False), "c1": (0.0, True, np.inf, False),
+    "c2_offset": (0.0, True, np.inf, False), "n": (4, False, np.inf, False),
+    "zeta": (0.0, True, 1.0, True), "stability_tol": (0.0, True, np.inf, False),
 }
-# (highest accepted value, whether that value itself is excluded)
-_UPPER_BOUNDS = {"zeta": (1.0, True)}
 _HELP = {
     "fit_dir": "reuse h_o from a previous fit run's report",
     "grid": "explicit grid 'a,b,c' or 'lo:hi:step'",

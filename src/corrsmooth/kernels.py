@@ -106,14 +106,16 @@ class RadialAnnulusKernel:
         return shared.distances
 
     def weights(self, dist, h):
-        """profile(dist / h) and the flat positions of its support.
+        """profile(dist / h) and the ascending row-major flat positions of its
+        support.
 
         The cubic is evaluated at the support positions only and scattered
-        into the zeroed array of radii, so every value equals profile's.
+        into the zeroed C-ordered array of radii, so every value equals
+        profile's, whatever the layout of dist.
         """
-        r = dist / h
-        support = np.flatnonzero((r >= self.c1) & (r <= self.c2))
-        flat = r.reshape(-1)
+        r = np.divide(dist, h, order="C")
+        flat = r.reshape(-1)  # a view, as r is C-contiguous
+        support = np.flatnonzero((flat >= self.c1) & (flat <= self.c2))
         values = self.cubic(flat[support])
         flat.fill(0.0)
         flat[support] = values
@@ -171,7 +173,8 @@ class ProductEpanechnikovKernel:
         return self.geometry(shared.data, shared.data.points)
 
     def weights(self, disp, h):
-        """K(disp / h) and the flat positions of its nonzero entries."""
+        """K(disp / h) and the ascending row-major flat positions of its
+        nonzero entries."""
         out = self.component_product(d / h for d in disp)
         return out, np.flatnonzero(out != 0.0)
 

@@ -85,7 +85,7 @@ class Dataset:
                 raise ValueError(
                     f"latitude must lie in [-90, 90]; row {row} has {pts[row, 0]!r}"
                 )
-        pts = pts.copy()
+        pts = pts.copy(order="C")
         y = y.copy()
         pts.setflags(write=False)
         y.setflags(write=False)
@@ -202,7 +202,7 @@ class _Workspace:
             self.targets = x
             self.kernel_geometry = kernel.in_sample(geometry or InSampleGeometry(data))
         else:
-            self.targets = np.asarray(targets, dtype=float)
+            self.targets = np.ascontiguousarray(targets, dtype=float)
             self.kernel_geometry = kernel.geometry(data, self.targets)
 
     def weights(self, h: float):
@@ -214,7 +214,7 @@ class _Workspace:
         m, n = weights.shape
         index = np.int32 if weights.size < 2**31 else np.int64
         indptr = np.searchsorted(positions, np.arange(m + 1) * n).astype(index)
-        data = weights.reshape(-1)[positions]
+        data = weights.ravel()[positions]
         columns = positions.astype(index)
         columns %= n
         return weights, csr_array((data, columns, indptr), shape=(m, n), copy=False)

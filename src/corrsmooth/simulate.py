@@ -197,7 +197,8 @@ def _openblas_threads():
 def _one_blas_thread():
     """Run the body with numpy's OpenBLAS on one thread, then restore the old
     count.  The count is process-wide, so trials running in threads take
-    turns under a lock."""
+    turns under a lock, and while it is pinned the other trials' BLAS calls
+    run on one thread too: slower, with the same results."""
     calls = _openblas_threads()
     if calls is None:
         warnings.warn(
@@ -479,7 +480,9 @@ def run_table(
     same way, over the completed trials.  Any other exception is a bug and
     propagates.  Child seeds make trials order-independent, so threads > 1
     shares them out over a worker pool; one thread runs them in the caller,
-    which keeps the peak RSS lower than a one-worker pool.
+    which keeps the peak RSS lower than a one-worker pool.  Pooled trials
+    share numpy's OpenBLAS thread count, which each trial's
+    draw_correlated_errors briefly pins to one.
     """
     method_specs = [parse_method(m) if isinstance(m, str) else m for m in methods]
     rows: list[ResultRow] = []

@@ -10,6 +10,7 @@ n x n neighbor mask per scan candidate.  Every comparison is exact (== or
 equal bytes), not approximate.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -328,12 +329,37 @@ def test_out_of_sample_fit_matches_dense(kernel_name):
     rng = np.random.default_rng(5)
     targets = np.column_stack([30.0 + 7.0 * rng.random(90), -92.0 + 14.0 * rng.random(90)])
     for h in default_grid(data, kernel)[::7]:
-        est, singular = fit_points(data, targets, float(h), kernel)
         ws = _Workspace(data, kernel, targets=targets)
         assert_systems_match_reference(ws, float(h))
         _, z, singular_ref = reference_solution(ws, float(h), lambda rhs: rhs)
-        assert_same_bytes(est, z[:, 0])
-        assert np.array_equal(singular, singular_ref)
+        for layout in (targets, np.asfortranarray(targets)):
+            est, singular = fit_points(data, layout, float(h), kernel)
+            assert_same_bytes(est, z[:, 0])
+            assert np.array_equal(singular, singular_ref)
+
+
+@pytest.mark.parametrize("kernel_name", sorted(_GRID_KERNELS))
+def test_weights_and_fits_do_not_depend_on_memory_layout(kernel_name):
+    # Fortran-ordered geometry reaches the kernel as a non-C-contiguous
+    # array; Fortran-ordered design points reach every fit
+    data = dict(_grid_datasets())["euclidean"]
+    kernel = _GRID_KERNELS[kernel_name]
+    ws = _Workspace(data, kernel)
+    flipped = Dataset(np.asfortranarray(data.points), data.responses)
+    targets = data.points[::3] + 0.01
+    for h in default_grid(data, kernel)[::9]:
+        geometry = np.asfortranarray(ws.kernel_geometry)
+        assert not geometry.flags.c_contiguous
+        weights, positions = kernel.weights(geometry, float(h))
+        assert_same_bytes(weights, reference_weights(ws, float(h)))
+        assert_same_bytes(positions, ws.kernel.weights(ws.kernel_geometry, float(h))[1])
+        assert_same_bytes(
+            fit_all(flipped, float(h), kernel).fitted, fit_all(data, float(h), kernel).fitted
+        )
+        assert_same_bytes(
+            fit_points(data, np.asfortranarray(targets), float(h), kernel)[0],
+            fit_points(data, targets, float(h), kernel)[0],
+        )
 
 
 @pytest.mark.parametrize("kernel_name", sorted(_GRID_KERNELS))
@@ -353,15 +379,23 @@ def test_hat_matrix_and_coefficients_match_dense(kernel_name):
 
 
 _GOLDEN_SCRIPT = """
+import hashlib
 import warnings
-from corrsmooth.simulate import CorrelationModel, SimScenario, run_table
+from corrsmooth.simulate import (
+    CorrelationModel, SimScenario, _openblas_threads, generate, run_table,
+)
+get, _ = _openblas_threads()
+before = get()
 model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
 scn = SimScenario("mu2d", 150, model, seed=2024, n_trials=1)
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     rows = run_table([scn], ["za(1,1.5)", "gcv"], n_star=40)
-for row in rows:
+    pooled = run_table([scn], ["za(1,1.5)", "gcv"], n_trials=3, n_star=40, threads=2)
+for row in rows + pooled:
     print(repr(row))
+print(hashlib.sha256(generate(scn, 0).dataset.responses.tobytes()).hexdigest())
+print("blas threads", before, get())
 """
 
 
@@ -383,13 +417,14 @@ _GOLDEN_ROWS = [
 ]
 
 
-def _golden_rows(blas_threads):
+@functools.cache
+def _golden_output(blas_threads):
     src = str(Path(corrsmooth.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", _GOLDEN_SCRIPT], env=env, capture_output=True,
-        text=True, timeout=120, check=True,
+        text=True, timeout=240, check=True,
     )
     return out.stdout.splitlines()
 
@@ -403,8 +438,18 @@ def test_run_table_golden_rows():
     Re-record these values only together with a CHANGES.md note that says
     which numbers moved and why.
     """
-    assert _golden_rows("1") == _GOLDEN_ROWS
+    lines = _golden_output("1")
+    assert lines[:4] == _GOLDEN_ROWS
+    _, _, before, after = lines[-1].split()
+    assert before == after
 
 
 def test_run_table_golden_rows_on_two_blas_threads():
-    assert _golden_rows("2") == _GOLDEN_ROWS
+    """With OpenBLAS on two threads, the serial rows, three trials pooled
+    over two worker threads (whose BLAS calls run while another trial has
+    the count pinned to one), and generate's response bytes all equal the
+    one-thread run, and the pin hands the count back."""
+    lines = _golden_output("2")
+    assert lines[:-1] == _golden_output("1")[:-1]
+    _, _, before, after = lines[-1].split()
+    assert before == after

@@ -1,15 +1,10 @@
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import squareform
 
-import corrsmooth
 import corrsmooth.simulate as simulate
 from corrsmooth.errors import SingularFitError
 from corrsmooth.kernels import ProductEpanechnikovKernel, build_annulus_kernel
@@ -382,35 +377,6 @@ def test_selected_bandwidth_gives_clean_fit_on_sp_scenario():
     assert finite.size > 5
     trough = int(np.argmin(finite))
     assert np.all(np.diff(finite[: trough + 1]) <= 1e-12) or trough < 3
-
-
-_GENERATE_SCRIPT = """
-import hashlib
-from corrsmooth.simulate import CorrelationModel, SimScenario, _openblas_threads, generate
-get, _ = _openblas_threads()
-before = get()
-model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
-sim = generate(SimScenario("mu2d", 150, model, seed=2024), 0)
-print(hashlib.sha256(sim.dataset.responses.tobytes()).hexdigest(), before, get())
-"""
-
-
-def test_generate_bytes_do_not_depend_on_blas_threads():
-    # two OpenBLAS threads round the eigendecomposition differently unless
-    # draw_correlated_errors pins it to one; the old count is restored after
-    src = str(Path(corrsmooth.__file__).resolve().parents[1])
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c", _GENERATE_SCRIPT], env=env, capture_output=True,
-            text=True, timeout=120, check=True,
-        )
-        digest, before, after = out.stdout.split()
-        assert before == after
-        digests.append(digest)
-    assert digests[0] == digests[1]
 
 
 def test_draw_correlated_errors_warns_without_blas_thread_calls(monkeypatch):
