@@ -16,6 +16,7 @@ import argparse
 import csv
 import os
 import sys
+import time
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -26,7 +27,6 @@ from .bandwidth import (
     default_grid,
     elbow_scan,
     factor_convert,
-    gcv_select,
     select_h_z,
     variance_fit_bandwidth,
 )
@@ -55,9 +55,9 @@ from .simulate import (
     SimScenario,
     ZETA_DEFAULT,
     generate,
-    min_epan_mse,
     parse_method,
     run_table,
+    run_trial,
 )
 
 __all__ = ["main"]
@@ -512,60 +512,29 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_bench(cfg: dict) -> int:
-    """End-to-end smoke benchmark on a small synthetic scenario.
-
-    Times the stages a simulation trial spends its time on: kernel build,
-    the annulus and product bandwidth grids, annulus selection, final fit,
-    covariance, GCV on the product grid and the minEpan scan at the chosen
-    bandwidth.
-    """
-    import time
-
+    """Times one simulation trial on a small synthetic scenario: the data
+    draw, then each row of run_trial (ZA(1,1.5), GCV, Raw, minEpan).
+    Per-layer times come from perfbench/run.py --trace 1."""
     outdir = _outdir(cfg)
     _echo_config(outdir, cfg)
     model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
     scn = SimScenario("mu2d", cfg["n"], model, seed=cfg["seed"], n_trials=1)
+    start = time.perf_counter()
     sim = generate(scn, 0)
-    data = sim.dataset
-    ko = ProductEpanechnikovKernel(2)
-    timings = []
-    t0 = time.perf_counter()
-    kz = build_annulus_kernel(1.0, 1.5, 2, MIN_PRODUCT)
-    timings.append(("build_kernel_s", time.perf_counter() - t0))
+    generate_s = time.perf_counter() - start
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        t0 = time.perf_counter()
-        geometry = InSampleGeometry(data)
-        grid_z = default_grid(data, kz, geometry=geometry)
-        grid_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        sel = select_h_z(data, kz, grid_z, geometry=geometry)
-        h_o = factor_convert(sel, kz, ko)
-        timings.append(("select_s", time.perf_counter() - t0))
-        t0 = time.perf_counter()
-        fit = fit_all(data, h_o, ko)
-        timings.append(("fit_s", time.perf_counter() - t0))
-        t0 = time.perf_counter()
-        sigma2_hat = sigma2_rss(data, variance_fit_bandwidth(h_o, data.n, 2), ko)
-        cal = calibrate_b(data, fit, sigma2_hat)
-        covariance_curve(data, fit, cal.chosen_b, sigma2_hat=sigma2_hat)
-        timings.append(("covariance_s", time.perf_counter() - t0))
-        t0 = time.perf_counter()
-        grid_o = default_grid(data, ko)
-        grid_s += time.perf_counter() - t0
-        timings.append(("grid_s", grid_s))
-        t0 = time.perf_counter()
-        gcv_select(data, ko, grid_o)
-        timings.append(("gcv_s", time.perf_counter() - t0))
-        t0 = time.perf_counter()
-        min_epan_mse(sim, extra_h=[h_o])
-        timings.append(("min_epan_s", time.perf_counter() - t0))
+        outcomes = run_trial(sim, [parse_method("za(1,1.5)"), parse_method("gcv")])
+    failed = [label for label, outcome in outcomes.items() if outcome is None]
+    if failed:
+        raise CorrsmoothError(f"bench rows failed: {', '.join(failed)}")
     _write_report(
         outdir / "bench.txt",
-        [("command", "bench"), ("n", data.n), ("h_o", h_o), ("status", "ok")],
+        [("command", "bench"), ("n", sim.n), ("h_o", outcomes["ZA(1,1.5)"].h), ("status", "ok")],
     )
-    for name, seconds in timings:
-        print(f"{name}={seconds:.3f}")
+    print(f"generate_s={generate_s:.3f}")
+    for label, outcome in outcomes.items():
+        print(f"{label}_s={outcome.seconds:.3f}")
     return 0
 
 
@@ -584,7 +553,7 @@ _FIT_DEFAULTS = dict(
     output_dir="corrsmooth_out/fit",
 )
 _ELBOW_DEFAULTS = dict(
-    input="", metric="euclidean", c1_list="0.0:6.0:0.25", c2_offset=DEFAULT_C2_OFFSET,
+    input="", metric="euclidean", c1_list="0.25:6.0:0.25", c2_offset=DEFAULT_C2_OFFSET,
     objective=MIN_AMISE, stability_tol=0.10, grid_size=30,
     output_dir="corrsmooth_out/elbow",
 )

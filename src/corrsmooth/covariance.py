@@ -18,6 +18,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import squareform
 
 from .errors import DegenerateCorrelationError, EmptyWindowError, SingularFitError
 from .kernels import BoundaryKernel
@@ -58,8 +59,7 @@ class _PairSums:
         n = residuals.shape[0]
         if distances.shape[0] != n * (n - 1) // 2:
             raise ValueError("distances must be the condensed n(n-1)/2 vector")
-        iu, ju = np.triu_indices(n, k=1)
-        products = residuals[iu] * residuals[ju]
+        products = squareform(np.outer(residuals, residuals), checks=False)
         order = np.argsort(distances, kind="stable")
         self.n = n
         self.dist = distances[order]

@@ -18,13 +18,15 @@ from __future__ import annotations
 import ctypes
 import re
 import threading
+import time
 import warnings
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.spatial.distance import squareform
+from scipy.spatial.distance import pdist, squareform
 
 from .bandwidth import (
     default_grid,
@@ -62,6 +64,7 @@ __all__ = [
     "correlation_penalty",
     "MethodSpec",
     "parse_method",
+    "run_trial",
     "run_table",
     "ResultRow",
     "ZETA_DEFAULT",
@@ -252,10 +255,7 @@ def generate(scn: SimScenario, trial: int = 0) -> SimulatedData:
     rng = np.random.default_rng(child)
     model = scn.model
     x = rng.random((scn.n, model.dim))
-    dist = squareform(
-        pairwise_distances(Dataset(points=x, responses=np.zeros(scn.n)))
-    )
-    cov = model.sigma2 * correlation_value(model, dist, scn.n)
+    cov = model.sigma2 * correlation_value(model, squareform(pdist(x)), scn.n)
     errors = draw_correlated_errors(cov, rng)
     mu_true = scn.mu(x)
     dataset = Dataset(points=x, responses=mu_true + errors)
@@ -337,13 +337,15 @@ def parse_method(text: str) -> MethodSpec:
 
 @dataclass
 class TrialOutcome:
-    """One row kind's result on one trial; metrics a row kind lacks stay NaN."""
+    """One row kind's result on one trial; metrics a row kind lacks stay NaN.
+    seconds is the row's wall time, which run_trial sets."""
 
     h: float = np.nan
     mse_prac: float = np.nan
     sigma2_hat: float = np.nan
     sse_cor: float = np.nan
     calibration_fallback: bool = False
+    seconds: float = np.nan
 
 
 @dataclass(frozen=True)
@@ -453,11 +455,43 @@ def _aggregate(values) -> tuple[float, float]:
 
 
 def _counted(run, *args, **kwargs):
-    """run(*args, **kwargs), or None on a numerical failure (CorrsmoothError)."""
+    """run(*args, **kwargs) with its wall time in .seconds, or None on a
+    numerical failure (CorrsmoothError)."""
+    start = time.perf_counter()
     try:
-        return run(*args, **kwargs)
+        outcome = run(*args, **kwargs)
     except CorrsmoothError:
         return None
+    outcome.seconds = time.perf_counter() - start
+    return outcome
+
+
+def run_trial(
+    sim: SimulatedData,
+    method_specs,
+    objective: str = MIN_PRODUCT,
+    n_star: int = 200,
+    delta_n: float = DELTA_N_DEFAULT,
+    zeta: float = ZETA_DEFAULT,
+) -> dict[str, TrialOutcome | None]:
+    """Every method, then the Raw and minEpan references, on one simulated trial.
+
+    Maps each row label, in that order, to its TrialOutcome stamped with the
+    row's wall seconds, or to None for a numerical failure (CorrsmoothError).
+    Any other exception is a bug and propagates.  The minEpan scan also tries
+    every bandwidth the methods chose, so it bounds each of them.
+    """
+    outcomes = {
+        spec.label: _counted(
+            run_method_trial, sim, spec, objective=objective, n_star=n_star,
+            delta_n=delta_n, zeta=zeta,
+        )
+        for spec in method_specs
+    }
+    chosen = [o.h for o in outcomes.values() if o is not None]
+    outcomes["Raw"] = _counted(run_raw_trial, sim, n_star=n_star, delta_n=delta_n, zeta=zeta)
+    outcomes["minEpan"] = _counted(lambda: TrialOutcome(mse_prac=min_epan_mse(sim, extra_h=chosen)))
+    return outcomes
 
 
 def run_table(
@@ -473,15 +507,15 @@ def run_table(
 ) -> list[ResultRow]:
     """Run every scenario x method over seeded trials and aggregate the metrics.
 
-    Adds a "minEpan" row (exhaustive-scan reference) and a "Raw" row
-    (true-error covariance reference) per scenario.  Each trial yields one
-    map from row label to TrialOutcome, or None for a numerical failure
-    (CorrsmoothError); every row aggregates its column of those maps the
-    same way, over the completed trials.  Any other exception is a bug and
-    propagates.  Child seeds make trials order-independent, so threads > 1
-    shares them out over a worker pool; one thread runs them in the caller,
-    which keeps the peak RSS lower than a one-worker pool.  Pooled trials
-    share numpy's OpenBLAS thread count, which each trial's
+    Each trial is one run_trial: a map from row label to TrialOutcome, or None
+    for a numerical failure, for every method plus the "Raw" (true-error
+    covariance reference) and "minEpan" (exhaustive-scan reference) rows.
+    Every row aggregates its column of those maps the same way, over the
+    completed trials.  progress(scenario, trial) is called as each trial's
+    map arrives, in trial order.  Child seeds make trials order-independent,
+    so threads > 1 shares them out over a worker pool; one thread runs them
+    in the caller, which keeps the peak RSS lower than a one-worker pool.
+    Pooled trials share numpy's OpenBLAS thread count, which each trial's
     draw_correlated_errors briefly pins to one.
     """
     method_specs = [parse_method(m) if isinstance(m, str) else m for m in methods]
@@ -493,33 +527,19 @@ def run_table(
         )
 
         def one_trial(trial_idx: int) -> dict[str, TrialOutcome | None]:
-            sim = generate(scn, trial_idx)
-            outcomes = {
-                spec.label: _counted(
-                    run_method_trial, sim, spec, objective=objective, n_star=n_star,
-                    delta_n=delta_n, zeta=zeta,
-                )
-                for spec in method_specs
-            }
-            chosen = [o.h for o in outcomes.values() if o is not None]
-            outcomes["Raw"] = _counted(
-                run_raw_trial, sim, n_star=n_star, delta_n=delta_n, zeta=zeta
+            return run_trial(
+                generate(scn, trial_idx), method_specs, objective=objective,
+                n_star=n_star, delta_n=delta_n, zeta=zeta,
             )
-            scan = _counted(min_epan_mse, sim, extra_h=chosen)
-            outcomes["minEpan"] = None if scan is None else TrialOutcome(mse_prac=scan)
-            return outcomes
 
+        results = []
         # no one-worker pool: it measured ~12% more peak RSS on n=500 trials
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(one_trial, range(trials)))
-        else:
-            results = [one_trial(t) for t in range(trials)]
-        if progress is not None:
-            for trial_idx in range(trials):
-                progress(scn, trial_idx)
+        with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+            trial_maps = (pool.map if pool else map)(one_trial, range(trials))
+            for trial_idx, outcomes in enumerate(trial_maps):
+                results.append(outcomes)
+                if progress is not None:
+                    progress(scn, trial_idx)
 
         model = scn.model
         for label in ["minEpan", "Raw", *(spec.label for spec in method_specs)]:

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.spatial.distance import squareform
 
 import corrsmooth.simulate as simulate
+from corrsmooth.cli import main
 from corrsmooth.errors import SingularFitError
 from corrsmooth.kernels import ProductEpanechnikovKernel, build_annulus_kernel
 from corrsmooth.locfit import Dataset, hat_coefficients, pairwise_distances
@@ -23,6 +24,7 @@ from corrsmooth.simulate import (
     mu3d,
     parse_method,
     run_table,
+    run_trial,
     sse_cor,
 )
 
@@ -287,6 +289,77 @@ def test_run_table_propagates_programming_errors(monkeypatch, exc_type):
     scn = SimScenario("mu2d", 150, model, seed=909, n_trials=1)
     with pytest.raises(exc_type, match="bug"):
         run_table([scn], ["gcv"], n_star=40)
+
+
+def _bench_sim(n=150):
+    # the scenario that corrsmooth bench runs, at its default seed 0
+    model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
+    return generate(SimScenario("mu2d", n, model, seed=0), 0)
+
+
+def test_run_trial_rows_in_order_with_their_seconds():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = run_trial(_bench_sim(), [parse_method("za(1,1.5)"), parse_method("gcv")], n_star=40)
+    assert list(out) == ["ZA(1,1.5)", "GCV", "Raw", "minEpan"]
+    for outcome in out.values():
+        assert np.isfinite(outcome.seconds) and outcome.seconds >= 0.0
+    assert np.isfinite(out["minEpan"].mse_prac) and np.isnan(out["minEpan"].sse_cor)
+
+
+@pytest.mark.parametrize("target, label", [
+    ("run_method_trial", "GCV"), ("run_raw_trial", "Raw"), ("min_epan_mse", "minEpan"),
+])
+def test_run_trial_fails_rows_only_on_numerical_errors(monkeypatch, target, label):
+    sim = _bench_sim(n=100)
+    monkeypatch.setattr(simulate, target, _failing_trial(SingularFitError("numerical")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = run_trial(sim, [parse_method("gcv")], n_star=30)
+    assert out[label] is None
+    assert all(o.seconds >= 0.0 for key, o in out.items() if key != label)
+    monkeypatch.setattr(simulate, target, _failing_trial(ValueError("bug")))
+    with pytest.raises(ValueError, match="bug"):
+        run_trial(sim, [parse_method("gcv")], n_star=30)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_table_reports_each_trial_as_it_finishes(monkeypatch, threads):
+    events = []
+    real_generate = simulate.generate
+
+    def recording_generate(scn, trial):
+        events.append(("generate", trial))
+        return real_generate(scn, trial)
+
+    monkeypatch.setattr(simulate, "generate", recording_generate)
+    scn = SimScenario("mu2d", 100, CorrelationModel("exponential", c=1.0), seed=12, n_trials=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_table([scn], ["gcv"], n_star=20, threads=threads,
+                  progress=lambda s, trial: events.append(("progress", trial)))
+    reports = [trial for kind, trial in events if kind == "progress"]
+    assert reports == [0, 1, 2]
+    for trial in range(3):
+        assert events.index(("generate", trial)) < events.index(("progress", trial))
+    if threads == 1:
+        assert events == [(kind, t) for t in range(3) for kind in ("generate", "progress")]
+
+
+def test_bench_writes_the_h_o_of_run_trial(tmp_path):
+    assert main(["bench", "--n", "150", "--output-dir", str(tmp_path)]) == 0
+    report = dict(line.split("=", 1) for line in (tmp_path / "bench.txt").read_text().splitlines())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = run_trial(_bench_sim(), [parse_method("za(1,1.5)"), parse_method("gcv")])
+    assert report["h_o"] == repr(out["ZA(1,1.5)"].h)
+
+
+def test_bench_exits_2_when_a_row_fails(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(simulate, "run_raw_trial", _failing_trial(SingularFitError("raw")))
+    assert main(["bench", "--n", "150", "--output-dir", str(tmp_path)]) == 2
+    assert "Raw" in capsys.readouterr().err
+    assert not (tmp_path / "bench.txt").exists()
 
 
 def test_run_table_single_trial_structure():
