@@ -44,9 +44,6 @@ from .kernels import (
     ProductEpanechnikovKernel,
     RadialAnnulusKernel,
     build_annulus_kernel,
-    eval_kernel,
-    kernel_moments,
-    kernel_to_text,
 )
 from .locfit import (
     EARTH_RADIUS_KM,
@@ -54,7 +51,6 @@ from .locfit import (
     FitResult,
     fit_all,
     fit_points,
-    hat_coefficients,
     hat_matrix,
     load_csv,
     pairwise_distances,

@@ -12,7 +12,7 @@ which the kernel's reach covers the point cloud.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -23,7 +23,6 @@ from .kernels import (
     MIN_AMISE,
     RadialAnnulusKernel,
     build_annulus_kernel,
-    kernel_moments,
 )
 from .locfit import Dataset, InSampleGeometry, _fit_all_ws, _fit_and_hat_diagonal, _Workspace, rss
 from .locfit import fit_all  # noqa: F401  (perfbench's tracer test checks this binding)
@@ -64,7 +63,6 @@ class ElbowDiagnostic:
     feasible: np.ndarray
     chosen_c1: float
     chosen_index: int
-    kernels: list = field(default_factory=list)
 
 
 def default_grid(
@@ -114,13 +112,14 @@ def default_grid(
 
 
 def _validate_grid(grid) -> np.ndarray:
+    """Candidate bandwidths as a float array; a ValueError quoting them unless
+    they are a nonempty 1-d list of finite, positive, increasing values."""
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("bandwidth grid must be a nonempty 1-d array")
-    if np.any(grid <= 0.0):
-        raise ValueError("bandwidth grid must be positive")
-    if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
-        raise ValueError("bandwidth grid must be strictly increasing")
+    ok = grid.ndim == 1 and grid.size > 0 and np.all(np.isfinite(grid) & (grid > 0.0))
+    if not ok or np.any(np.diff(grid) <= 0.0):
+        raise ValueError(
+            f"candidates {grid.tolist()} are not finite, positive and strictly increasing"
+        )
     return grid
 
 
@@ -160,8 +159,8 @@ def factor_ratio(kz, ko) -> float:
     kernel into the MISE-optimal bandwidth of another of the same dimension."""
     if kz.dim != ko.dim:
         raise ValueError(f"kernel dimensions differ: {kz.dim} and {ko.dim}")
-    mz = kernel_moments(kz)
-    mo = kernel_moments(ko)
+    mz = kz.moments()
+    mo = ko.moments()
     ratio = (mo.muK2 * mz.mu2**2) / (mo.mu2**2 * mz.muK2)
     return float(ratio ** (1.0 / (kz.dim + 4)))
 
@@ -199,7 +198,6 @@ def elbow_scan(
 
     cbar = np.full(c1_arr.shape, np.nan)
     h_zs = np.full(c1_arr.shape, np.nan)
-    kernels: list = [None] * c1_arr.size
     geometry = InSampleGeometry(data)
     for idx, c1 in enumerate(c1_arr):
         try:
@@ -208,10 +206,9 @@ def elbow_scan(
             sel = select_h_z(data, kz, grid, geometry=geometry)
         except (ValueError, CorrsmoothError):
             continue
-        m = kernel_moments(kz)
+        m = kz.moments()
         h_zs[idx] = sel.h_z
         cbar[idx] = (m.muK2 / m.mu2**2) ** (1.0 / (dim + 4)) / sel.h_z
-        kernels[idx] = kz
 
     feasible = np.isfinite(cbar)
     if not feasible.any():
@@ -240,7 +237,6 @@ def elbow_scan(
         feasible=feasible,
         chosen_c1=float(c1_arr[chosen]),
         chosen_index=chosen,
-        kernels=kernels,
     )
 
 
@@ -342,7 +338,7 @@ def oracle_bandwidth(model, mu, ko, n: int) -> float:
     delta_f = _laplacian_integral(mu, dim, grid_per_axis)
     if delta_f == 0.0:
         raise CorrsmoothError("curvature integral is zero; oracle bandwidth diverges")
-    mo = kernel_moments(ko)
+    mo = ko.moments()
     noise = model.sigma2 * (c_rho + 1.0) if alpha == 1.0 else model.sigma2 * c_rho
     const = (4.0 * noise / delta_f**2) * (mo.muK2 / mo.mu2**2)
     return float(const ** (1.0 / (dim + 4)) * n ** (-alpha / (dim + 4)))

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .bandwidth import (
+    _validate_grid,
     default_grid,
     elbow_scan,
     factor_convert,
@@ -47,7 +48,6 @@ from .kernels import (
     MIN_PRODUCT,
     ProductEpanechnikovKernel,
     build_annulus_kernel,
-    kernel_to_text,
 )
 from .locfit import _METRICS, Dataset, InSampleGeometry, fit_all, fit_points, load_csv, rss
 from .simulate import (
@@ -156,34 +156,42 @@ def _outdir(cfg: dict) -> Path:
     return out
 
 
-def _parse_float_list(text: str, what: str) -> np.ndarray:
-    """Accept 'a,b,c' or 'start:stop:step' range syntax (stop included,
-    step > 0); the list must not be empty."""
-    text = text.strip()
+def _parse_float_list(cfg: dict, key: str) -> np.ndarray:
+    """cfg[key] as 'a,b,c' or 'start:stop:step' range syntax (stop included,
+    step > 0); the list must be nonempty, finite and strictly increasing."""
+    text = cfg[key].strip()
     try:
         if ":" in text:
             start, stop, step = (float(p) for p in text.split(":"))
             if not step > 0.0:
-                raise UsageError(f"{what} {text!r} needs a positive step")
+                raise ValueError("the step must be positive")
             values = np.arange(start, stop + step / 2.0, step)
         else:
             values = np.asarray([float(p) for p in text.split(",") if p.strip()])
+        if values.size == 0 or not np.all(np.isfinite(values)) or np.any(np.diff(values) <= 0.0):
+            raise ValueError("not a nonempty, finite, strictly increasing list")
     except ValueError as err:
-        raise UsageError(f"cannot parse {what} {text!r}: {err}") from err
-    if values.size == 0:
-        raise UsageError(f"{what} {text!r} is empty")
+        raise UsageError(f"bad value for {key}: {text!r}: {err}") from err
     return values
 
 
-def _select_h_o(cfg, data, ko):
-    """Annulus-kernel RSS selection on the configured grid, converted to ko."""
+def _candidates(cfg: dict, key: str):
+    """cfg[key] checked as select_h_z and calibrate_b check candidates, or None."""
+    if not cfg[key]:
+        return None
+    try:
+        return _validate_grid(_parse_float_list(cfg, key))
+    except ValueError as err:
+        raise UsageError(f"bad value for {key}: {err}") from err
+
+
+def _select_h_o(cfg, data, ko, grid):
+    """Annulus-kernel RSS selection on grid (default_grid's if None), converted to ko."""
     kz = build_annulus_kernel(
         cfg["c1"], cfg["c1"] + cfg["c2_offset"], data.dim, cfg["objective"]
     )
     geometry = InSampleGeometry(data)
-    if cfg["grid"]:
-        grid = _parse_float_list(cfg["grid"], "bandwidth grid")
-    else:
+    if grid is None:
         grid = default_grid(data, kz, size=cfg["grid_size"], geometry=geometry)
     sel = select_h_z(data, kz, grid, geometry=geometry)
     return kz, sel, factor_convert(sel, kz, ko)
@@ -206,10 +214,11 @@ def cmd_fit(cfg: dict) -> int:
     if not cfg["input"]:
         raise UsageError("fit requires --input CSV")
     data = _load_dataset(cfg)
+    grid = _candidates(cfg, "grid")
     outdir = _outdir(cfg)
     _echo_config(outdir, cfg)
     ko = ProductEpanechnikovKernel(data.dim)
-    kz, sel, h_o = _select_h_o(cfg, data, ko)
+    kz, sel, h_o = _select_h_o(cfg, data, ko, grid)
     fit = fit_all(data, h_o, ko)
 
     _write_csv(
@@ -248,7 +257,7 @@ def cmd_fit(cfg: dict) -> int:
         ("c1", kz.c1),
         ("c2", kz.c2),
         ("objective", cfg["objective"]),
-        ("kernel", kernel_to_text(kz)),
+        ("kernel", kz.to_text()),
         ("h_z", sel.h_z),
         ("factor_ratio", sel.factor_ratio),
         ("h_o", h_o),
@@ -266,7 +275,7 @@ def cmd_elbow(cfg: dict) -> int:
     if not cfg["input"]:
         raise UsageError("elbow requires --input CSV")
     data = _load_dataset(cfg)
-    c1_list = _parse_float_list(cfg["c1_list"], "c1 list")
+    c1_list = _parse_float_list(cfg, "c1_list")
     if c1_list.size < 3:
         raise UsageError("need >= 3 candidates for stability detection")
     outdir = _outdir(cfg)
@@ -334,18 +343,17 @@ def cmd_covariance(cfg: dict) -> int:
     if not cfg["input"]:
         raise UsageError("covariance requires --input CSV")
     data = _load_dataset(cfg)
+    grid = _candidates(cfg, "grid")
+    b_candidates = _candidates(cfg, "b_candidates")
     outdir = _outdir(cfg)
     _echo_config(outdir, cfg)
     ko = ProductEpanechnikovKernel(data.dim)
-    b_candidates = (
-        _parse_float_list(cfg["b_candidates"], "b candidates")
-        if cfg["b_candidates"]
-        else default_b_candidates(data, size=cfg["b_count"])
-    )
+    if b_candidates is None:
+        b_candidates = default_b_candidates(data, size=cfg["b_count"])
     if cfg["fit_dir"]:
         h_o = _fit_dir_h_o(cfg, data)
     else:
-        h_o = _select_h_o(cfg, data, ko)[2]
+        h_o = _select_h_o(cfg, data, ko, grid)[2]
 
     fit = fit_all(data, h_o, ko)
     h_t = variance_fit_bandwidth(h_o, data.n, data.dim)
@@ -590,6 +598,7 @@ _BOUNDS = {
     "delta_n": (0.0, False, np.inf, False), "c1": (0.0, True, np.inf, False),
     "c2_offset": (0.0, True, np.inf, False), "n": (4, False, np.inf, False),
     "zeta": (0.0, True, 1.0, True), "stability_tol": (0.0, True, np.inf, False),
+    "truncation_t": (-np.inf, True, np.inf, True),
 }
 _HELP = {
     "fit_dir": "reuse h_o from a previous fit run's report",

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import squareform
 
+from .bandwidth import _validate_grid
 from .errors import DegenerateCorrelationError, EmptyWindowError, SingularFitError
 from .kernels import BoundaryKernel
 from .locfit import Dataset, FitResult, fit_all, pairwise_distances, rss
@@ -191,11 +192,7 @@ def calibrate_b(
         raise ValueError("delta_n must be nonnegative")
     if b_candidates is None:
         b_candidates = default_b_candidates(data)
-    b_arr = np.asarray(b_candidates, dtype=float)
-    if b_arr.ndim != 1 or b_arr.size == 0:
-        raise ValueError("b candidate set must be a nonempty 1-d array")
-    if np.any(b_arr <= 0.0) or (b_arr.size > 1 and np.any(np.diff(b_arr) <= 0.0)):
-        raise ValueError("b candidates must be positive and strictly increasing")
+    b_arr = _validate_grid(b_candidates)
 
     residuals = _residuals_from(fit_or_residuals)
     pairs = _PairSums(residuals, pairwise_distances(data))
@@ -284,8 +281,9 @@ def covariance_curve(
     """Covariance estimates on a lag grid {0} + n_star points up to truncation.
 
     Grid points whose window holds no pairs are dropped from interpolation
-    with a warning; the stored value at the truncation lag is 0 so the
-    served curve decays continuously into the truncated region.
+    with a warning.  The truncation lag itself is never estimated: its
+    stored value is 0, so the served curve decays continuously into the
+    truncated region.
     """
     if n_star < 2:
         raise ValueError(f"n_star must be >= 2, got {n_star}")
@@ -298,8 +296,8 @@ def covariance_curve(
     if truncation_t is None:
         truncation_t = _pilot_truncation(pairs, float(b), tilde)
     truncation_t = float(truncation_t)
-    if truncation_t < 0.0:
-        raise ValueError("truncation_t must be nonnegative")
+    if not 0.0 <= truncation_t < np.inf:
+        raise ValueError(f"truncation_t must be finite and nonnegative, got {truncation_t}")
 
     if truncation_t == 0.0:
         return CovarianceEstimate(
@@ -314,9 +312,10 @@ def covariance_curve(
     ts = np.concatenate([[0.0], np.linspace(truncation_t / n_star, truncation_t, n_star)])
     values = np.empty(ts.shape)
     values[0] = tilde
+    values[-1] = 0.0  # truncation clamp: the curve is 0 from here on
     keep = np.ones(ts.shape, dtype=bool)
     dropped = []
-    for idx in range(1, ts.size):
+    for idx in range(1, ts.size - 1):
         try:
             values[idx] = pairs.estimate(float(ts[idx]), float(b))
         except EmptyWindowError:
@@ -330,7 +329,6 @@ def covariance_curve(
         )
     ts = ts[keep]
     values = values[keep]
-    values[-1] = 0.0  # truncation clamp: the curve is 0 from here on
     bound_flag = bool(np.any(np.abs(values) > _SANITY_FACTOR * abs(tilde)))
     if bound_flag:
         warnings.warn(

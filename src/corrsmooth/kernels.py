@@ -1,13 +1,14 @@
 """Kernel functions for local linear smoothing and covariance estimation.
 
 Conventions:
-  - Radial kernels are evaluated on r = ||u||; product kernels on the
-    componentwise vector u.  Values are exactly 0 outside the stated
-    support (hard cutoff, no smoothing of the boundary).
-  - Moment functionals: mu2(K) = int u_1^2 K du and mu(K^2) = int K^2 du,
-    both over R^D.  For radial kernels these reduce to 1-D integrals in r
-    via the surface area of the unit sphere, which keeps them exact for
-    polynomial profiles.
+  - Callers use a kernel through its own methods; nothing dispatches on its
+    class.  profile(r) gives the annulus kernel at radii r = ||u||, value()
+    the product kernel at D-vectors u and the boundary kernel at lags; all
+    are exactly 0 outside the stated support (hard cutoff).
+  - moments() gives mu2(K) = int u_1^2 K du and mu(K^2) = int K^2 du over
+    R^D, for the factor method and the oracle bandwidth; the annulus
+    kernel's reduce to 1-D integrals in r, exact for its cubic profile.
+    RadialAnnulusKernel.to_text() is its one-line record in a fit report.
   - The two fitting kernels own their geometry: geometry() computes what
     weights() consumes, in_sample() reads or computes it at the design
     points from a shared InSampleGeometry, and reach() turns that into the
@@ -23,6 +24,7 @@ subject to positivity on the open annulus.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,9 +43,6 @@ __all__ = [
     "BoundaryKernel",
     "KernelMoments",
     "build_annulus_kernel",
-    "kernel_moments",
-    "eval_kernel",
-    "kernel_to_text",
     "sphere_surface",
 ]
 
@@ -132,16 +131,6 @@ class RadialAnnulusKernel:
         theta = np.asarray(self.coeffs, dtype=float)
         return KernelMoments(mu2=float(v @ theta), muK2=float(theta @ q @ theta))
 
-    def evaluate(self, u):
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 0:
-            return float(self.profile(abs(u)))
-        if u.ndim == 1 and u.shape[0] == self.dim:
-            return float(self.profile(np.linalg.norm(u)))
-        if u.ndim >= 2 and u.shape[-1] == self.dim:
-            return self.profile(np.linalg.norm(u, axis=-1))
-        return self.profile(np.abs(u))  # array of radii
-
     def to_text(self) -> str:
         parts = ["annulus", repr(self.c1), repr(self.c2), str(self.dim)]
         return " ".join(parts + [repr(c) for c in self.coeffs])
@@ -191,19 +180,6 @@ class ProductEpanechnikovKernel:
         # per-coordinate: int u^2 (3/4)(1-u^2) du = 1/5, int K^2 = 3/5
         return KernelMoments(mu2=0.2, muK2=0.6**self.dim)
 
-    def evaluate(self, u):
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 0:
-            if self.dim != 1:
-                raise ValueError("scalar input requires dim=1 product kernel")
-            u = u.reshape(1)
-        if u.ndim == 1 and u.shape[0] == self.dim:
-            return float(self.value(u))
-        return self.value(u)
-
-    def to_text(self) -> str:
-        return f"product_epanechnikov {self.dim}"
-
     @staticmethod
     def component_product(components):
         """K at the points whose d-th coordinates are the d-th array of components.
@@ -251,21 +227,6 @@ class BoundaryKernel:
         inside = (t >= -1.0) & (t <= q)
         return np.where(inside, core, 0.0)
 
-    def moments(self) -> KernelMoments:
-        """mu2 and mu(K^2) by quadrature over [-1, q]."""
-        from scipy import integrate
-
-        mu2, _ = integrate.quad(lambda t: t * t * float(self.value(t)), -1.0, self.q)
-        muk2, _ = integrate.quad(lambda t: float(self.value(t)) ** 2, -1.0, self.q)
-        return KernelMoments(mu2=float(mu2), muK2=float(muk2))
-
-    def evaluate(self, u):
-        out = self.value(np.asarray(u, dtype=float))
-        return float(out) if out.ndim == 0 else out
-
-    def to_text(self) -> str:
-        return f"boundary {self.q!r}"
-
 
 def _annulus_vectors(c1, c2, dim):
     """Normalization vector w, mu2 vector v, and Gram matrix Q for the
@@ -302,7 +263,8 @@ def build_annulus_kernel(
     closed-form Lagrange solution of the variance objective (which is the
     constant profile and always feasible).  Positivity is enforced by an
     L1 penalty on a 512-point interior grid, followed by a blend toward
-    the constant profile if the optimum grazes zero.
+    the constant profile if the optimum grazes zero.  Kernels are cached per
+    (c1, c2, dim, objective).
     """
     c1 = float(c1)
     c2 = float(c2)
@@ -315,7 +277,13 @@ def build_annulus_kernel(
     dim = int(dim)
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {_OBJECTIVES}")
+    return _build_annulus_kernel(c1, c2, dim, objective)
 
+
+# The public def stays uncached so that tracers see every call; the search is
+# deterministic and the kernel frozen, so a cached kernel is the same bits.
+@functools.lru_cache(maxsize=256)
+def _build_annulus_kernel(c1: float, c2: float, dim: int, objective: str) -> RadialAnnulusKernel:
     w, v, q = _annulus_vectors(c1, c2, dim)
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(q))):
         raise KernelConstructionError(
@@ -392,29 +360,3 @@ def build_annulus_kernel(
             f"normalization failed for (c1={c1}, c2={c2}): residual {norm_residual:.3e}"
         )
     return RadialAnnulusKernel(c1=c1, c2=c2, coeffs=tuple(float(t) for t in theta), dim=dim)
-
-
-_KERNELS = (RadialAnnulusKernel, ProductEpanechnikovKernel, BoundaryKernel)
-
-
-def _known_kernel(kernel, failure: str):
-    """kernel itself if it is one of the three kernel classes; else a TypeError."""
-    if not isinstance(kernel, _KERNELS):
-        raise TypeError(f"{failure} {type(kernel).__name__}")
-    return kernel
-
-
-def kernel_moments(kernel) -> KernelMoments:
-    """mu2 and mu(K^2) in the kernel's own dimension, exact for polynomial
-    profiles, quadrature otherwise."""
-    return _known_kernel(kernel, "moments require a bounded-support kernel, got").moments()
-
-
-def eval_kernel(kernel, u):
-    """Evaluate a kernel at a D-vector, a batch of vectors, or a scalar lag."""
-    return _known_kernel(kernel, "cannot evaluate").evaluate(u)
-
-
-def kernel_to_text(kernel) -> str:
-    """One-line plain-text record for reproducing a kernel across runs."""
-    return _known_kernel(kernel, "cannot serialize").to_text()

@@ -37,7 +37,6 @@ __all__ = [
     "InSampleGeometry",
     "fit_all",
     "fit_points",
-    "hat_coefficients",
     "hat_matrix",
     "rss",
     "pairwise_distances",
@@ -348,22 +347,6 @@ def _fit_and_hat_diagonal(ws: _Workspace, h: float):
     lin = np.diagonal(z[:, 1:] @ x.T) - np.einsum("ik,ik->i", z[:, 1:], x)
     diagonal = np.diagonal(weights) * (z[:, 0] + lin)
     return _fit_result(ws, h, beta[:, 0], singular), diagonal
-
-
-def hat_coefficients(data: Dataset, i: int, h: float, kernel) -> np.ndarray:
-    """Smoother weights c_{i.} with mu_hat(X_i) = sum_s c_{is} Y_s."""
-    if not 0 <= i < data.n:
-        raise ValueError(f"index {i} out of range")
-    xt = data.points[i]
-    ws = _Workspace(data, kernel, targets=xt[None, :])
-    weights, a, _ = _normal_systems(ws, h)
-    e1 = np.zeros((1, data.dim + 1))
-    e1[0, 0] = 1.0
-    (z,), singular = _solve_batched(a, e1)
-    if singular[0]:
-        raise SingularFitError(f"singular local fit at design point {i}", x=xt)
-    z = z[0]
-    return weights[0] * (z[0] + (data.points - xt) @ z[1:])
 
 
 def hat_matrix(data: Dataset, h: float, kernel):

@@ -27,11 +27,9 @@ from corrsmooth.kernels import (
     ProductEpanechnikovKernel,
     RadialAnnulusKernel,
     build_annulus_kernel,
-    eval_kernel,
-    kernel_moments,
     sphere_surface,
 )
-from corrsmooth.locfit import Dataset, fit_all, hat_coefficients, pairwise_distances
+from corrsmooth.locfit import Dataset, fit_all, hat_matrix, pairwise_distances
 from corrsmooth.simulate import (
     CorrelationModel,
     MethodSpec,
@@ -156,7 +154,7 @@ def test_criterion_2_kernel_constraint_suite():
                 grid = np.linspace(c1, c1 + 0.5, 514)[1:-1]
                 assert np.all(k.profile(grid) > 1e-12)
                 for r in (0.0, c1 - 1e-9, c1 + 0.5 + 1e-9):
-                    assert eval_kernel(k, r) == 0.0
+                    assert k.profile(r) == 0.0
     worst_moment = 0.0
     for q in (0.1, 0.25, 0.5, 0.75, 1.0):
         from scipy import integrate
@@ -303,10 +301,10 @@ def test_criterion_10_property_suite():
     if r1 != r2:
         failures.append("determinism: run_table")
 
-    # affine-weight identities via hat coefficients
+    # affine-weight identities via the hat matrix's row 5
     data = make_affine_dataset(n=80, dim=2, seed=55)
     kz = build_annulus_kernel(1.0, 1.5, 2)
-    c = hat_coefficients(data, 5, 0.4, kz)
+    c = hat_matrix(data, 0.4, kz)[0][5]
     if c[5] != 0.0 or abs(c.sum() - 1.0) >= 1e-10:
         failures.append("affine-weight identities")
     if np.abs(c @ (data.points - data.points[5])).max() >= 1e-10:

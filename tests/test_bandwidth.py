@@ -20,7 +20,6 @@ from corrsmooth.kernels import (
     MIN_AMISE,
     ProductEpanechnikovKernel,
     build_annulus_kernel,
-    kernel_moments,
 )
 from corrsmooth.locfit import Dataset, fit_all, hat_matrix, rss
 from corrsmooth.simulate import (
@@ -89,7 +88,7 @@ def test_factor_convert_identity_and_linearity():
 
 
 def test_factor_ratio_plugin_formula():
-    mz = kernel_moments(KZ)
+    mz = KZ.moments()
     expected = (0.36 * mz.mu2**2 / (0.04 * mz.muK2)) ** (1.0 / 6.0)
     assert factor_ratio(KZ, KO) == pytest.approx(expected, rel=1e-12)
     assert 0.5 * factor_ratio(KZ, KO) == pytest.approx(
@@ -178,7 +177,7 @@ def test_elbow_constant_trace_picks_second_element(monkeypatch):
     c1s = np.array([0.5, 1.0, 1.5, 2.0])
 
     def fake_select(d, kz, grid, geometry=None):
-        m = kernel_moments(kz)
+        m = kz.moments()
         h = (m.muK2 / m.mu2**2) ** (1.0 / 6.0) / 7.0  # forces C-bar == 7
         return bw.BandwidthSelection(h_z=h, grid=grid, rss_trace=np.array([0.0]))
 
@@ -197,7 +196,7 @@ def test_elbow_strictly_decreasing_trace_errors(monkeypatch):
     values = iter([16.0, 8.0, 4.0, 2.0, 1.0])
 
     def fake_select(d, kz, grid, geometry=None):
-        m = kernel_moments(kz)
+        m = kz.moments()
         h = (m.muK2 / m.mu2**2) ** (1.0 / 6.0) / next(values)
         return bw.BandwidthSelection(h_z=h, grid=grid, rss_trace=np.array([0.0]))
 

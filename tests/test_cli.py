@@ -312,6 +312,14 @@ def test_config_value_outside_choices_is_usage_error(tmp_path, affine_csv, capsy
     (["simulate", "--zeta", "2"], "", None),
     (["simulate"], "zeta=1.5", None),
     (["bench", "--n", "2"], "", None),
+    (["fit", "--grid", "nan,0.3,0.4"], "", None),
+    (["fit", "--grid", "0.5,0.1"], "", None),
+    (["fit", "--grid", "0,0.3,0.4"], "", None),
+    (["elbow", "--c1-list", "1,0.5,2,3"], "", None),
+    (["covariance", "--b-candidates", "0.5,0.1"], "", None),
+    (["covariance", "--truncation-t", "nan"], "", None),
+    (["covariance", "--truncation-t", "inf"], "", None),
+    (["covariance"], "truncation_t=-inf", None),
 ])
 def test_out_of_range_options_exit_1_before_fitting(
     tmp_path, affine_csv, capsys, monkeypatch, argv, config, threads_env

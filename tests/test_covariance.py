@@ -307,6 +307,19 @@ def test_empty_grid_windows_dropped_with_warning():
     assert curve.interpolate(curve.t_grid[1]) == curve.c_hat[1]
 
 
+def test_truncation_beyond_every_pair_keeps_lag_zero():
+    # every window past lag 0 is empty: the curve keeps C(0) and the clamp sits at T
+    sim = sp3_sim(seed=22, n=150)
+    with pytest.warns(UserWarning, match="empty windows"):
+        curve = covariance_curve(sim.dataset, sim.errors, 0.05, n_star=10, truncation_t=1e6)
+    assert curve.c_hat[0] == curve.sigma2_tilde > 0.0
+    assert curve.t_grid.tolist() == [0.0, 1e6]
+    assert curve.c_hat[-1] == 0.0
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="truncation_t"):
+            covariance_curve(sim.dataset, sim.errors, 0.05, n_star=10, truncation_t=bad)
+
+
 def test_degenerate_truncation():
     sim = sp3_sim(seed=22, n=150)
     s2 = float(sim.errors @ sim.errors / sim.n)

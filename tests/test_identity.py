@@ -34,7 +34,6 @@ from corrsmooth.locfit import (
     _Workspace,
     fit_all,
     fit_points,
-    hat_coefficients,
     hat_matrix,
     rss,
 )
@@ -247,13 +246,6 @@ def reference_hat_matrix(data, h, kernel):
     return weights * (z[:, 0][:, None] + lin), singular
 
 
-def reference_hat_coefficients(data, i, h, kernel):
-    xt = data.points[i]
-    ws = _Workspace(data, kernel, targets=xt[None, :])
-    weights, z, _ = reference_solution(ws, h, _unit_rhs)
-    return weights[0] * (z[0, 0] + (data.points - xt) @ z[0, 1:])
-
-
 def _unit_rhs(rhs):
     e1 = np.zeros_like(rhs)
     e1[:, 0] = 1.0
@@ -371,11 +363,6 @@ def test_hat_matrix_and_coefficients_match_dense(kernel_name):
         c_ref, singular_ref = reference_hat_matrix(data, float(h), kernel)
         assert_same_bytes(c, c_ref)
         assert np.array_equal(singular, singular_ref)
-        for i in np.flatnonzero(~singular)[::40]:
-            assert_same_bytes(
-                hat_coefficients(data, int(i), float(h), kernel),
-                reference_hat_coefficients(data, int(i), float(h), kernel),
-            )
 
 
 _GOLDEN_SCRIPT = """

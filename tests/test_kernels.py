@@ -11,9 +11,6 @@ from corrsmooth.kernels import (
     ProductEpanechnikovKernel,
     RadialAnnulusKernel,
     build_annulus_kernel,
-    eval_kernel,
-    kernel_moments,
-    kernel_to_text,
     sphere_surface,
 )
 
@@ -46,8 +43,16 @@ def test_annulus_normalization_and_positivity(c1, dim):
     # exactly zero outside the closed annulus, positive at the midpoint
     eps = 1e-9
     for r in (0.0, c1 - eps, c1 + 0.5 + eps):
-        assert eval_kernel(k, r) == 0.0
-    assert eval_kernel(k, c1 + 0.25) > 0.0
+        assert k.profile(r) == 0.0
+    assert k.profile(c1 + 0.25) > 0.0
+
+
+def test_annulus_builds_are_cached_bit_for_bit():
+    from corrsmooth.kernels import _build_annulus_kernel
+
+    k = build_annulus_kernel(1.25, 1.75, 2, MIN_AMISE)
+    assert build_annulus_kernel(1.25, 1.75, 2.0, MIN_AMISE) is k
+    assert _build_annulus_kernel.__wrapped__(1.25, 1.75, 2, MIN_AMISE) == k
 
 
 def test_annulus_rejects_bad_geometry():
@@ -74,7 +79,7 @@ def test_min_variance_solution_beats_random_feasible_perturbations():
     # random-perturbation oracle around the returned coefficients
     c1, c2, dim = 2.0, 2.5, 2
     k = build_annulus_kernel(c1, c2, dim, MIN_VARIANCE)
-    base = kernel_moments(k).muK2
+    base = k.moments().muK2
     s = sphere_surface(dim)
     w = np.array(
         [s * (c2 ** (dim + p) - c1 ** (dim + p)) / (dim + p) for p in (3, 2, 1, 0)]
@@ -92,14 +97,14 @@ def test_min_variance_solution_beats_random_feasible_perturbations():
         if np.any(gmat @ theta <= 0.0):
             continue
         cand = RadialAnnulusKernel(c1=c1, c2=c2, coeffs=tuple(theta), dim=dim)
-        assert kernel_moments(cand).muK2 >= base - 1e-12
+        assert cand.moments().muK2 >= base - 1e-12
         found += 1
 
 
 @pytest.mark.parametrize("objective", [MIN_VARIANCE, MIN_AMISE, MIN_PRODUCT])
 def test_objectives_all_produce_valid_kernels(objective):
     k = build_annulus_kernel(1.0, 1.5, 2, objective)
-    m = kernel_moments(k)
+    m = k.moments()
     assert m.mu2 > 0.0
     assert m.muK2 > 0.0
     assert abs(numeric_radial_integral(k, 2) - 1.0) < 1e-8
@@ -109,12 +114,12 @@ def test_min_amise_tilts_mass_inward():
     # smaller mu2 than the constant (min-variance) profile on the same annulus
     k_var = build_annulus_kernel(1.0, 1.5, 2, MIN_VARIANCE)
     k_amise = build_annulus_kernel(1.0, 1.5, 2, MIN_AMISE)
-    assert kernel_moments(k_amise).mu2 < kernel_moments(k_var).mu2
+    assert k_amise.moments().mu2 < k_var.moments().mu2
 
 
 def test_epanechnikov_moments_1d_analytic():
     # int u^2 (3/4)(1-u^2) du = 1/5, int (3/4)^2 (1-u^2)^2 du = 3/5
-    m = kernel_moments(ProductEpanechnikovKernel(1))
+    m = ProductEpanechnikovKernel(1).moments()
     assert_allclose(m.mu2, 0.2, rtol=1e-12)
     assert_allclose(m.muK2, 0.6, rtol=1e-12)
     k = BoundaryKernel(1.0)
@@ -139,7 +144,7 @@ def test_covariance_kernel_lag_smoothing_conditions():
 
 def test_product_epanechnikov_moments_2d():
     ko = ProductEpanechnikovKernel(2)
-    m = kernel_moments(ko)
+    m = ko.moments()
     assert_allclose(m.mu2, 0.2, rtol=1e-12)
     assert_allclose(m.muK2, 9.0 / 25.0, rtol=1e-12)
     mu2_quad, _ = integrate.dblquad(
@@ -159,8 +164,8 @@ def test_moments_agree_with_monte_carlo():
     vol = (2 * box) ** 2
     for integrand, exact in [
         (vals, 1.0),
-        (u[:, 0] ** 2 * vals, kernel_moments(k).mu2),
-        (vals**2, kernel_moments(k).muK2),
+        (u[:, 0] ** 2 * vals, k.moments().mu2),
+        (vals**2, k.moments().muK2),
     ]:
         est = vol * integrand.mean()
         se = vol * integrand.std(ddof=1) / np.sqrt(n)
@@ -180,7 +185,7 @@ def test_boundary_kernel_reduces_to_epanechnikov_at_q1():
     k = BoundaryKernel(1.0)
     ts = np.linspace(-1.0, 1.0, 401)
     assert_allclose(k.value(ts), 0.75 * (1.0 - ts**2), atol=1e-12)
-    assert eval_kernel(k, 0.0) == pytest.approx(0.75)
+    assert float(k.value(0.0)) == pytest.approx(0.75)
 
 
 def test_boundary_kernel_q_clamped():
@@ -189,27 +194,16 @@ def test_boundary_kernel_q_clamped():
     assert BoundaryKernel(-1.0).q > 0.0
 
 
-def test_eval_kernel_examples():
+def test_kernel_value_examples():
     kz = build_annulus_kernel(1.0, 1.5, 2)
-    assert eval_kernel(kz, 0.5) == 0.0  # inside the zero disk
-    assert eval_kernel(kz, np.array([0.3, 0.4])) == 0.0  # norm 0.5
-    assert eval_kernel(BoundaryKernel(1.0), 2.0) == 0.0  # outside support
+    assert kz.profile(0.5) == 0.0  # inside the zero disk
+    assert BoundaryKernel(1.0).value(2.0) == 0.0  # outside support
     ko = ProductEpanechnikovKernel(2)
-    assert eval_kernel(ko, np.array([0.0, 0.0])) == pytest.approx(0.5625)
-    batch = eval_kernel(ko, np.zeros((5, 2)))
-    assert_allclose(batch, 0.5625)
-
-
-def test_moments_reject_unsupported_kernel():
-    with pytest.raises(TypeError, match="bounded-support"):
-        kernel_moments(object())
+    assert ko.value(np.array([0.0, 0.0])) == pytest.approx(0.5625)
+    assert_allclose(ko.value(np.zeros((5, 2))), 0.5625)
 
 
 def test_kernel_to_text_records():
-    # report.txt's kernel= line carries these records verbatim
+    # report.txt's kernel= line carries this record verbatim
     kz = RadialAnnulusKernel(c1=1.25, c2=1.75, coeffs=(0.5, -0.25, 0.125, 1.0), dim=2)
-    assert kernel_to_text(kz) == "annulus 1.25 1.75 2 0.5 -0.25 0.125 1.0"
-    assert kernel_to_text(ProductEpanechnikovKernel(3)) == "product_epanechnikov 3"
-    assert kernel_to_text(BoundaryKernel(0.4)) == "boundary 0.4"
-    with pytest.raises(TypeError, match="cannot serialize"):
-        kernel_to_text(object())
+    assert kz.to_text() == "annulus 1.25 1.75 2 0.5 -0.25 0.125 1.0"

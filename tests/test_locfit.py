@@ -9,7 +9,6 @@ from corrsmooth.locfit import (
     Dataset,
     fit_all,
     fit_points,
-    hat_coefficients,
     hat_matrix,
     load_csv,
     pairwise_distances,
@@ -70,7 +69,7 @@ def test_hat_coefficient_identities():
     data = Dataset(points=rng.random((80, 2)), responses=rng.normal(size=80))
     kz = build_annulus_kernel(1.0, 1.5, 2)
     i = 7
-    c = hat_coefficients(data, i, 0.35, kz)
+    c = hat_matrix(data, 0.35, kz)[0][i]
     assert c[i] == 0.0  # annulus kernel vanishes at the origin
     assert abs(c.sum() - 1.0) < 1e-10  # constant preservation
     assert np.abs(c @ (data.points - data.points[i])).max() < 1e-10
@@ -86,8 +85,8 @@ def test_hat_matrix_matches_per_row_and_explicit_algebra():
     h = 0.5
     c, singular = hat_matrix(data, h, ko)
     assert not singular.any()
-    for i in (0, 13, 39):
-        assert_allclose(c[i], hat_coefficients(data, i, h, ko), atol=1e-12)
+    # each row applied to the responses gives that point's fitted value
+    assert_allclose(c @ data.responses, fit_all(data, h, ko).fitted, atol=1e-12)
     # independent dense-algebra check of one row
     i = 13
     x = data.points

@@ -9,7 +9,7 @@ import corrsmooth.simulate as simulate
 from corrsmooth.cli import main
 from corrsmooth.errors import SingularFitError
 from corrsmooth.kernels import ProductEpanechnikovKernel, build_annulus_kernel
-from corrsmooth.locfit import Dataset, hat_coefficients, pairwise_distances
+from corrsmooth.locfit import Dataset, hat_matrix, pairwise_distances
 from corrsmooth.simulate import (
     CorrelationModel,
     MethodSpec,
@@ -195,11 +195,11 @@ def test_correlation_penalty_matches_hand_sum():
     ko = ProductEpanechnikovKernel(2)
     total = 0.0
     dist = squareform(pairwise_distances(data))
+    c = hat_matrix(data, h, ko)[0]
     for i in range(12):
-        c = hat_coefficients(data, i, h, ko)
         for s in range(12):
             if s != i:
-                total += c[s] * correlation_value(model, dist[i, s], 12)
+                total += c[i, s] * correlation_value(model, dist[i, s], 12)
     expected = 2.0 * 0.1 / 12 * total
     got = correlation_penalty(data, model, h, ko)
     assert got == pytest.approx(expected, abs=1e-12)
