@@ -12,7 +12,7 @@ which the kernel's reach covers the point cloud.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import integrate
@@ -32,7 +32,7 @@ __all__ = [
     "ElbowDiagnostic",
     "default_grid",
     "select_h_z",
-    "factor_convert",
+    "select_h_o",
     "factor_ratio",
     "elbow_scan",
     "gcv_select",
@@ -165,12 +165,21 @@ def factor_ratio(kz, ko) -> float:
     return float(ratio ** (1.0 / (kz.dim + 4)))
 
 
-def factor_convert(sel: BandwidthSelection, kz, ko) -> float:
-    """Convert sel.h_z to the target-kernel bandwidth; records it on sel."""
+def select_h_o(
+    data: Dataset, kz: RadialAnnulusKernel, ko, grid=None, grid_size: int = DEFAULT_GRID_SIZE
+) -> BandwidthSelection:
+    """select_h_z on grid (default_grid's of grid_size if None), converted by
+    the factor method: the selection carries h_o = h_z * factor_ratio(kz, ko).
+
+    One InSampleGeometry serves the grid and the selection and is dropped
+    on return, so its n x n arrays do not outlive them into later fits.
+    """
+    geometry = InSampleGeometry(data)
+    if grid is None:
+        grid = default_grid(data, kz, size=grid_size, geometry=geometry)
+    sel = select_h_z(data, kz, grid, geometry=geometry)
     ratio = factor_ratio(kz, ko)
-    sel.factor_ratio = ratio
-    sel.h_o = sel.h_z * ratio
-    return sel.h_o
+    return replace(sel, h_o=sel.h_z * ratio, factor_ratio=ratio)
 
 
 def elbow_scan(

@@ -23,16 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandwidth import (
-    _validate_grid,
-    default_grid,
-    elbow_scan,
-    factor_convert,
-    select_h_z,
-    variance_fit_bandwidth,
-)
+from .bandwidth import _validate_grid, elbow_scan, select_h_o, variance_fit_bandwidth
 from .covariance import (
     _RHO_MODES,
+    DEFAULT_N_STAR,
     DELTA_N_DEFAULT,
     calibrate_b,
     covariance_curve,
@@ -49,7 +43,7 @@ from .kernels import (
     ProductEpanechnikovKernel,
     build_annulus_kernel,
 )
-from .locfit import _METRICS, Dataset, InSampleGeometry, fit_all, fit_points, load_csv, rss
+from .locfit import _METRICS, Dataset, fit_all, fit_points, load_csv, rss
 from .simulate import (
     CorrelationModel,
     SimScenario,
@@ -185,16 +179,8 @@ def _candidates(cfg: dict, key: str):
         raise UsageError(f"bad value for {key}: {err}") from err
 
 
-def _select_h_o(cfg, data, ko, grid):
-    """Annulus-kernel RSS selection on grid (default_grid's if None), converted to ko."""
-    kz = build_annulus_kernel(
-        cfg["c1"], cfg["c1"] + cfg["c2_offset"], data.dim, cfg["objective"]
-    )
-    geometry = InSampleGeometry(data)
-    if grid is None:
-        grid = default_grid(data, kz, size=cfg["grid_size"], geometry=geometry)
-    sel = select_h_z(data, kz, grid, geometry=geometry)
-    return kz, sel, factor_convert(sel, kz, ko)
+def _annulus_kernel(cfg, dim):
+    return build_annulus_kernel(cfg["c1"], cfg["c1"] + cfg["c2_offset"], dim, cfg["objective"])
 
 
 def _load_dataset(cfg) -> Dataset:
@@ -218,7 +204,9 @@ def cmd_fit(cfg: dict) -> int:
     outdir = _outdir(cfg)
     _echo_config(outdir, cfg)
     ko = ProductEpanechnikovKernel(data.dim)
-    kz, sel, h_o = _select_h_o(cfg, data, ko, grid)
+    kz = _annulus_kernel(cfg, data.dim)
+    sel = select_h_o(data, kz, ko, grid, cfg["grid_size"])
+    h_o = sel.h_o
     fit = fit_all(data, h_o, ko)
 
     _write_csv(
@@ -353,7 +341,7 @@ def cmd_covariance(cfg: dict) -> int:
     if cfg["fit_dir"]:
         h_o = _fit_dir_h_o(cfg, data)
     else:
-        h_o = _select_h_o(cfg, data, ko, grid)[2]
+        h_o = select_h_o(data, _annulus_kernel(cfg, data.dim), ko, grid, cfg["grid_size"]).h_o
 
     fit = fit_all(data, h_o, ko)
     h_t = variance_fit_bandwidth(h_o, data.n, data.dim)
@@ -381,8 +369,8 @@ def cmd_covariance(cfg: dict) -> int:
         outdir / "covariance.csv",
         ["t", "c_hat", "rho_hat", "flag"],
         [
-            (t, c, r, int(abs(c) > 1.5 * abs(curve.sigma2_tilde)))
-            for t, c, r in zip(curve.t_grid, curve.c_hat, rho.rho)
+            (t, c, r, int(flag))
+            for t, c, r, flag in zip(curve.t_grid, curve.c_hat, rho.rho, curve.flags)
         ],
     )
     _write_report(
@@ -568,11 +556,11 @@ _ELBOW_DEFAULTS = dict(
 _COV_DEFAULTS = dict(
     input="", metric="euclidean", fit_dir="", c1=1.0, c2_offset=DEFAULT_C2_OFFSET,
     objective=MIN_AMISE, grid="", grid_size=30, b_candidates="", b_count=25,
-    delta_n=DELTA_N_DEFAULT, n_star=200, truncation_t=-1.0, rho_mode="by_chat0",
+    delta_n=DELTA_N_DEFAULT, n_star=DEFAULT_N_STAR, truncation_t=-1.0, rho_mode="by_chat0",
     output_dir="corrsmooth_out/covariance",
 )
 _SIM_DEFAULTS = dict(
-    scenarios="", trials=0, objective=MIN_PRODUCT, n_star=200,
+    scenarios="", trials=0, objective=MIN_PRODUCT, n_star=DEFAULT_N_STAR,
     delta_n=DELTA_N_DEFAULT, zeta=ZETA_DEFAULT, threads=1,
     output_dir="corrsmooth_out/simulate",
 )

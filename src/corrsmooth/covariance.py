@@ -27,6 +27,7 @@ from .locfit import Dataset, FitResult, fit_all, pairwise_distances, rss
 
 __all__ = [
     "DELTA_N_DEFAULT",
+    "DEFAULT_N_STAR",
     "CovarianceEstimate",
     "CalibrationTrace",
     "CorrelationCurve",
@@ -114,7 +115,7 @@ class CovarianceEstimate:
     sigma2_tilde: float
     truncation_t: float
     dropped: np.ndarray = field(default_factory=lambda: np.empty(0))
-    bound_flag: bool = False
+    flags: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))  # per lag
 
     def interpolate(self, t):
         return _interpolate_truncated(t, self.t_grid, self.c_hat, self.truncation_t)
@@ -281,9 +282,11 @@ def covariance_curve(
     """Covariance estimates on a lag grid {0} + n_star points up to truncation.
 
     Grid points whose window holds no pairs are dropped from interpolation
-    with a warning.  The truncation lag itself is never estimated: its
-    stored value is 0, so the served curve decays continuously into the
-    truncated region.
+    with a warning; an EmptyWindowError if that leaves no lag strictly
+    between 0 and the truncation.  The truncation lag itself is never
+    estimated: its stored value is 0, so the served curve decays
+    continuously into the truncated region.  flags marks the lags where
+    |c_hat| exceeds _SANITY_FACTOR times |C(0)|, with one warning if any does.
     """
     if n_star < 2:
         raise ValueError(f"n_star must be >= 2, got {n_star}")
@@ -299,20 +302,11 @@ def covariance_curve(
     if not 0.0 <= truncation_t < np.inf:
         raise ValueError(f"truncation_t must be finite and nonnegative, got {truncation_t}")
 
-    if truncation_t == 0.0:
-        return CovarianceEstimate(
-            t_grid=np.array([0.0]),
-            c_hat=np.array([tilde]),
-            b=float(b),
-            sigma2_hat=float(sigma2_hat),
-            sigma2_tilde=tilde,
-            truncation_t=0.0,
-        )
-
     ts = np.concatenate([[0.0], np.linspace(truncation_t / n_star, truncation_t, n_star)])
-    values = np.empty(ts.shape)
+    if truncation_t == 0.0:  # -0.0 too, which the estimate records as 0.0
+        ts, truncation_t = ts[:1], 0.0
+    values = np.zeros(ts.shape)  # the clamp at T: the curve is 0 from there on
     values[0] = tilde
-    values[-1] = 0.0  # truncation clamp: the curve is 0 from here on
     keep = np.ones(ts.shape, dtype=bool)
     dropped = []
     for idx in range(1, ts.size - 1):
@@ -322,6 +316,8 @@ def covariance_curve(
             keep[idx] = False
             dropped.append(ts[idx])
     if dropped:
+        if len(dropped) == ts.size - 2:
+            raise EmptyWindowError(float(dropped[0]), float(b))
         warnings.warn(
             f"{len(dropped)} lag grid point(s) had empty windows and were "
             "dropped from interpolation",
@@ -329,10 +325,10 @@ def covariance_curve(
         )
     ts = ts[keep]
     values = values[keep]
-    bound_flag = bool(np.any(np.abs(values) > _SANITY_FACTOR * abs(tilde)))
-    if bound_flag:
+    flags = np.abs(values) > _SANITY_FACTOR * abs(tilde)
+    if flags.any():
         warnings.warn(
-            "covariance estimate exceeds 1.5 x C(0) somewhere on the grid",
+            f"covariance estimate exceeds {_SANITY_FACTOR:g} x C(0) somewhere on the grid",
             stacklevel=2,
         )
     return CovarianceEstimate(
@@ -343,7 +339,7 @@ def covariance_curve(
         sigma2_tilde=tilde,
         truncation_t=truncation_t,
         dropped=np.asarray(dropped),
-        bound_flag=bound_flag,
+        flags=flags,
     )
 
 

@@ -105,8 +105,6 @@ class Dataset:
 class FitResult:
     fitted: np.ndarray
     residuals: np.ndarray
-    h: float
-    kernel: object
     singular_count: int
 
 
@@ -318,16 +316,13 @@ def fit_all(data: Dataset, h: float, kernel) -> FitResult:
 
 
 def _fit_all_ws(ws: _Workspace, h: float) -> FitResult:
-    return _fit_result(ws, h, *_fit_targets(ws, h))
+    return _fit_result(ws, *_fit_targets(ws, h))
 
 
-def _fit_result(ws: _Workspace, h: float, est: np.ndarray, singular: np.ndarray) -> FitResult:
-    residuals = ws.data.responses - est
+def _fit_result(ws: _Workspace, est: np.ndarray, singular: np.ndarray) -> FitResult:
     return FitResult(
         fitted=est,
-        residuals=residuals,
-        h=float(h),
-        kernel=ws.kernel,
+        residuals=ws.data.responses - est,
         singular_count=int(singular.sum()),
     )
 
@@ -346,7 +341,7 @@ def _fit_and_hat_diagonal(ws: _Workspace, h: float):
     x = ws.data.points
     lin = np.diagonal(z[:, 1:] @ x.T) - np.einsum("ik,ik->i", z[:, 1:], x)
     diagonal = np.diagonal(weights) * (z[:, 0] + lin)
-    return _fit_result(ws, h, beta[:, 0], singular), diagonal
+    return _fit_result(ws, beta[:, 0], singular), diagonal
 
 
 def hat_matrix(data: Dataset, h: float, kernel):

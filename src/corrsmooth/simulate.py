@@ -28,14 +28,9 @@ from functools import cache
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .bandwidth import (
-    default_grid,
-    factor_convert,
-    gcv_select,
-    select_h_z,
-    variance_fit_bandwidth,
-)
+from .bandwidth import default_grid, gcv_select, select_h_o, variance_fit_bandwidth
 from .covariance import (
+    DEFAULT_N_STAR,
     DELTA_N_DEFAULT,
     calibrate_b,
     covariance_curve,
@@ -44,9 +39,7 @@ from .covariance import (
 )
 from .errors import CorrsmoothError, SingularFitError
 from .kernels import MIN_PRODUCT, ProductEpanechnikovKernel, build_annulus_kernel
-from .locfit import (
-    Dataset, InSampleGeometry, _fit_all_ws, _Workspace, fit_all, hat_matrix, pairwise_distances,
-)
+from .locfit import Dataset, _fit_all_ws, _Workspace, fit_all, hat_matrix, pairwise_distances
 
 __all__ = [
     "FAMILIES",
@@ -64,6 +57,9 @@ __all__ = [
     "correlation_penalty",
     "MethodSpec",
     "parse_method",
+    "run_method_trial",
+    "run_raw_trial",
+    "min_epan_mse",
     "run_trial",
     "run_table",
     "ResultRow",
@@ -382,7 +378,7 @@ def run_method_trial(
     sim: SimulatedData,
     spec: MethodSpec,
     objective: str = MIN_PRODUCT,
-    n_star: int = 200,
+    n_star: int = DEFAULT_N_STAR,
     delta_n: float = DELTA_N_DEFAULT,
     zeta: float = ZETA_DEFAULT,
 ) -> TrialOutcome:
@@ -391,11 +387,7 @@ def run_method_trial(
     dim = data.dim
     ko = ProductEpanechnikovKernel(dim)
     if spec.kind == "za":
-        kz = build_annulus_kernel(spec.c1, spec.c2, dim, objective)
-        geometry = InSampleGeometry(data)
-        sel = select_h_z(data, kz, default_grid(data, kz, geometry=geometry), geometry=geometry)
-        del geometry  # frees the n x n distances before the product-kernel fits
-        h = factor_convert(sel, kz, ko)
+        h = select_h_o(data, build_annulus_kernel(spec.c1, spec.c2, dim, objective), ko).h_o
     elif spec.kind == "gcv":
         h = gcv_select(data, ko, default_grid(data, ko))
     else:
@@ -415,7 +407,7 @@ def run_method_trial(
 
 def run_raw_trial(
     sim: SimulatedData,
-    n_star: int = 200,
+    n_star: int = DEFAULT_N_STAR,
     delta_n: float = DELTA_N_DEFAULT,
     zeta: float = ZETA_DEFAULT,
 ) -> TrialOutcome:
@@ -426,16 +418,13 @@ def run_raw_trial(
     return TrialOutcome(sigma2_hat=s2, sse_cor=sse, calibration_fallback=fallback)
 
 
-def min_epan_mse(sim: SimulatedData, extra_h=()) -> float:
-    """Exhaustive scan of MSE_prac over the Epanechnikov grid plus any
-    method-chosen bandwidths, so the scan minimum bounds every method."""
+def min_epan_mse(sim: SimulatedData) -> float:
+    """Exhaustive scan of MSE_prac over the Epanechnikov default grid."""
     data = sim.dataset
     ko = ProductEpanechnikovKernel(data.dim)
-    hs = list(default_grid(data, ko))
-    hs.extend(float(h) for h in extra_h if np.isfinite(h))
     ws = _Workspace(data, ko)
     best = np.inf
-    for h in sorted(set(hs)):
+    for h in default_grid(data, ko):
         fit = _fit_all_ws(ws, h)
         if fit.singular_count:
             continue
@@ -470,7 +459,7 @@ def run_trial(
     sim: SimulatedData,
     method_specs,
     objective: str = MIN_PRODUCT,
-    n_star: int = 200,
+    n_star: int = DEFAULT_N_STAR,
     delta_n: float = DELTA_N_DEFAULT,
     zeta: float = ZETA_DEFAULT,
 ) -> dict[str, TrialOutcome | None]:
@@ -478,8 +467,8 @@ def run_trial(
 
     Maps each row label, in that order, to its TrialOutcome stamped with the
     row's wall seconds, or to None for a numerical failure (CorrsmoothError).
-    Any other exception is a bug and propagates.  The minEpan scan also tries
-    every bandwidth the methods chose, so it bounds each of them.
+    Any other exception is a bug and propagates.  minEpan is the least of the
+    scan's MSE_prac and every completed method's own, so it bounds each of them.
     """
     outcomes = {
         spec.label: _counted(
@@ -488,9 +477,9 @@ def run_trial(
         )
         for spec in method_specs
     }
-    chosen = [o.h for o in outcomes.values() if o is not None]
+    fitted = [o.mse_prac for o in outcomes.values() if o is not None]
     outcomes["Raw"] = _counted(run_raw_trial, sim, n_star=n_star, delta_n=delta_n, zeta=zeta)
-    outcomes["minEpan"] = _counted(lambda: TrialOutcome(mse_prac=min_epan_mse(sim, extra_h=chosen)))
+    outcomes["minEpan"] = _counted(lambda: TrialOutcome(mse_prac=min([min_epan_mse(sim), *fitted])))
     return outcomes
 
 
@@ -499,7 +488,7 @@ def run_table(
     methods,
     n_trials: int | None = None,
     objective: str = MIN_PRODUCT,
-    n_star: int = 200,
+    n_star: int = DEFAULT_N_STAR,
     delta_n: float = DELTA_N_DEFAULT,
     zeta: float = ZETA_DEFAULT,
     threads: int = 1,

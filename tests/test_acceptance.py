@@ -13,10 +13,9 @@ import pytest
 
 from corrsmooth.bandwidth import (
     default_grid,
-    factor_convert,
     gcv_select,
     oracle_bandwidth,
-    select_h_z,
+    select_h_o,
     _radial_correlation_integral,
 )
 from corrsmooth.kernels import (
@@ -83,17 +82,18 @@ def sp2():
         for t in range(N_TRIALS):
             sim = generate(scn, t)
             data = sim.dataset
-            sel = select_h_z(data, kz, default_grid(data, kz))
-            h_o = factor_convert(sel, kz, ko)
+            h_o = select_h_o(data, kz, ko).h_o
             fit = fit_all(data, h_o, ko)
             assert fit.singular_count == 0
             h_gcv = gcv_select(data, ko, default_grid(data, ko))
             fit_gcv = fit_all(data, h_gcv, ko)
+            mse_za = mse_prac(fit.fitted, sim.mu_true)
+            mse_gcv = mse_prac(fit_gcv.fitted, sim.mu_true)
             trials.append(
                 Sp2Trial(
-                    mse_za=mse_prac(fit.fitted, sim.mu_true),
-                    mse_gcv=mse_prac(fit_gcv.fitted, sim.mu_true),
-                    min_epan=min_epan_mse(sim, extra_h=[h_o, h_gcv]),
+                    mse_za=mse_za,
+                    mse_gcv=mse_gcv,
+                    min_epan=min(min_epan_mse(sim), mse_za, mse_gcv),
                     h_o=h_o,
                     penalty_z=correlation_penalty(data, model, h_o, kz),
                     penalty_o=correlation_penalty(data, model, h_o, ko),

@@ -8,10 +8,10 @@ from scipy import integrate
 from corrsmooth.bandwidth import (
     default_grid,
     elbow_scan,
-    factor_convert,
     factor_ratio,
     gcv_select,
     oracle_bandwidth,
+    select_h_o,
     select_h_z,
     variance_fit_bandwidth,
 )
@@ -75,16 +75,33 @@ def test_grid_subset_containing_hz_returns_same_hz():
     assert sel2.h_z == sel.h_z
 
 
-def test_factor_convert_identity_and_linearity():
-    from corrsmooth.bandwidth import BandwidthSelection
-
-    sel = BandwidthSelection(h_z=0.5, grid=np.array([0.5]), rss_trace=np.array([0.1]))
-    assert factor_convert(sel, KZ, KZ) == pytest.approx(0.5)  # identical kernels
+def test_select_h_o_identity_and_linearity():
+    # one-point grids fix h_z; the cloud spans [0, 2]^2, so both are feasible
+    data = make_affine_dataset(n=400, dim=2, seed=4)
+    data = Dataset(points=2.0 * data.points, responses=data.responses)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sel = select_h_o(data, KZ, KZ, grid=[0.5])
+        h1 = select_h_o(data, KZ, KO, grid=[0.5]).h_o
+        h2 = select_h_o(data, KZ, KO, grid=[1.0]).h_o
+    assert sel.h_z == 0.5
+    assert sel.h_o == pytest.approx(0.5)  # identical kernels
     assert sel.factor_ratio == pytest.approx(1.0)
-    h1 = factor_convert(sel, KZ, KO)
-    sel2 = BandwidthSelection(h_z=1.0, grid=np.array([1.0]), rss_trace=np.array([0.1]))
-    h2 = factor_convert(sel2, KZ, KO)
+    assert h1 == 0.5 * factor_ratio(KZ, KO)
     assert h2 == pytest.approx(2.0 * h1)  # doubling h_z doubles h_o
+
+
+def test_select_h_o_default_grid_matches_select_h_z():
+    model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
+    sim = generate(SimScenario("mu2d", 200, model, seed=12, n_trials=1), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sel = select_h_o(sim.dataset, KZ, KO, grid_size=12)
+        ref = select_h_z(sim.dataset, KZ, default_grid(sim.dataset, KZ, size=12))
+    assert sel.grid.tobytes() == ref.grid.tobytes()
+    assert sel.rss_trace.tobytes() == ref.rss_trace.tobytes()
+    assert sel.h_z == ref.h_z
+    assert sel.h_o == ref.h_z * factor_ratio(KZ, KO)
 
 
 def test_factor_ratio_plugin_formula():
@@ -163,8 +180,7 @@ def test_gcv_undersmooths_under_strong_correlation():
     kz = build_annulus_kernel(2.0, 2.5, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sel = select_h_z(sim.dataset, kz, default_grid(sim.dataset, kz))
-        h_o = factor_convert(sel, kz, KO)
+        h_o = select_h_o(sim.dataset, kz, KO).h_o
         h_gcv = gcv_select(sim.dataset, KO, default_grid(sim.dataset, KO))
     assert h_gcv < h_o
 
@@ -260,6 +276,21 @@ def test_za_trial_builds_distance_matrix_once(distance_builds):
         warnings.simplefilter("ignore")
         out = run_method_trial(sim, MethodSpec("za", 1.0, 1.5), n_star=40)
     assert np.isfinite(out.h)
+    assert distance_builds == [150]
+
+
+def test_cli_fit_builds_distance_matrix_once(distance_builds, tmp_path):
+    from corrsmooth.cli import main
+
+    model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
+    data = generate(SimScenario("mu2d", 150, model, seed=9, n_trials=1), 0).dataset
+    csv_path = tmp_path / "data.csv"
+    rows = np.column_stack([data.points, data.responses])
+    csv_path.write_text("x1,x2,y\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows.tolist()))
+    argv = ["fit", "--input", str(csv_path), "--grid-size", "10", "--surface-grid", "5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main([*argv, "--output-dir", str(tmp_path / "fit")]) == 0
     assert distance_builds == [150]
 
 

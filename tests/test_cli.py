@@ -206,6 +206,17 @@ def test_covariance_reuses_fit_dir(tmp_path, affine_csv):
     assert report["h_o"] == fit_report["h_o"]
 
 
+def test_covariance_truncation_beyond_every_pair_exits_2(tmp_path, affine_csv, capsys):
+    out = tmp_path / "cov"
+    code = main([
+        "covariance", "--input", str(affine_csv), "--truncation-t", "1000000",
+        "--output-dir", str(out),
+    ])
+    assert code == 2
+    assert "no pairs with nonzero kernel weight" in capsys.readouterr().err
+    assert not (out / "covariance.csv").exists()
+
+
 def test_simulate_small_scenario_file(tmp_path):
     scen = tmp_path / "scenes.txt"
     scen.write_text(

@@ -206,17 +206,10 @@ def test_calibration_contract_on_seeded_run():
     sim = sp3_sim()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        from corrsmooth.bandwidth import (
-            default_grid,
-            factor_convert,
-            select_h_z,
-            variance_fit_bandwidth,
-        )
+        from corrsmooth.bandwidth import select_h_o, variance_fit_bandwidth
         from corrsmooth.kernels import build_annulus_kernel
 
-        kz = build_annulus_kernel(2.0, 2.5, 2)
-        sel = select_h_z(sim.dataset, kz, default_grid(sim.dataset, kz))
-        h_o = factor_convert(sel, kz, KO)
+        h_o = select_h_o(sim.dataset, build_annulus_kernel(2.0, 2.5, 2), KO).h_o
         fit = fit_all(sim.dataset, h_o, KO)
         s2 = sigma2_rss(sim.dataset, variance_fit_bandwidth(h_o, sim.n, 2), KO)
         trace = calibrate_b(sim.dataset, fit, s2)
@@ -307,17 +300,28 @@ def test_empty_grid_windows_dropped_with_warning():
     assert curve.interpolate(curve.t_grid[1]) == curve.c_hat[1]
 
 
-def test_truncation_beyond_every_pair_keeps_lag_zero():
-    # every window past lag 0 is empty: the curve keeps C(0) and the clamp sits at T
+def test_truncation_beyond_every_pair_raises():
+    # every window strictly between lag 0 and T is empty: no curve to serve
     sim = sp3_sim(seed=22, n=150)
-    with pytest.warns(UserWarning, match="empty windows"):
-        curve = covariance_curve(sim.dataset, sim.errors, 0.05, n_star=10, truncation_t=1e6)
-    assert curve.c_hat[0] == curve.sigma2_tilde > 0.0
-    assert curve.t_grid.tolist() == [0.0, 1e6]
-    assert curve.c_hat[-1] == 0.0
+    with pytest.raises(EmptyWindowError):
+        covariance_curve(sim.dataset, sim.errors, 0.05, n_star=10, truncation_t=1e6)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="truncation_t"):
             covariance_curve(sim.dataset, sim.errors, 0.05, n_star=10, truncation_t=bad)
+
+
+def test_sanity_flags_mark_lags_beyond_factor_times_c0(monkeypatch):
+    import corrsmooth.covariance as cov_mod
+
+    sim = sp3_sim(seed=22, n=150)
+    curve = covariance_curve(sim.dataset, sim.errors, 0.05, n_star=20, truncation_t=0.3)
+    assert curve.flags.dtype == bool
+    assert curve.flags.tolist() == (np.abs(curve.c_hat) > 1.5 * abs(curve.sigma2_tilde)).tolist()
+    monkeypatch.setattr(cov_mod, "_SANITY_FACTOR", 0.25)
+    with pytest.warns(UserWarning, match=r"exceeds 0\.25 x C\(0\)"):
+        low = covariance_curve(sim.dataset, sim.errors, 0.05, n_star=20, truncation_t=0.3)
+    assert low.flags.tolist() == (np.abs(low.c_hat) > 0.25 * abs(low.sigma2_tilde)).tolist()
+    assert low.flags[0] and not low.flags[-1]
 
 
 def test_degenerate_truncation():
@@ -329,6 +333,9 @@ def test_degenerate_truncation():
     assert curve.t_grid.tolist() == [0.0]
     assert curve.interpolate(0.0) == curve.sigma2_tilde
     assert curve.interpolate(0.01) == 0.0
+    assert curve.flags.tolist() == [False]
+    neg = covariance_curve(sim.dataset, sim.errors, 0.05, n_star=10, truncation_t=-0.0)
+    assert str(neg.truncation_t) == "0.0"  # not -0.0
 
 
 def test_permutation_invariance():

@@ -14,6 +14,7 @@ import functools
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,8 @@ from corrsmooth.simulate import (
     generate,
     min_epan_mse,
     mse_prac,
+    parse_method,
+    run_trial,
 )
 
 
@@ -66,6 +69,8 @@ def reference_gcv_score(data, ko, h):
 
 
 def reference_min_epan_mse(sim, extra_h=()):
+    """The minEpan row's former definition: a fit_all scan over the default
+    grid plus every method's chosen bandwidth."""
     ko = ProductEpanechnikovKernel(sim.dataset.dim)
     hs = list(default_grid(sim.dataset, ko)) + [float(h) for h in extra_h]
     best = np.inf
@@ -192,8 +197,20 @@ def test_gcv_matches_reference_when_denominator_nonpositive(dim, h):
 def test_min_epan_mse_matches_fit_all_loop():
     model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
     sim = generate(SimScenario("mu2d", 150, model, seed=17), 0)
-    extra = [0.05, 0.2137, np.nan]
-    assert min_epan_mse(sim, extra_h=extra) == reference_min_epan_mse(sim, extra[:2])
+    assert min_epan_mse(sim) == reference_min_epan_mse(sim)
+
+
+def test_run_trial_min_epan_matches_scan_over_grid_and_method_bandwidths():
+    model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
+    sim = generate(SimScenario("mu2d", 150, model, seed=1), 0)
+    specs = [parse_method(m) for m in ("za(1,1.5)", "za(2,2.5)", "gcv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = run_trial(sim, specs, n_star=40)
+    chosen = [out[spec.label].h for spec in specs]
+    assert out["minEpan"].mse_prac == reference_min_epan_mse(sim, chosen)
+    # on this seed a method's bandwidth beats every grid point
+    assert out["minEpan"].mse_prac < min_epan_mse(sim)
 
 
 def reference_weights(ws, h):

@@ -134,8 +134,6 @@ def test_rss_values():
     toy = FitResult(
         fitted=np.array([0.0, 0.0]),
         residuals=np.array([1.0, -1.0]),
-        h=1.0,
-        kernel=ProductEpanechnikovKernel(1),
         singular_count=0,
     )
     assert rss(toy) == 1.0

@@ -405,15 +405,13 @@ def test_run_table_rows_equal_across_trial_thread_counts():
 def test_min_epan_bounds_method_on_every_trial():
     model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
     scn = SimScenario("mu2d", 200, model, seed=606, n_trials=2)
-    from corrsmooth.simulate import run_method_trial
-
     for trial in range(2):
         sim = generate(scn, trial)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            out = run_method_trial(sim, MethodSpec("za", 1.0, 1.5), n_star=40)
-            scan = min_epan_mse(sim, extra_h=[out.h])
-        assert scan <= out.mse_prac + 1e-15
+            out = run_trial(sim, [MethodSpec("za", 1.0, 1.5)], n_star=40)
+        assert out["minEpan"].mse_prac <= out["ZA(1,1.5)"].mse_prac
+        assert out["minEpan"].mse_prac <= min_epan_mse(sim)
 
 
 def test_three_dimensional_pipeline_smoke():
