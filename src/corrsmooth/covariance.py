@@ -18,12 +18,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import squareform
 
 from .bandwidth import _validate_grid
 from .errors import DegenerateCorrelationError, EmptyWindowError, SingularFitError
 from .kernels import BoundaryKernel
-from .locfit import Dataset, FitResult, fit_all, pairwise_distances, rss
+from .locfit import Dataset, FitResult, PairIndex, fit_all, rss
 
 __all__ = [
     "DELTA_N_DEFAULT",
@@ -49,23 +48,21 @@ _SANITY_FACTOR = 1.5
 
 
 class _PairSums:
-    """Sorted condensed distances with aligned residual products.
+    """A pair index's sorted distances with aligned residual products.
 
     Lets every lag evaluation touch only the pairs inside its window,
     which keeps curve evaluation linear in the window size.
     """
 
-    def __init__(self, residuals: np.ndarray, distances: np.ndarray):
+    def __init__(self, residuals: np.ndarray, index: PairIndex):
         residuals = np.asarray(residuals, dtype=float)
-        distances = np.asarray(distances, dtype=float)
         n = residuals.shape[0]
-        if distances.shape[0] != n * (n - 1) // 2:
-            raise ValueError("distances must be the condensed n(n-1)/2 vector")
-        products = squareform(np.outer(residuals, residuals), checks=False)
-        order = np.argsort(distances, kind="stable")
+        if n != index.n:
+            raise ValueError(f"need {index.n} residuals, one per design point, got {n}")
         self.n = n
-        self.dist = distances[order]
-        self.prod = products[order]
+        self.dist = index.dist
+        self.prod = residuals[index.i]
+        self.prod *= residuals[index.j]
         self.diag = float(residuals @ residuals)
 
     def estimate(self, t: float, b: float) -> float:
@@ -93,8 +90,11 @@ class _PairSums:
 
 
 def estimate_covariance(residuals, distances, t: float, b: float) -> float:
-    """One-shot covariance estimate at lag t from residuals (or true errors)."""
-    return _PairSums(residuals, distances).estimate(float(t), float(b))
+    """One-shot covariance estimate at lag t from residuals (or true errors)
+    and the condensed pair distances."""
+    residuals = np.asarray(residuals, dtype=float)
+    index = PairIndex.from_distances(distances, residuals.shape[0])
+    return _PairSums(residuals, index).estimate(float(t), float(b))
 
 
 def _interpolate_truncated(t, t_grid, values, truncation_t):
@@ -158,12 +158,13 @@ def sigma2_rss(data: Dataset, h_t: float, ko) -> float:
 def default_b_candidates(data: Dataset, size: int = DEFAULT_B_CANDIDATES) -> np.ndarray:
     """Log-spaced candidates from the minimum positive pair distance (visibly
     undersmoothing) up to half the median pair distance."""
-    d = pairwise_distances(data)
-    positive = d[d > 0.0]
-    if positive.size == 0:
+    d = data.pair_index.dist  # ascending
+    first_positive = int(np.searchsorted(d, 0.0, side="right"))
+    if first_positive == d.size:
         raise ValueError("all design points coincide; no b candidates")
-    lo = float(positive.min())
-    hi = float(np.median(d)) / 2.0
+    lo = float(d[first_positive])
+    mid = d.size // 2  # np.median of the sorted values, with its bits
+    hi = float(d[mid] if d.size % 2 else (d[mid - 1] + d[mid]) / 2.0) / 2.0
     if hi <= lo:
         hi = 2.0 * lo
     return np.geomspace(lo, hi, size)
@@ -195,8 +196,7 @@ def calibrate_b(
         b_candidates = default_b_candidates(data)
     b_arr = _validate_grid(b_candidates)
 
-    residuals = _residuals_from(fit_or_residuals)
-    pairs = _PairSums(residuals, pairwise_distances(data))
+    pairs = _PairSums(_residuals_from(fit_or_residuals), data.pair_index)
     bs = [float(b) for b in b_arr]
     tildes = [pairs.estimate(0.0, b) for b in bs]
 
@@ -292,8 +292,7 @@ def covariance_curve(
         raise ValueError(f"n_star must be >= 2, got {n_star}")
     if b <= 0.0:
         raise ValueError(f"bandwidth b must be positive, got {b}")
-    residuals = _residuals_from(fit_or_residuals)
-    pairs = _PairSums(residuals, pairwise_distances(data))
+    pairs = _PairSums(_residuals_from(fit_or_residuals), data.pair_index)
     tilde = pairs.estimate(0.0, float(b))
 
     if truncation_t is None:

@@ -67,6 +67,7 @@ __all__ = [
 ]
 
 ZETA_DEFAULT = 0.02
+_SSE_CHUNK = 1 << 18  # distances per slice in sse_cor: 2 MB per temporary
 
 
 def _spherical_profile(s, c):
@@ -273,16 +274,24 @@ def sse_cor(rho_hat, model: CorrelationModel, distances, n: int, zeta: float = Z
     """Sum over pairs with true correlation >= zeta of (rho_hat - rho_n)^2.
 
     The threshold keeps only pairs where the real correlation matters;
-    rho_hat is the estimated curve interpolated at the pair distances.
+    rho_hat is the estimated curve interpolated at the pair distances.  The
+    true correlations are evaluated _SSE_CHUNK distances at a time, so no
+    temporary is as long as distances; the kept pairs stay in the input's
+    order, which fixes the summation order of the result.
     """
     if not 0.0 < zeta < 1.0:
         raise ValueError("zeta must be in (0, 1)")
     d = np.asarray(distances, dtype=float)
-    rho_true = correlation_value(model, d, n)
-    mask = rho_true >= zeta
-    if not mask.any():
+    kept_d, kept_rho = [], []
+    for start in range(0, d.size, _SSE_CHUNK):
+        chunk = d[start : start + _SSE_CHUNK]
+        rho_true = correlation_value(model, chunk, n)
+        mask = rho_true >= zeta
+        kept_d.append(chunk[mask])
+        kept_rho.append(rho_true[mask])
+    if not any(part.size for part in kept_d):
         return 0.0
-    diff = rho_hat.interpolate(d[mask]) - rho_true[mask]
+    diff = rho_hat.interpolate(np.concatenate(kept_d)) - np.concatenate(kept_rho)
     return float(diff @ diff)
 
 
