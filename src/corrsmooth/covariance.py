@@ -45,28 +45,47 @@ DEFAULT_B_CANDIDATES = 25
 _PILOT_POINTS = 256
 _PILOT_FLOOR = 0.02  # pilot truncation when |C| falls below this fraction of C(0)
 _SANITY_FACTOR = 1.5
+_FILL_GROWTH = 2  # each product fill at least doubles the filled head
 
 
 class _PairSums:
     """A pair index's sorted distances with aligned residual products.
 
     Lets every lag evaluation touch only the pairs inside its window,
-    which keeps curve evaluation linear in the window size.
+    which keeps curve evaluation linear in the window size.  The products
+    r[i] * r[j] are filled in distance order as windows first reach them,
+    at least doubling the filled head each time, so calibration and
+    truncated curves never multiply the pairs beyond their widest window.
     """
 
     def __init__(self, residuals: np.ndarray, index: PairIndex):
-        residuals = np.asarray(residuals, dtype=float)
+        residuals = np.array(residuals, dtype=float)  # a copy: products are filled later
         n = residuals.shape[0]
         if n != index.n:
             raise ValueError(f"need {index.n} residuals, one per design point, got {n}")
         self.n = n
         self.dist = index.dist
-        self.prod = residuals[index.i]
-        self.prod *= residuals[index.j]
+        self._index = index
+        self._residuals = residuals
+        self._prod = np.empty(index.dist.shape)
+        self.filled = 0  # products [0, filled) are computed
         self.diag = float(residuals @ residuals)
+
+    def products(self, hi: int | None = None) -> np.ndarray:
+        """Residual products of the hi nearest pairs (all by default)."""
+        hi = self.dist.size if hi is None else hi
+        if hi > self.filled:
+            lo = self.filled
+            self.filled = min(max(hi, _FILL_GROWTH * lo), self.dist.size)
+            head = self._prod[lo : self.filled]
+            np.take(self._residuals, self._index.i[lo : self.filled], out=head)
+            head *= self._residuals[self._index.j[lo : self.filled]]
+        return self._prod[:hi]
 
     def estimate(self, t: float, b: float) -> float:
         """Weighted ratio at lag t; boundary kernel for t < b."""
+        if not (np.isfinite(t) and np.isfinite(b)):
+            raise ValueError(f"lag t and bandwidth b must be finite, got t={t}, b={b}")
         if b <= 0.0:
             raise ValueError(f"bandwidth b must be positive, got {b}")
         if t < 0.0:
@@ -76,7 +95,7 @@ class _PairSums:
         hi = np.searchsorted(self.dist, t + b, side="right")
         u = (t - self.dist[lo:hi]) / b
         w = kernel.value(u)
-        num = 2.0 * float(w @ self.prod[lo:hi])
+        num = 2.0 * float(w @ self.products(hi)[lo:])
         den = 2.0 * float(w.sum())
         # Diagonal pairs sit at distance 0 with argument t/b; the kernel's
         # own support check zeroes them once t >= b.
@@ -188,10 +207,13 @@ def calibrate_b(
     """Variance calibration: largest b with |sigma2_hat - C_hat(0; b)| <= delta_n.
 
     If no candidate qualifies, falls back to the discrepancy argmin with a
-    warning (recorded on the trace).
+    warning (recorded on the trace).  A non-finite sigma2_hat or a NaN
+    delta_n raises ValueError instead, since no discrepancy could qualify.
     """
-    if delta_n < 0.0:
-        raise ValueError("delta_n must be nonnegative")
+    if not np.isfinite(sigma2_hat):
+        raise ValueError(f"sigma2_hat must be finite, got {sigma2_hat}")
+    if not delta_n >= 0.0:
+        raise ValueError(f"delta_n must be nonnegative, got {delta_n}")
     if b_candidates is None:
         b_candidates = default_b_candidates(data)
     b_arr = _validate_grid(b_candidates)
@@ -290,8 +312,8 @@ def covariance_curve(
     """
     if n_star < 2:
         raise ValueError(f"n_star must be >= 2, got {n_star}")
-    if b <= 0.0:
-        raise ValueError(f"bandwidth b must be positive, got {b}")
+    if not 0.0 < b < np.inf:
+        raise ValueError(f"bandwidth b must be finite and positive, got {b}")
     pairs = _PairSums(_residuals_from(fit_or_residuals), data.pair_index)
     tilde = pairs.estimate(0.0, float(b))
 

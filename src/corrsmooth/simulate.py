@@ -68,6 +68,8 @@ __all__ = [
 
 ZETA_DEFAULT = 0.02
 _SSE_CHUNK = 1 << 18  # distances per slice in sse_cor: 2 MB per temporary
+_SSE_CUT_SLACK = 2.0**-48  # covers the rounding of the profiles, whose values lie in [0, 1]
+_SSE_CUT_RTOL = 1e-6  # relative width at which the sse_cor cut's bisection stops
 
 
 def _spherical_profile(s, c):
@@ -270,6 +272,30 @@ def mse_prac(fitted, truth) -> float:
     return float(diff @ diff / diff.shape[0])
 
 
+def _sse_cut(model: CorrelationModel, n: int, zeta: float) -> float:
+    """A lag d_cut with rho_n(d_cut) < zeta / 2 - _SSE_CUT_SLACK, or inf if
+    that target is not positive or no finite lag reaches it.
+
+    Doubles from lag 1 until rho_n falls below the target, then bisects
+    down to a relative width of _SSE_CUT_RTOL.
+    """
+    target = zeta / 2.0 - _SSE_CUT_SLACK
+    if target <= 0.0:
+        return np.inf
+    lo, hi = 0.0, 1.0
+    while correlation_value(model, hi, n) >= target:
+        lo, hi = hi, 2.0 * hi
+        if hi == np.inf:
+            return hi
+    while hi - lo > _SSE_CUT_RTOL * hi:
+        mid = 0.5 * (lo + hi)
+        if correlation_value(model, mid, n) >= target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def sse_cor(rho_hat, model: CorrelationModel, distances, n: int, zeta: float = ZETA_DEFAULT):
     """Sum over pairs with true correlation >= zeta of (rho_hat - rho_n)^2.
 
@@ -278,13 +304,22 @@ def sse_cor(rho_hat, model: CorrelationModel, distances, n: int, zeta: float = Z
     true correlations are evaluated _SSE_CHUNK distances at a time, so no
     temporary is as long as distances; the kept pairs stay in the input's
     order, which fixes the summation order of the result.
+
+    Every family profile is non-increasing in s, and rounds to within
+    _SSE_CUT_SLACK / 2 of a non-increasing function of the lag.  So past a
+    lag d_cut where the computed rho_n is below zeta / 2 - _SSE_CUT_SLACK,
+    it stays below zeta, and each slice drops the distances above d_cut
+    before rho_n is evaluated.  Negative distances are kept, so they still
+    raise, and NaN distances are dropped, as the zeta mask drops them.
     """
     if not 0.0 < zeta < 1.0:
         raise ValueError("zeta must be in (0, 1)")
     d = np.asarray(distances, dtype=float)
+    d_cut = _sse_cut(model, n, zeta)
     kept_d, kept_rho = [], []
     for start in range(0, d.size, _SSE_CHUNK):
         chunk = d[start : start + _SSE_CHUNK]
+        chunk = chunk[chunk <= d_cut]
         rho_true = correlation_value(model, chunk, n)
         mask = rho_true >= zeta
         kept_d.append(chunk[mask])

@@ -40,6 +40,25 @@ def make_geo_dataset(n=500, seed=42, range_km=200.0, sigma2=0.25):
     return Dataset(points=pts, responses=trend + errors, metric="haversine"), trend, errors
 
 
+def make_exponential_field(n=2000, seed=0, c=1.0, sigma2=0.1):
+    """Unit-square sites whose responses are errors drawn from the
+    exponential model sigma2 * exp(-c * sqrt(n) * d) (alpha = 1, D = 2)."""
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    cov = squareform(pairwise_distances(Dataset(points=pts, responses=np.zeros(n))))
+    cov *= -c * np.sqrt(n)
+    np.exp(cov, out=cov)
+    cov *= sigma2
+    cov.flat[:: n + 1] += 1e-10 * sigma2
+    errors = np.linalg.cholesky(cov) @ rng.standard_normal(n)
+    return Dataset(points=pts, responses=errors)
+
+
 @pytest.fixture(scope="session")
 def geo_dataset():
     return make_geo_dataset()
+
+
+@pytest.fixture(scope="session")
+def exponential_field():
+    return make_exponential_field()

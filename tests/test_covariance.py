@@ -398,3 +398,32 @@ def test_default_b_candidates_span():
     assert cands.size == 25
     assert cands[0] == pytest.approx(d[d > 0].min())
     assert cands[-1] == pytest.approx(np.median(d) / 2.0)
+
+
+@pytest.mark.parametrize("kwargs", [{"sigma2_hat": np.nan}, {"delta_n": np.nan}],
+                         ids=["sigma2_hat", "delta_n"])
+def test_calibration_rejects_nan_before_any_fallback(kwargs):
+    sim = sp3_sim(seed=15, n=120)
+    args = {"sigma2_hat": 0.1, **kwargs}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no fallback warning either
+        with pytest.raises(ValueError, match="sigma2_hat|delta_n"):
+            calibrate_b(sim.dataset, sim.errors, **args)
+
+
+@pytest.mark.parametrize("t, b", [(np.nan, 0.1), (np.inf, 0.1), (0.05, np.nan), (0.05, np.inf)])
+def test_estimate_rejects_nonfinite_lag_or_bandwidth(t, b):
+    rng = np.random.default_rng(16)
+    pts = rng.random((40, 2))
+    d = pairwise_distances(Dataset(points=pts, responses=np.zeros(40)))
+    with pytest.raises(ValueError, match="finite"):
+        estimate_covariance(rng.normal(size=40), d, t, b)
+
+
+@pytest.mark.parametrize("b", [np.nan, np.inf])
+def test_covariance_curve_rejects_nonfinite_bandwidth(b):
+    # b = inf used to give a flat curve (T ~ 0.68 on this design)
+    rng = np.random.default_rng(17)
+    data = Dataset(points=rng.random((200, 2)), responses=rng.normal(size=200))
+    with pytest.raises(ValueError, match="finite"):
+        covariance_curve(data, data.responses, b)

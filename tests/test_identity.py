@@ -6,7 +6,10 @@ moments over the kernel's support only: the np.where/prod kernel value, the
 annulus profile on every entry, the normal equations with s2 as one einsum
 over all design points, GCV from fit_all plus the n x n hat matrix, the
 minEpan scan as a fit_all loop, and the bandwidth grid's floor found by one
-n x n neighbor mask per scan candidate.  Every comparison is exact (== or
+n x n neighbor mask per scan candidate.  The covariance layer is held to its
+forms from before it computed only the pairs its windows reach: pair sums
+with every residual product computed up front, and sse_cor evaluating the
+true correlation at every distance.  Every comparison is exact (== or
 equal bytes), not approximate.
 """
 
@@ -19,17 +22,31 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corrsmooth
+import corrsmooth.simulate as simulate_mod
 
 from corrsmooth.bandwidth import default_grid, gcv_score, gcv_select
+from corrsmooth.covariance import (
+    _PILOT_POINTS,
+    CorrelationCurve,
+    _PairSums,
+    _pilot_truncation,
+    calibrate_b,
+    covariance_curve,
+)
+from corrsmooth.errors import EmptyWindowError
 from corrsmooth.kernels import (
+    BoundaryKernel,
     ProductEpanechnikovKernel,
     RadialAnnulusKernel,
     build_annulus_kernel,
 )
 from corrsmooth.locfit import (
     Dataset,
+    PairIndex,
     _normal_systems,
     _solve_batched,
     _Workspace,
@@ -39,13 +56,16 @@ from corrsmooth.locfit import (
     rss,
 )
 from corrsmooth.simulate import (
+    FAMILIES,
     CorrelationModel,
     SimScenario,
+    correlation_value,
     generate,
     min_epan_mse,
     mse_prac,
     parse_method,
     run_trial,
+    sse_cor,
 )
 
 
@@ -457,3 +477,171 @@ def test_run_table_golden_rows_on_two_blas_threads():
     assert lines[:-1] == _golden_output("1")[:-1]
     _, _, before, after = lines[-1].split()
     assert before == after
+
+
+class ReferencePairSums:
+    """The pair sums with every product r[i] * r[j] computed up front."""
+
+    def __init__(self, residuals, index):
+        residuals = np.asarray(residuals, dtype=float)
+        self.n = residuals.shape[0]
+        self.dist = index.dist
+        self.prod = residuals[index.i]
+        self.prod *= residuals[index.j]
+        self.diag = float(residuals @ residuals)
+
+    def estimate(self, t, b):
+        kernel = BoundaryKernel(q=t / b)
+        lo = np.searchsorted(self.dist, t - b, side="right")
+        hi = np.searchsorted(self.dist, t + b, side="right")
+        u = (t - self.dist[lo:hi]) / b
+        w = kernel.value(u)
+        num = 2.0 * float(w @ self.prod[lo:hi])
+        den = 2.0 * float(w.sum())
+        w_diag = float(kernel.value(np.asarray(t / b)))
+        num += w_diag * self.diag
+        den += w_diag * self.n
+        mass = 2.0 * float(np.abs(w).sum()) + abs(w_diag) * self.n
+        if mass == 0.0 or abs(den) < 1e-10 * mass:
+            raise EmptyWindowError(t, b)
+        return num / den
+
+
+def estimates_or_empty(pairs, lags, b):
+    """The estimate at each lag, or None where its window is empty."""
+    out = []
+    for t in lags:
+        try:
+            out.append(pairs.estimate(float(t), b))
+        except EmptyWindowError:
+            out.append(None)
+    return out
+
+
+def test_calibration_pilot_and_curve_match_eager_products(exponential_field):
+    data = exponential_field
+    r = data.responses
+    s2 = float(r @ r / data.n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cal = calibrate_b(data, r, s2)
+        curve = covariance_curve(data, r, cal.chosen_b, sigma2_hat=s2)
+    ref = ReferencePairSums(r, data.pair_index)
+    assert list(cal.sigma2_tilde) == [ref.estimate(0.0, float(b)) for b in cal.b_candidates]
+    b = cal.chosen_b
+    tilde = ref.estimate(0.0, b)
+    assert curve.sigma2_tilde == curve.c_hat[0] == tilde
+    assert curve.truncation_t == _pilot_truncation(ref, b, tilde) > 0.0
+    # every pilot lag up to half the largest distance, past the truncation too
+    upper = float(ref.dist[-1]) / 2.0
+    pilot = np.linspace(upper / _PILOT_POINTS, upper, _PILOT_POINTS)
+    pairs = _PairSums(r, data.pair_index)
+    pairs.estimate(0.0, b)
+    assert estimates_or_empty(pairs, pilot, b) == estimates_or_empty(ref, pilot, b)
+    assert curve.dropped.size == 0 and curve.c_hat[-1] == 0.0  # the clamp at T
+    assert list(curve.c_hat[1:-1]) == [ref.estimate(float(t), b) for t in curve.t_grid[1:-1]]
+
+
+def test_window_reaching_the_last_pair_matches_eager_products(exponential_field):
+    r = exponential_field.responses
+    index = exponential_field.pair_index
+    ref = ReferencePairSums(r, index)
+    d_max = float(index.dist[-1])
+    b = d_max / 50.0
+    pairs = _PairSums(r, index)
+    assert pairs.estimate(0.0, b) == ref.estimate(0.0, b)  # a short head first
+    for t in (d_max - b / 2.0, d_max):
+        assert pairs.estimate(t, b) == ref.estimate(t, b)
+    assert pairs.filled == index.dist.size
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tiny_designs_match_eager_products(n):
+    rng = np.random.default_rng(n)
+    pts = rng.random((n, 1))
+    r = rng.normal(size=n)
+    index = PairIndex.from_distances(np.abs(pts - pts.T)[np.triu_indices(n, k=1)], n)
+    d_max = float(index.dist[-1])
+    lags = [0.0, *index.dist, d_max / 2.0, 2.0 * d_max]
+    for b in (d_max / 4.0, d_max, 4.0 * d_max):
+        assert estimates_or_empty(_PairSums(r, index), lags, b) == estimates_or_empty(
+            ReferencePairSums(r, index), lags, b
+        )
+    if n == 3:  # the smallest Dataset in one dimension
+        data = Dataset(points=pts, responses=r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cal = calibrate_b(data, r, float(r @ r / n))
+        ref = ReferencePairSums(r, data.pair_index)
+        assert list(cal.sigma2_tilde) == [ref.estimate(0.0, float(b)) for b in cal.b_candidates]
+
+
+def reference_sse_cor(rho_hat, model, distances, n, zeta):
+    """sse_cor with the true correlation evaluated at every distance."""
+    d = np.asarray(distances, dtype=float)
+    kept_d, kept_rho = [], []
+    for start in range(0, d.size, simulate_mod._SSE_CHUNK):
+        chunk = d[start : start + simulate_mod._SSE_CHUNK]
+        rho_true = correlation_value(model, chunk, n)
+        mask = rho_true >= zeta
+        kept_d.append(chunk[mask])
+        kept_rho.append(rho_true[mask])
+    if not any(part.size for part in kept_d):
+        return 0.0
+    diff = rho_hat.interpolate(np.concatenate(kept_d)) - np.concatenate(kept_rho)
+    return float(diff @ diff)
+
+
+def _line_curve(reach):
+    return CorrelationCurve(
+        t_grid=np.array([0.0, reach, 2.0 * reach]), rho=np.array([1.0, 0.3, 0.0]),
+        mode="by_chat0", truncation_t=2.0 * reach, clamped=False,
+    )
+
+
+# a denormal, values at and around the cut's rounding slack, and 1 - ulp
+_ZETA_EDGES = [5e-324, 1e-300, 1e-15, 2.0**-47, 2.0**-46, 1e-12, 1e-6, 0.999999,
+               float(np.nextafter(1.0, 0.0))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    c=st.floats(0.05, 20.0),
+    alpha=st.floats(0.0, 1.0, exclude_min=True),
+    dim=st.integers(1, 3),
+    n=st.integers(1, 10**6),
+    zeta=st.one_of(
+        st.sampled_from(_ZETA_EDGES), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sse_cor_cut_matches_the_unfiltered_loop(family, c, alpha, dim, n, zeta, seed):
+    model = CorrelationModel(family, c, alpha, dim)
+    scale = n ** (alpha / dim)
+    cut = simulate_mod._sse_cut(model, n, zeta)
+    reach = cut if np.isfinite(cut) else 50.0 / (c * scale)
+    rng = np.random.default_rng(seed)
+    near = [0.0, reach, *(np.nextafter(reach, [0.0, np.inf]))]
+    if family == "spherical":  # the zero tail starts at s = c, where rounding is noisiest
+        edge = c / scale
+        near += [edge, *(np.nextafter(edge, [0.0, np.inf])), *(edge * (1.0 - 1e-10 * rng.random(40)))]
+    d = np.concatenate([3.0 * reach * rng.random(400), near, [np.nan, np.inf]])
+    rng.shuffle(d)
+    rho_hat = _line_curve(reach)
+    with np.errstate(invalid="ignore"):  # the spherical profile at an infinite distance
+        assert sse_cor(rho_hat, model, d, n, zeta) == reference_sse_cor(rho_hat, model, d, n, zeta)
+    past = d[d > cut]
+    assert (correlation_value(model, past[np.isfinite(past)], n) < zeta).all()
+
+
+def test_sse_cor_still_rejects_negative_and_drops_nan_distances():
+    model = CorrelationModel("exponential", c=1.0)
+    rho_hat = _line_curve(0.2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sse_cor(rho_hat, model, np.array([0.01, 5.0, -0.2]), 100)
+    d = np.array([0.01, np.nan, 0.02, 50.0, np.nan, 0.3])
+    got = sse_cor(rho_hat, model, d, 100)
+    assert got > 0.0
+    assert got == sse_cor(rho_hat, model, d[~np.isnan(d)], 100)
+    assert got == reference_sse_cor(rho_hat, model, d, 100, simulate_mod.ZETA_DEFAULT)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import squareform
 
+import corrsmooth.covariance as covariance_mod
 import corrsmooth.simulate as simulate_mod
 from corrsmooth.covariance import (
     _PairSums,
@@ -64,7 +65,7 @@ def test_index_and_products_equal_the_sorted_pdist_definition(data):
     assert index.j.tobytes() == ju[order].astype(np.int32).tobytes()
     r = data.responses
     products = squareform(np.outer(r, r), checks=False)
-    assert _PairSums(r, index).prod.tobytes() == products[order].tobytes()
+    assert _PairSums(r, index).products().tobytes() == products[order].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -80,6 +81,35 @@ def test_default_b_candidates_equal_the_pdist_definition(data):
     if hi <= lo:
         hi = 2.0 * lo
     assert np.array_equal(default_b_candidates(data, size=7), np.geomspace(lo, hi, 7))
+
+
+def test_calibration_and_curve_fill_only_the_pairs_their_windows_reach(
+    exponential_field, monkeypatch
+):
+    built = []
+
+    class RecordingPairSums(_PairSums):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(covariance_mod, "_PairSums", RecordingPairSums)
+    data = exponential_field
+    r = data.responses
+    s2 = float(r @ r / data.n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cal = calibrate_b(data, r, s2)
+        curve = covariance_curve(data, r, cal.chosen_b, sigma2_hat=s2)
+    dist = data.pair_index.dist
+    assert len(built) == 2  # the calibration's, then the pilot and curve's
+    # each fill at least doubles the head, so it ends within twice the widest window
+    widest = (cal.b_candidates[-1], curve.truncation_t + cal.chosen_b)
+    for pairs, reach in zip(built, widest):
+        assert 0 < pairs.filled <= 2 * np.searchsorted(dist, reach, side="right")
+        assert pairs.filled < dist.size
+    built[1].estimate(float(dist[-1]), cal.chosen_b)
+    assert built[1].filled == dist.size
 
 
 def test_index_arrays_are_read_only_and_cached():
