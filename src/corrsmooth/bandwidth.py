@@ -255,17 +255,27 @@ def gcv_score(data: Dataset, ko, h: float) -> float:
     The fit and the hat diagonal come from one solve of the local normal
     equations; tr(H) is the sum of that diagonal, never the n x n matrix.
     """
-    return _gcv_score_ws(_Workspace(data, ko), h)
+    return _gcv_score_ws(_Workspace(data, ko), h)[0]
 
 
-def _gcv_score_ws(ws: _Workspace, h: float) -> float:
+def _gcv_score_ws(ws: _Workspace, h: float):
+    """(GCV score, in-sample fit) at h from one solve; the score is +inf if infeasible."""
     fit, hat_diagonal = _fit_and_hat_diagonal(ws, h)
     if fit.singular_count:
-        return np.inf
+        return np.inf, fit
     denom = 1.0 - float(hat_diagonal.sum()) / ws.data.n
     if denom <= 0.0:
-        return np.inf
-    return rss(fit) / denom**2
+        return np.inf, fit
+    return rss(fit) / denom**2, fit
+
+
+def _gcv_pick(grid: np.ndarray, scores: np.ndarray) -> float:
+    """The grid bandwidth of the least GCV score, the first on ties."""
+    if not np.any(np.isfinite(scores)):
+        raise NoFeasibleBandwidthError(
+            "every candidate bandwidth was infeasible for GCV; raise the upper grid bound"
+        )
+    return float(grid[int(np.argmin(scores))])
 
 
 def gcv_select(data: Dataset, ko, grid) -> float:
@@ -278,13 +288,7 @@ def gcv_select(data: Dataset, ko, grid) -> float:
     """
     grid = _validate_grid(grid)
     ws = _Workspace(data, ko)
-    scores = np.array([_gcv_score_ws(ws, float(h)) for h in grid])
-    if not np.any(np.isfinite(scores)):
-        raise NoFeasibleBandwidthError(
-            "every candidate bandwidth was infeasible for GCV; "
-            "raise the upper grid bound"
-        )
-    return float(grid[int(np.argmin(scores))])
+    return _gcv_pick(grid, np.array([_gcv_score_ws(ws, float(h))[0] for h in grid]))
 
 
 def variance_fit_bandwidth(h_o: float, n: int, dim: int) -> float:

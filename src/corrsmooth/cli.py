@@ -509,8 +509,10 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_bench(cfg: dict) -> int:
     """Times one simulation trial on a small synthetic scenario: the data
-    draw, then each row of run_trial (ZA(1,1.5), GCV, Raw, minEpan).
-    Per-layer times come from perfbench/run.py --trace 1."""
+    draw, then each row of run_trial (ZA(1,1.5), GCV, Raw, minEpan).  GCV
+    and minEpan share the draw's product-kernel scan, which GCV runs first,
+    so GCV_s includes it and minEpan_s is about 0.  Per-layer times come
+    from perfbench/run.py --trace 1."""
     outdir = _outdir(cfg)
     _echo_config(outdir, cfg)
     model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)

@@ -207,7 +207,8 @@ def calibrate_b(
     """Variance calibration: largest b with |sigma2_hat - C_hat(0; b)| <= delta_n.
 
     If no candidate qualifies, falls back to the discrepancy argmin with a
-    warning (recorded on the trace).  A non-finite sigma2_hat or a NaN
+    warning (recorded on the trace).  If the largest candidate qualifies, a
+    warning says that larger b were not tried.  A non-finite sigma2_hat or a NaN
     delta_n raises ValueError instead, since no discrepancy could qualify.
     """
     if not np.isfinite(sigma2_hat):
@@ -256,6 +257,12 @@ def calibrate_b(
     if qualifying.size:
         chosen = int(qualifying[-1])
         fallback = False
+        if chosen == b_all.size - 1:
+            warnings.warn(
+                f"chosen b={b_all[chosen]:.6g} is the largest candidate; "
+                "larger b were not tried",
+                stacklevel=2,
+            )
     else:
         chosen = int(np.argmin(disc))
         fallback = True

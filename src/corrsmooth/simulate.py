@@ -23,12 +23,12 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .bandwidth import default_grid, gcv_select, select_h_o, variance_fit_bandwidth
+from .bandwidth import _gcv_pick, _gcv_score_ws, default_grid, select_h_o, variance_fit_bandwidth
 from .covariance import (
     DEFAULT_N_STAR,
     DELTA_N_DEFAULT,
@@ -39,7 +39,7 @@ from .covariance import (
 )
 from .errors import CorrsmoothError, SingularFitError
 from .kernels import MIN_PRODUCT, ProductEpanechnikovKernel, build_annulus_kernel
-from .locfit import Dataset, _fit_all_ws, _Workspace, fit_all, hat_matrix, pairwise_distances
+from .locfit import Dataset, _Workspace, fit_all, hat_matrix, pairwise_distances
 
 __all__ = [
     "FAMILIES",
@@ -174,6 +174,21 @@ class SimulatedData:
     mu_true: np.ndarray
     model: CorrelationModel
     n: int
+
+    @cached_property
+    def product_scan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(grid, GCV scores, MSE_prac) over the product kernel's default grid, built
+        on first use: one solve per bandwidth serves the GCV row and minEpan.  MSE_prac
+        is inf where the fit is singular; no fit or workspace outlives the scan."""
+        ko = ProductEpanechnikovKernel(self.dataset.dim)
+        grid = default_grid(self.dataset, ko)
+        ws = _Workspace(self.dataset, ko)
+        gcv, prac = np.full(grid.shape, np.inf), np.full(grid.shape, np.inf)
+        for k, h in enumerate(grid):
+            gcv[k], fit = _gcv_score_ws(ws, float(h))
+            if not fit.singular_count:
+                prac[k] = mse_prac(fit.fitted, self.mu_true)
+        return grid, gcv, prac
 
 
 _BLAS_PIN_LOCK = threading.Lock()
@@ -433,7 +448,7 @@ def run_method_trial(
     if spec.kind == "za":
         h = select_h_o(data, build_annulus_kernel(spec.c1, spec.c2, dim, objective), ko).h_o
     elif spec.kind == "gcv":
-        h = gcv_select(data, ko, default_grid(data, ko))
+        h = _gcv_pick(*sim.product_scan[:2])
     else:
         raise ValueError(f"unknown method kind {spec.kind!r}")
 
@@ -463,19 +478,12 @@ def run_raw_trial(
 
 
 def min_epan_mse(sim: SimulatedData) -> float:
-    """Exhaustive scan of MSE_prac over the Epanechnikov default grid."""
-    data = sim.dataset
-    ko = ProductEpanechnikovKernel(data.dim)
-    ws = _Workspace(data, ko)
-    best = np.inf
-    for h in default_grid(data, ko):
-        fit = _fit_all_ws(ws, h)
-        if fit.singular_count:
-            continue
-        best = min(best, mse_prac(fit.fitted, sim.mu_true))
+    """Least MSE_prac over the Epanechnikov default grid, read from the draw's
+    product_scan, which the GCV row shares and the first reader computes."""
+    best = float(np.min(sim.product_scan[2]))
     if not np.isfinite(best):
         raise CorrsmoothError("no feasible bandwidth in the exhaustive scan")
-    return float(best)
+    return best
 
 
 def _aggregate(values) -> tuple[float, float]:

@@ -178,7 +178,8 @@ def test_calibration_all_qualifying_takes_last():
     real = cov._PairSums
     cov._PairSums = FakePairs
     try:
-        trace = calibrate_b(sim.dataset, sim.errors, 0.1, np.array([0.1, 0.2, 0.4]))
+        with pytest.warns(UserWarning, match="largest candidate"):
+            trace = calibrate_b(sim.dataset, sim.errors, 0.1, np.array([0.1, 0.2, 0.4]))
     finally:
         cov._PairSums = real
     assert trace.chosen_b == pytest.approx(0.4)
@@ -191,6 +192,26 @@ def test_calibration_fallback_warns_on_unreachable_tolerance():
         trace = calibrate_b(sim.dataset, fit, 0.5, delta_n=0.0)
     assert trace.fallback
     assert trace.chosen_b == trace.b_candidates[np.argmin(trace.discrepancy)]
+
+
+def test_calibration_warns_when_the_largest_candidate_is_chosen():
+    # every candidate qualifies, so the largest-qualifying rule stops at the grid's top
+    sim = sp3_sim(seed=13, n=150)
+    with pytest.warns(UserWarning, match="largest candidate; larger b were not tried") as caught:
+        trace = calibrate_b(sim.dataset, sim.errors, 0.1, delta_n=1e9)
+    assert not trace.fallback
+    assert trace.chosen_b == trace.b_candidates[-1] == default_b_candidates(sim.dataset)[-1]
+    # not the selection's grid-boundary text, which the benchmark counts as its own kind
+    assert not any("sits on the grid boundary" in str(w.message) for w in caught)
+
+
+def test_calibration_interior_pick_does_not_warn():
+    sim = sp3_sim(seed=13, n=150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = calibrate_b(sim.dataset, sim.errors, 0.1, np.array([0.01, 0.02, 10.0]),
+                            delta_n=0.05)
+    assert not trace.fallback and trace.chosen_b < 10.0
 
 
 def test_calibration_rejects_bad_candidates():

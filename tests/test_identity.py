@@ -13,6 +13,7 @@ true correlation at every distance.  Every comparison is exact (== or
 equal bytes), not approximate.
 """
 
+import dataclasses
 import functools
 import os
 import subprocess
@@ -64,6 +65,7 @@ from corrsmooth.simulate import (
     min_epan_mse,
     mse_prac,
     parse_method,
+    run_method_trial,
     run_trial,
     sse_cor,
 )
@@ -214,9 +216,10 @@ def test_gcv_matches_reference_when_denominator_nonpositive(dim, h):
     assert gcv_select(data, ko, grid) == grid[int(np.argmin(ref))]
 
 
-def test_min_epan_mse_matches_fit_all_loop():
-    model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
-    sim = generate(SimScenario("mu2d", 150, model, seed=17), 0)
+@pytest.mark.parametrize("dim, mu_id", [(2, "mu2d"), (3, "mu3d")])
+def test_min_epan_mse_matches_fit_all_loop(dim, mu_id):
+    model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=dim, sigma2=0.1)
+    sim = generate(SimScenario(mu_id, 150, model, seed=17), 0)
     assert min_epan_mse(sim) == reference_min_epan_mse(sim)
 
 
@@ -231,6 +234,16 @@ def test_run_trial_min_epan_matches_scan_over_grid_and_method_bandwidths():
     assert out["minEpan"].mse_prac == reference_min_epan_mse(sim, chosen)
     # on this seed a method's bandwidth beats every grid point
     assert out["minEpan"].mse_prac < min_epan_mse(sim)
+    # the GCV row reads the draw's shared scan; gcv_select scans on its own
+    ko = ProductEpanechnikovKernel(2)
+    assert out["GCV"].h == gcv_select(sim.dataset, ko, default_grid(sim.dataset, ko))
+    # a fresh copy of the draw has no scan yet; its GCV row computes the same outcome
+    cold = generate(SimScenario("mu2d", 150, model, seed=1), 0)
+    assert "product_scan" not in vars(cold)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fresh = run_method_trial(cold, specs[2], n_star=40)
+    assert dataclasses.replace(fresh, seconds=out["GCV"].seconds) == out["GCV"]
 
 
 def reference_weights(ws, h):

@@ -307,6 +307,35 @@ def test_run_trial_rows_in_order_with_their_seconds():
     assert np.isfinite(out["minEpan"].mse_prac) and np.isnan(out["minEpan"].sse_cor)
 
 
+def test_run_trial_scans_the_product_grid_once(monkeypatch):
+    # GCV and minEpan read one product-kernel scan of the draw: one product
+    # default_grid, and 30 grid fits + 2 final fits + 2 variance fits
+    import corrsmooth.bandwidth as bandwidth_mod
+    import corrsmooth.locfit as locfit_mod
+
+    grids, fits = [], []
+    real_grid, real_systems = bandwidth_mod.default_grid, locfit_mod._normal_systems
+
+    def counting_grid(data, kernel, *args, **kwargs):
+        grids.append(isinstance(kernel, ProductEpanechnikovKernel))
+        return real_grid(data, kernel, *args, **kwargs)
+
+    def counting_systems(ws, h):
+        in_sample = ws.targets is ws.data.points
+        fits.append(isinstance(ws.kernel, ProductEpanechnikovKernel) and in_sample)
+        return real_systems(ws, h)
+
+    monkeypatch.setattr(bandwidth_mod, "default_grid", counting_grid)
+    monkeypatch.setattr(simulate, "default_grid", counting_grid)
+    monkeypatch.setattr(locfit_mod, "_normal_systems", counting_systems)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = run_trial(_bench_sim(), [parse_method("za(1,1.5)"), parse_method("gcv")], n_star=40)
+    assert all(outcome is not None for outcome in out.values())
+    assert sum(grids) == 1
+    assert sum(fits) == 34
+
+
 @pytest.mark.parametrize("target, label", [
     ("run_method_trial", "GCV"), ("run_raw_trial", "Raw"), ("min_epan_mse", "minEpan"),
 ])
