@@ -13,8 +13,7 @@ Conventions:
     weights() consumes, in_sample() reads or computes it at the design
     points from a shared InSampleGeometry, and reach() turns that into the
     sorted distance rows the bandwidth grid scans, so no caller branches on
-    the kernel kind.  weights() returns the dense weights together with the
-    ascending row-major flat positions of their support.
+    the kernel kind.  weights() returns the dense (m, n) weights.
 
 The annulus kernel is a cubic polynomial in r supported on [c1, c2] and
 identically zero elsewhere, normalized to integrate to 1 over R^D.  Its
@@ -105,12 +104,11 @@ class RadialAnnulusKernel:
         return shared.distances
 
     def weights(self, dist, h):
-        """profile(dist / h) and the ascending row-major flat positions of its
-        support.
+        """profile(dist / h) as a C-ordered array.
 
         The cubic is evaluated at the support positions only and scattered
-        into the zeroed C-ordered array of radii, so every value equals
-        profile's, whatever the layout of dist.
+        into the zeroed array of radii, so every value equals profile's,
+        whatever the layout of dist.
         """
         r = np.divide(dist, h, order="C")
         flat = r.reshape(-1)  # a view, as r is C-contiguous
@@ -118,7 +116,7 @@ class RadialAnnulusKernel:
         values = self.cubic(flat[support])
         flat.fill(0.0)
         flat[support] = values
-        return r, support
+        return r
 
     def reach(self, shared):
         """Per-row sorted distances for default_grid's scan, and the support
@@ -162,10 +160,8 @@ class ProductEpanechnikovKernel:
         return self.geometry(shared.data, shared.data.points)
 
     def weights(self, disp, h):
-        """K(disp / h) and the ascending row-major flat positions of its
-        nonzero entries."""
-        out = self.component_product(d / h for d in disp)
-        return out, np.flatnonzero(out != 0.0)
+        """K(disp / h)."""
+        return self.component_product(d / h for d in disp)
 
     def reach(self, shared):
         """Per-row sorted Chebyshev distances, below h exactly when every

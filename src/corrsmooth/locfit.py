@@ -7,11 +7,8 @@ dropped to avoid overflow at tiny bandwidths.
 
 The normal equations need the weighted sums s0 = sum_j w_ij, p = sum_j
 w_ij x_j, s2 = sum_j w_ij x_j x_j^T, t0 = sum_j w_ij y_j and t1 = sum_j
-w_ij x_j y_j.  Only s2 reads the kernel's support alone, through a CSR array
-of the weights: its dense form was a sequential sum over every j, so
-skipping the exact zeros leaves each bit of it unchanged.  s0 is numpy's
-pairwise row sum and p, t0, t1 are BLAS products of the dense weights; their
-summation order depends on where the zeros sit, so they stay dense.
+w_ij x_j y_j.  All five come from one BLAS product of the dense (m, n)
+weights with the design's per-point moments [1, x, x x^T, y, x y].
 
 Singularity is decided by partial-pivoted elimination on the normal
 matrix: a fit is singular when some pivot falls below 1e-12 relative to
@@ -25,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_array
 from scipy.spatial.distance import pdist
 
 from .errors import SingularFitError
@@ -229,8 +225,9 @@ class InSampleGeometry:
 class _Workspace:
     """Per-dataset precomputation, and the kernel's geometry, shared across bandwidths.
 
-    xxt holds each design point's x x^T flattened to one row of D*D entries,
-    the right-hand side of the sparse second-moment product.
+    moments holds one row per design point, the columns [1, x, x x^T
+    (flattened to D*D entries), y, x y], so that weights @ moments gives
+    every weighted sum of the normal equations at once.
 
     Without targets the workspace fits at the design points; a given
     InSampleGeometry then supplies the kernel's geometry there, in place of
@@ -243,33 +240,17 @@ class _Workspace:
     ):
         self.data = data
         self.kernel = kernel
-        x = data.points
-        self.xxt = np.einsum("jk,jl->jkl", x, x).reshape(data.n, -1)
-        self.xy = x * data.responses[:, None]
+        x, y = data.points, data.responses
+        self.moments = np.column_stack([
+            np.ones(data.n), x, np.einsum("jk,jl->jkl", x, x).reshape(data.n, -1),
+            y, x * y[:, None],
+        ])
         if targets is None:
             self.targets = x
             self.kernel_geometry = kernel.in_sample(geometry or InSampleGeometry(data))
         else:
             self.targets = np.ascontiguousarray(targets, dtype=float)
             self.kernel_geometry = kernel.geometry(data, self.targets)
-
-    def weights(self, h: float):
-        """The (m, n) kernel weights, and the same weights restricted to the
-        kernel's support as a CSR array whose rows list ascending columns."""
-        if h <= 0:
-            raise ValueError(f"bandwidth must be positive, got {h}")
-        weights, positions = self.kernel.weights(self.kernel_geometry, h)
-        m, n = weights.shape
-        index = np.int32 if weights.size < 2**31 else np.int64
-        indptr = np.searchsorted(positions, np.arange(m + 1) * n).astype(index)
-        data = weights.ravel()[positions]
-        columns = positions.astype(index)
-        # columns %= n, which is exact this way for nonnegative positions and
-        # takes about a third of the time.
-        row_starts = columns // n
-        row_starts *= n
-        columns -= row_starts
-        return weights, csr_array((data, columns, indptr), shape=(m, n), copy=False)
 
 
 def _solve_batched(a: np.ndarray, *rhs: np.ndarray):
@@ -312,27 +293,18 @@ def _solve_batched(a: np.ndarray, *rhs: np.ndarray):
 
 def _normal_systems(ws: _Workspace, h: float):
     """The kernel weights at bandwidth h and the weighted normal equations
-    (a, rhs) for every target at once.
-
-    The second moments s2 = sum_j w_ij x_j x_j^T are summed over each row's
-    support only: the CSR product adds the stored weights in ascending column
-    order, one multiply and one add each, as a dense sequential sum over all
-    j does, and the entries it skips add exact zeros.  s0 (numpy's pairwise
-    row sum) and the BLAS products p, t0 and t1 stay dense, because their
-    summation order depends on where the zeros sit.
-    """
-    data = ws.data
-    x = data.points
-    y = data.responses
+    (a, rhs) for every target at once, centered at the targets."""
+    if h <= 0:
+        raise ValueError(f"bandwidth must be positive, got {h}")
     xt = ws.targets
-    m, d = xt.shape[0], data.dim
-
-    weights, on_support = ws.weights(h)
-    s2 = (on_support @ ws.xxt).reshape(m, d, d)
-    s0 = weights.sum(axis=1)
-    p = weights @ x
-    t0 = weights @ y
-    t1 = weights @ ws.xy
+    m, d = xt.shape[0], ws.data.dim
+    weights = ws.kernel.weights(ws.kernel_geometry, h)
+    sums = weights @ ws.moments
+    s0 = sums[:, 0]
+    p = sums[:, 1 : 1 + d]
+    s2 = sums[:, 1 + d : 1 + d + d * d].reshape(m, d, d)
+    t0 = sums[:, 1 + d + d * d]
+    t1 = sums[:, 2 + d + d * d :]
 
     a = np.empty((m, d + 1, d + 1))
     a[:, 0, 0] = s0
@@ -358,8 +330,17 @@ def _fit_targets(ws: _Workspace, h: float):
 
 
 def fit_points(data: Dataset, targets, h: float, kernel):
-    """Estimates at arbitrary points; singular targets come back as NaN."""
+    """Estimates at arbitrary points; singular targets come back as NaN.
+
+    targets must be a nonempty, finite (m, D) array.
+    """
     targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 2 or targets.shape[0] == 0 or targets.shape[1] != data.dim:
+        raise ValueError(
+            f"targets must be a nonempty (m, {data.dim}) array, got shape {targets.shape}"
+        )
+    if not np.all(np.isfinite(targets)):
+        raise ValueError("targets must be finite")
     ws = _Workspace(data, kernel, targets=targets)
     return _fit_targets(ws, h)
 

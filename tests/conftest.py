@@ -1,11 +1,23 @@
 """Shared fixtures: seeded synthetic datasets used across test modules."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from corrsmooth.locfit import Dataset, pairwise_distances
 from corrsmooth.simulate import draw_correlated_errors
 from scipy.spatial.distance import squareform
+
+# Every run draws the same examples and keeps no example database.  Hypothesis
+# still caches the constants it reads from the source; a temporary storage
+# directory, removed at exit, keeps that cache out of the checkout too.
+settings.register_profile("corrsmooth", derandomize=True, database=None)
+settings.load_profile("corrsmooth")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="corrsmooth-hypothesis-")
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", _HYPOTHESIS_HOME.name)
 
 
 def make_affine_dataset(n=200, dim=2, seed=0, coeffs=None):

@@ -44,7 +44,15 @@ def test_select_on_affine_data_prefers_smallest_feasible():
         sel = select_h_z(data, KZ, grid)
     feasible = np.isfinite(sel.rss_trace)
     assert np.all(sel.rss_trace[feasible] < 1e-16)  # RSS ~ 0 everywhere feasible
-    assert sel.h_z == grid[np.flatnonzero(feasible)[0]]  # tie-break to smaller h
+    # those RSS values are rounding noise, so their argmin is arbitrary; with
+    # responses of exactly 0 every feasible RSS is exactly 0.0, a true tie
+    zero = Dataset(points=data.points, responses=np.zeros(data.n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tied = select_h_z(zero, KZ, grid)
+    assert np.array_equal(np.isfinite(tied.rss_trace), feasible)
+    assert np.all(tied.rss_trace[feasible] == 0.0)
+    assert tied.h_z == grid[np.flatnonzero(feasible)[0]]  # ties go to the smaller h
 
 
 def test_select_errors_when_every_candidate_singular():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from corrsmooth.errors import SingularFitError
+from corrsmooth.bandwidth import default_grid
+from corrsmooth.errors import NoFeasibleBandwidthError, SingularFitError
 from corrsmooth.kernels import ProductEpanechnikovKernel, RadialAnnulusKernel, build_annulus_kernel
 from corrsmooth.locfit import (
     EARTH_RADIUS_KM,
@@ -18,18 +21,100 @@ from corrsmooth.locfit import (
 from conftest import make_affine_dataset
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_affine_reproduction(dim):
-    data = make_affine_dataset(n=200, dim=dim, seed=dim)
-    ko = ProductEpanechnikovKernel(dim)
-    fit = fit_all(data, 0.4, ko)
+def _in_box(u, metric):
+    """Unit-cube draws u as design coordinates: as they are, or as (lat, lon)
+    degrees over a south-eastern-US box."""
+    return np.array([30.0, -92.0]) + np.array([7.0, 14.0]) * u if metric == "haversine" else u
+
+
+@st.composite
+def _designs(draw):
+    """Design points, their metric, a fitting kernel and a nonsingular
+    default_grid bandwidth: D in {1, 2, 3}, haversine when D = 2, the product
+    kernel or an annulus."""
+    dim = draw(st.integers(1, 3))
+    metric = draw(st.sampled_from(["euclidean", "haversine"])) if dim == 2 else "euclidean"
+    annulus = draw(st.sampled_from([None, (1.0, 1.5), (2.0, 2.5)]))
+    kernel = ProductEpanechnikovKernel(dim) if annulus is None else build_annulus_kernel(*annulus, dim)
+    n = draw(st.integers(80, 150))
+    pts = _in_box(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, dim)), metric)
+    data = Dataset(points=pts, responses=np.zeros(n), metric=metric)
+    try:
+        grid = default_grid(data, kernel)
+    except NoFeasibleBandwidthError:  # an annulus too wide for a small design
+        assume(False)
+    h = float(grid[draw(st.integers(0, grid.size - 1))])
+    assume(fit_all(data, h, kernel).singular_count == 0)
+    return pts, metric, kernel, h
+
+
+@st.composite
+def _affine_cases(draw):
+    """A design with affine coefficients (intercept first) and five targets in its box."""
+    pts, metric, kernel, h = draw(_designs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = pts.shape[1]
+    return pts, metric, kernel, h, rng.normal(size=dim + 1), _in_box(rng.random((5, dim)), metric)
+
+
+def _fixed_affine_case(dim):
+    pts = make_affine_dataset(n=200, dim=dim, seed=dim).points
+    coeffs = np.arange(dim + 1, dtype=float)
+    coeffs[0] = 1.0
+    return pts, "euclidean", ProductEpanechnikovKernel(dim), 0.4, coeffs, np.full((1, dim), 0.37)
+
+
+# Rounding in the centered normal equations grows with |x| (lat/lon degrees
+# up to 92 here); 1e-10 of the response scale leaves a tenfold margin.
+_AFFINE_RTOL = 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_affine_cases())
+@example(case=_fixed_affine_case(1))
+@example(case=_fixed_affine_case(2))
+@example(case=_fixed_affine_case(3))
+def test_affine_reproduction(case):
+    pts, metric, kernel, h, coeffs, targets = case
+    y = coeffs[0] + pts @ coeffs[1:]
+    data = Dataset(points=pts, responses=y, metric=metric)
+    scale = 1.0 + np.abs(y).max()
+    fit = fit_all(data, h, kernel)
     assert fit.singular_count == 0
-    assert np.abs(fit.fitted - data.responses).max() < 1e-10
-    x = np.full(dim, 0.37)
-    truth = 1.0 + x @ np.arange(1, dim + 1, dtype=float)
-    est, singular = fit_points(data, x[None, :], 0.4, ko)
-    assert not singular[0]
-    assert abs(est[0] - truth) < 1e-10
+    assert np.abs(fit.fitted - y).max() < _AFFINE_RTOL * scale
+    est, singular = fit_points(data, targets, h, kernel)
+    assert np.array_equal(np.isnan(est), singular)
+    truth = coeffs[0] + targets @ coeffs[1:]
+    assert (np.abs(est - truth)[~singular] < _AFFINE_RTOL * scale).all()
+
+
+@st.composite
+def _linearity_cases(draw):
+    """A design with two standard normal response vectors and a factor a."""
+    pts, metric, kernel, h = draw(_designs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y1, y2 = rng.normal(size=(2, pts.shape[0]))
+    return pts, metric, kernel, h, y1, y2, draw(st.floats(-3.0, 3.0))
+
+
+def _fixed_linearity_case():
+    rng = np.random.default_rng(21)
+    pts = rng.random((90, 2))
+    y1 = rng.normal(size=90)
+    y2 = rng.normal(size=90)
+    return pts, "euclidean", ProductEpanechnikovKernel(2), 0.4, y1, y2, 1.7
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_linearity_cases())
+@example(case=_fixed_linearity_case())
+def test_smoother_linearity_in_responses(case):
+    pts, metric, kernel, h, y1, y2, a = case
+    f1, f2, f12 = (
+        fit_all(Dataset(points=pts, responses=y, metric=metric), h, kernel).fitted
+        for y in (y1, y2, a * y1 + y2)
+    )
+    assert np.abs(f12 - (a * f1 + f2)).max() < 1e-10 * (1.0 + abs(a))
 
 
 def test_constant_responses_reproduced():
@@ -98,17 +183,20 @@ def test_hat_matrix_matches_per_row_and_explicit_algebra():
     assert_allclose(c[i], row, atol=1e-10)
 
 
-def test_smoother_linearity_in_responses():
-    rng = np.random.default_rng(21)
-    pts = rng.random((90, 2))
-    y1 = rng.normal(size=90)
-    y2 = rng.normal(size=90)
-    a = 1.7
-    ko = ProductEpanechnikovKernel(2)
-    f1 = fit_all(Dataset(points=pts, responses=y1), 0.4, ko).fitted
-    f2 = fit_all(Dataset(points=pts, responses=y2), 0.4, ko).fitted
-    f12 = fit_all(Dataset(points=pts, responses=a * y1 + y2), 0.4, ko).fitted
-    assert np.abs(f12 - (a * f1 + f2)).max() < 1e-10
+@pytest.mark.parametrize(
+    "targets, match",
+    [
+        ([0.4, 0.6], "nonempty"),  # one point as a 1-d array
+        ([[0.4, np.nan]], "finite"),
+        ([[0.4, 0.6, 0.5]], "nonempty"),  # the wrong D
+        (np.empty((0, 2)), "nonempty"),
+    ],
+    ids=["one-d", "nan", "wrong-dim", "empty"],
+)
+def test_fit_points_rejects_malformed_targets(targets, match):
+    data = make_affine_dataset(n=40, dim=2, seed=6)
+    with pytest.raises(ValueError, match=match):
+        fit_points(data, targets, 0.4, ProductEpanechnikovKernel(2))
 
 
 def test_weight_scale_invariance():
