@@ -69,12 +69,7 @@ def _fixed_affine_case(dim):
 _AFFINE_RTOL = 1e-10
 
 
-@settings(max_examples=100, deadline=None)
-@given(case=_affine_cases())
-@example(case=_fixed_affine_case(1))
-@example(case=_fixed_affine_case(2))
-@example(case=_fixed_affine_case(3))
-def test_affine_reproduction(case):
+def _assert_affine_reproduced(case):
     pts, metric, kernel, h, coeffs, targets = case
     y = coeffs[0] + pts @ coeffs[1:]
     data = Dataset(points=pts, responses=y, metric=metric)
@@ -86,6 +81,17 @@ def test_affine_reproduction(case):
     assert np.array_equal(np.isnan(est), singular)
     truth = coeffs[0] + targets @ coeffs[1:]
     assert (np.abs(est - truth)[~singular] < _AFFINE_RTOL * scale).all()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_affine_reproduction(dim):
+    _assert_affine_reproduced(_fixed_affine_case(dim))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_affine_cases())
+def test_affine_reproduction_property(case):
+    _assert_affine_reproduced(case)
 
 
 @st.composite
