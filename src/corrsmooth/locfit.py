@@ -5,10 +5,12 @@ target point.  Kernel weights enter un-normalized: the estimator is
 invariant to any positive rescaling of the weights, so the 1/h factor is
 dropped to avoid overflow at tiny bandwidths.
 
-The normal equations need the weighted sums s0 = sum_j w_ij, p = sum_j
-w_ij x_j, s2 = sum_j w_ij x_j x_j^T, t0 = sum_j w_ij y_j and t1 = sum_j
-w_ij x_j y_j.  All five come from one BLAS product of the dense (m, n)
-weights with the design's per-point moments [1, x, x x^T, y, x y].
+The systems live in one frame per dataset, the design points minus their
+mean (see _Workspace), and their weighted sums come from one BLAS product
+of the dense (m, n) weights with the design's per-point moments [1, x,
+x x^T, y, x y].  Each system A is solved once, for the smoother-row
+coefficients z = A^-1 e1 (A is symmetric): the fit is z . rhs, and row i
+of the hat matrix is w_ij (z0 + z1 . (x_j - x_i)).
 
 Singularity is decided by partial-pivoted elimination on the normal
 matrix: a fit is singular when some pivot falls below 1e-12 relative to
@@ -45,6 +47,14 @@ _PIVOT_RTOL = 1e-12
 _METRICS = ("euclidean", "haversine")
 
 
+def _check_latitudes(pts: np.ndarray) -> None:
+    """Raise ValueError unless every row's first coordinate lies in [-90, 90]."""
+    bad = np.flatnonzero(np.abs(pts[:, 0]) > 90.0)
+    if bad.size:
+        row = int(bad[0])
+        raise ValueError(f"latitude must lie in [-90, 90]; row {row} has {float(pts[row, 0])!r}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Design points (n x D), responses (n,), and a distance metric.
@@ -75,12 +85,7 @@ class Dataset:
         if metric == "haversine" and d != 2:
             raise ValueError("haversine metric requires D=2 (latitude, longitude)")
         if metric == "haversine":
-            bad = np.flatnonzero(np.abs(pts[:, 0]) > 90.0)
-            if bad.size:
-                row = int(bad[0])
-                raise ValueError(
-                    f"latitude must lie in [-90, 90]; row {row} has {pts[row, 0]!r}"
-                )
+            _check_latitudes(pts)
         pts = pts.copy(order="C")
         y = y.copy()
         pts.setflags(write=False)
@@ -225,13 +230,13 @@ class InSampleGeometry:
 class _Workspace:
     """Per-dataset precomputation, and the kernel's geometry, shared across bandwidths.
 
-    moments holds one row per design point, the columns [1, x, x x^T
-    (flattened to D*D entries), y, x y], so that weights @ moments gives
-    every weighted sum of the normal equations at once.
-
-    Without targets the workspace fits at the design points; a given
-    InSampleGeometry then supplies the kernel's geometry there, in place of
-    computing it again.
+    The one place that knows the frame of the local systems: design is the
+    design points minus their mean, and targets the fit points less the same
+    mean; the kernel's geometry reads the raw coordinates.  Each row of
+    moments holds [1, x, x x^T (D*D entries), y, x y] of one centered point,
+    so weights @ moments gives every weighted sum of the normal equations.
+    Without targets the workspace fits at the design points (targets is
+    design), and a given InSampleGeometry supplies the kernel's geometry.
     """
 
     def __init__(
@@ -240,7 +245,9 @@ class _Workspace:
     ):
         self.data = data
         self.kernel = kernel
-        x, y = data.points, data.responses
+        center = data.points.mean(axis=0)
+        x, y = data.points - center, data.responses
+        self.design = x
         self.moments = np.column_stack([
             np.ones(data.n), x, np.einsum("jk,jl->jkl", x, x).reshape(data.n, -1),
             y, x * y[:, None],
@@ -249,21 +256,23 @@ class _Workspace:
             self.targets = x
             self.kernel_geometry = kernel.in_sample(geometry or InSampleGeometry(data))
         else:
-            self.targets = np.ascontiguousarray(targets, dtype=float)
-            self.kernel_geometry = kernel.geometry(data, self.targets)
+            targets = np.ascontiguousarray(targets, dtype=float)
+            self.targets = targets - center
+            self.kernel_geometry = kernel.geometry(data, targets)
 
 
-def _solve_batched(a: np.ndarray, *rhs: np.ndarray):
-    """Gaussian elimination with partial pivoting over a batch of small systems.
+def _solve_batched(a: np.ndarray):
+    """z = A^-1 e1 for a batch of small symmetric systems A, by Gaussian
+    elimination with partial pivoting.
 
-    One elimination serves every (m, k) right-hand side in rhs; pivots depend
-    on a alone.  Returns ([solution per rhs], singular_mask); singular systems
+    As A is symmetric, z is also the first row of A^-1: the coefficients of
+    the system's smoother row.  Returns (z, singular_mask); singular systems
     yield NaN rows.
     """
     m, k, _ = a.shape
     scale = np.abs(a).reshape(m, -1).max(axis=1)
     singular = scale <= 0.0
-    aug = np.concatenate([a] + [b[:, :, None] for b in rhs], axis=2)
+    aug = np.concatenate([a, np.broadcast_to(np.eye(k)[:, :1], (m, k, 1))], axis=2)
     rows = np.arange(m)
     for j in range(k):
         piv = np.abs(aug[:, j:, j]).argmax(axis=1) + j
@@ -276,19 +285,16 @@ def _solve_batched(a: np.ndarray, *rhs: np.ndarray):
         if j + 1 < k:
             factors = aug[:, j + 1 :, j] / safe[:, None]
             aug[:, j + 1 :, j:] -= factors[:, :, None] * aug[:, j : j + 1, j:]
-    solutions = []
-    for col in range(k, k + len(rhs)):
-        x = np.zeros((m, k))
-        for j in range(k - 1, -1, -1):
-            pivots = aug[:, j, j]
-            safe = np.where(np.abs(pivots) > 0.0, pivots, 1.0)
-            acc = aug[:, j, col]
-            if j + 1 < k:
-                acc = acc - np.einsum("ml,ml->m", aug[:, j, j + 1 : k], x[:, j + 1 :])
-            x[:, j] = acc / safe
-        x[singular] = np.nan
-        solutions.append(x)
-    return solutions, singular
+    z = np.zeros((m, k))
+    for j in range(k - 1, -1, -1):
+        pivots = aug[:, j, j]
+        safe = np.where(np.abs(pivots) > 0.0, pivots, 1.0)
+        acc = aug[:, j, k]
+        if j + 1 < k:
+            acc = acc - np.einsum("ml,ml->m", aug[:, j, j + 1 : k], z[:, j + 1 :])
+        z[:, j] = acc / safe
+    z[singular] = np.nan
+    return z, singular
 
 
 def _normal_systems(ws: _Workspace, h: float):
@@ -311,28 +317,33 @@ def _normal_systems(ws: _Workspace, h: float):
     a0k = p - s0[:, None] * xt
     a[:, 0, 1:] = a0k
     a[:, 1:, 0] = a0k
-    a[:, 1:, 1:] = (
+    s2 = (
         s2
         - xt[:, :, None] * p[:, None, :]
         - p[:, :, None] * xt[:, None, :]
         + s0[:, None, None] * xt[:, :, None] * xt[:, None, :]
     )
+    # z = A^-1 e1 is the smoother row only if A is symmetric to the bit
+    a[:, 1:, 1:] = np.triu(s2) + np.triu(s2, 1).transpose(0, 2, 1)
     rhs = np.empty((m, d + 1))
     rhs[:, 0] = t0
     rhs[:, 1:] = t1 - xt * t0[:, None]
     return weights, a, rhs
 
 
-def _fit_targets(ws: _Workspace, h: float):
-    _, a, rhs = _normal_systems(ws, h)
-    (beta,), singular = _solve_batched(a, rhs)
-    return beta[:, 0], singular
+def _smoother_rows(ws: _Workspace, h: float):
+    """(weights, z, fit, singular_mask) at every target from one solve per
+    system: the smoother-row coefficients z = A^-1 e1 and the fit z . rhs."""
+    weights, a, rhs = _normal_systems(ws, h)
+    z, singular = _solve_batched(a)
+    return weights, z, np.einsum("ik,ik->i", z, rhs), singular
 
 
 def fit_points(data: Dataset, targets, h: float, kernel):
     """Estimates at arbitrary points; singular targets come back as NaN.
 
-    targets must be a nonempty, finite (m, D) array.
+    targets must be a nonempty, finite (m, D) array, with latitudes in
+    [-90, 90] on a haversine dataset.
     """
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 2 or targets.shape[0] == 0 or targets.shape[1] != data.dim:
@@ -341,60 +352,46 @@ def fit_points(data: Dataset, targets, h: float, kernel):
         )
     if not np.all(np.isfinite(targets)):
         raise ValueError("targets must be finite")
-    ws = _Workspace(data, kernel, targets=targets)
-    return _fit_targets(ws, h)
+    if data.metric == "haversine":
+        _check_latitudes(targets)
+    _, _, est, singular = _smoother_rows(_Workspace(data, kernel, targets=targets), h)
+    return est, singular
 
 
 def fit_all(data: Dataset, h: float, kernel) -> FitResult:
     """In-sample fit at every design point, recording singular points."""
-    ws = _Workspace(data, kernel)
-    return _fit_all_ws(ws, h)
+    return _fit_all_ws(_Workspace(data, kernel), h)
 
 
 def _fit_all_ws(ws: _Workspace, h: float) -> FitResult:
-    return _fit_result(ws, *_fit_targets(ws, h))
-
-
-def _fit_result(ws: _Workspace, est: np.ndarray, singular: np.ndarray) -> FitResult:
-    return FitResult(
-        fitted=est,
-        residuals=ws.data.responses - est,
-        singular_count=int(singular.sum()),
-    )
+    return _fit_and_hat_diagonal(ws, h)[0]
 
 
 def _fit_and_hat_diagonal(ws: _Workspace, h: float):
-    """In-sample fit and the diagonal of its hat matrix from one elimination.
+    """In-sample fit and the diagonal w_ii z0 of its hat matrix from one solve.
 
-    ws must target the design points.  Entry i repeats hat_matrix's
-    arithmetic for c_ii, so the diagonal's sum equals np.trace of the hat
-    matrix bit for bit; rows of singular systems are NaN.
+    ws must target the design points.  hat_matrix's c_ii has the linear
+    term z1 . (x_i - x_i) = 0 exactly, so the diagonal's sum equals np.trace
+    of the hat matrix bit for bit; rows of singular systems are NaN.
     """
-    weights, a, rhs = _normal_systems(ws, h)
-    e1 = np.zeros_like(rhs)
-    e1[:, 0] = 1.0
-    (beta, z), singular = _solve_batched(a, rhs, e1)
-    x = ws.data.points
-    lin = np.diagonal(z[:, 1:] @ x.T) - np.einsum("ik,ik->i", z[:, 1:], x)
-    diagonal = np.diagonal(weights) * (z[:, 0] + lin)
-    return _fit_result(ws, beta[:, 0], singular), diagonal
+    weights, z, est, singular = _smoother_rows(ws, h)
+    fit = FitResult(
+        fitted=est, residuals=ws.data.responses - est, singular_count=int(singular.sum())
+    )
+    return fit, np.diagonal(weights) * z[:, 0]
 
 
 def hat_matrix(data: Dataset, h: float, kernel):
     """All smoother rows at once: (n, n) matrix C with fitted = C @ Y.
 
+    Row i is w_ij (z0 + z1 . (x_j - x_i)), from the design's displacements.
     Returns (C, singular_mask); singular rows are NaN.
     """
     ws = _Workspace(data, kernel)
-    weights, a, _ = _normal_systems(ws, h)
-    n, d = data.n, data.dim
-    e1 = np.zeros((n, d + 1))
-    e1[:, 0] = 1.0
-    (z,), singular = _solve_batched(a, e1)
-    x = data.points
-    lin = z[:, 1:] @ x.T - np.einsum("ik,ik->i", z[:, 1:], x)[:, None]
-    c = weights * (z[:, 0][:, None] + lin)
-    return c, singular
+    weights, z, _, singular = _smoother_rows(ws, h)
+    x = ws.design
+    lin = sum(z[:, 1 + k, None] * (x[:, k] - x[:, k, None]) for k in range(data.dim))
+    return weights * (z[:, :1] + lin), singular
 
 
 def rss(fit: FitResult) -> float:

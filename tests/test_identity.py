@@ -13,10 +13,13 @@ comparison is exact (== or equal bytes), not approximate.
 The one exception is the weighted sums of the normal equations.  They now
 come from one product of the weights with the design's moments, which adds
 the terms in another order than the five separate dense sums of the
-reference.  The systems are held to that reference within a stated bound
-on rounding, the fits solved from them within what the systems' measured
-differences can move a solution, and the hat coefficients within a stated
-tolerance; the weights themselves stay byte-equal.
+reference; both are taken in the workspace's centered frame.  The systems
+are held to that reference within a stated bound on rounding, the fits
+solved from them within what the systems' measured differences can move a
+solution, and the hat coefficients within a stated tolerance; the weights
+themselves stay byte-equal.  An 80-bit oracle, with each system built at
+its own target, holds the fits to their conditioning and the singular
+masks to equality.
 """
 
 import dataclasses
@@ -54,8 +57,8 @@ from corrsmooth.kernels import (
 from corrsmooth.locfit import (
     Dataset,
     PairIndex,
+    _PIVOT_RTOL,
     _normal_systems,
-    _solve_batched,
     _Workspace,
     fit_all,
     fit_points,
@@ -270,10 +273,10 @@ def reference_weights(ws, h):
 
 
 def reference_normal_systems(ws, weights):
-    """The normal equations from five separate dense sums, s2 by einsum."""
-    data = ws.data
-    x, y, xt = data.points, data.responses, ws.targets
-    m, d = xt.shape[0], data.dim
+    """The normal equations from five separate dense sums, s2 by einsum, in
+    the workspace's centered frame."""
+    x, y, xt = ws.design, ws.data.responses, ws.targets
+    m, d = xt.shape[0], ws.data.dim
     s0 = weights.sum(axis=1)
     p = weights @ x
     s2 = np.einsum("ij,jkl->ikl", weights, np.einsum("jk,jl->jkl", x, x))
@@ -296,17 +299,53 @@ def reference_normal_systems(ws, weights):
     return a, rhs
 
 
+def reference_solve(a, *rhs):
+    """Gaussian elimination with partial pivoting, one elimination for every
+    (m, k) right-hand side, in the dtype of a; the singular rule is the
+    fits' own (a pivot below _PIVOT_RTOL of the system's largest entry).
+    Returns ([solution per rhs], singular_mask); singular rows are NaN."""
+    m, k, _ = a.shape
+    scale = np.abs(a).reshape(m, -1).max(axis=1)
+    singular = scale <= 0.0
+    aug = np.concatenate([a] + [b[:, :, None].astype(a.dtype) for b in rhs], axis=2)
+    rows = np.arange(m)
+    for j in range(k):
+        piv = np.abs(aug[:, j:, j]).argmax(axis=1) + j
+        swap_from = aug[rows, j].copy()
+        aug[rows, j] = aug[rows, piv]
+        aug[rows, piv] = swap_from
+        pivots = aug[:, j, j]
+        singular |= np.abs(pivots) < _PIVOT_RTOL * scale
+        safe = np.where(np.abs(pivots) > 0.0, pivots, 1.0)
+        if j + 1 < k:
+            factors = aug[:, j + 1 :, j] / safe[:, None]
+            aug[:, j + 1 :, j:] -= factors[:, :, None] * aug[:, j : j + 1, j:]
+    solutions = []
+    for col in range(k, k + len(rhs)):
+        x = np.zeros((m, k), dtype=a.dtype)
+        for j in range(k - 1, -1, -1):
+            pivots = aug[:, j, j]
+            safe = np.where(np.abs(pivots) > 0.0, pivots, 1.0)
+            acc = aug[:, j, col]
+            if j + 1 < k:
+                acc = acc - np.einsum("ml,ml->m", aug[:, j, j + 1 : k], x[:, j + 1 :])
+            x[:, j] = acc / safe
+        x[singular] = np.nan
+        solutions.append(x)
+    return solutions, singular
+
+
 def reference_solution(ws, h, rhs_fn):
     weights = reference_weights(ws, h)
     a, rhs = reference_normal_systems(ws, weights)
-    (z,), singular = _solve_batched(a, rhs_fn(rhs))
+    (z,), singular = reference_solve(a, rhs_fn(rhs))
     return weights, z, singular
 
 
 def reference_hat_matrix(data, h, kernel):
     ws = _Workspace(data, kernel)
     weights, z, singular = reference_solution(ws, h, _unit_rhs)
-    x = data.points
+    x = ws.design
     lin = z[:, 1:] @ x.T - np.einsum("ik,ik->i", z[:, 1:], x)[:, None]
     return weights * (z[:, 0][:, None] + lin), singular
 
@@ -349,7 +388,7 @@ def assert_fits_match_reference(ws, h, est):
     """
     weights, a, rhs = _normal_systems(ws, h)
     a_ref, rhs_ref = reference_normal_systems(ws, weights)
-    (beta,), singular = _solve_batched(a_ref, rhs_ref)
+    (beta,), singular = reference_solve(a_ref, rhs_ref)
     assert np.array_equal(np.isnan(est), singular)
     ok = ~singular
     moved = np.abs(a - a_ref)[ok] + 8.0 * np.finfo(float).eps * np.abs(a_ref[ok])
@@ -362,7 +401,7 @@ def assert_systems_match_reference(ws, h):
     weights, a, rhs = _normal_systems(ws, h)
     assert_same_bytes(weights, reference_weights(ws, h))
     a_ref, rhs_ref = reference_normal_systems(ws, weights)
-    reach = max(np.abs(ws.data.points).max(), np.abs(ws.targets).max())
+    reach = max(np.abs(ws.design).max(), np.abs(ws.targets).max())
     s0 = weights.sum(axis=1)
     a_scale = s0 * (1.0 + reach) ** 2
     rhs_scale = s0 * (1.0 + reach) * np.abs(ws.data.responses).max()
@@ -468,6 +507,56 @@ def test_hat_matrix_and_coefficients_match_dense(kernel_name):
         assert np.array_equal(singular, singular_ref)
 
 
+def oracle_fits(data, kernel, h):
+    """In-sample fits, singular mask and 2-norm condition numbers of
+    np.longdouble systems, each built at its own target from the
+    displacements x_j - x_i, with the fits' own weights and singular rule."""
+    x = data.points.astype(np.longdouble)
+    w = kernel.weights(kernel.geometry(data, data.points), h).astype(np.longdouble)
+    v = np.concatenate([np.ones((data.n, data.n, 1), np.longdouble), x[None] - x[:, None]], axis=2)
+    wv = w[:, :, None] * v
+    a = np.einsum("mjk,mjl->mkl", wv, v)
+    rhs = np.einsum("mjk,j->mk", wv, data.responses.astype(np.longdouble))
+    (beta,), singular = reference_solve(a, rhs)
+    kappa = np.full(data.n, np.inf)
+    kappa[~singular] = np.linalg.cond(a[~singular].astype(float))
+    return beta[:, 0].astype(float), singular, kappa
+
+
+def _oracle_datasets():
+    rng = np.random.default_rng(0)
+    yield "euclidean", Dataset(points=rng.random((150, 2)), responses=rng.normal(size=150))
+    # on these sites, sums about the coordinate origin called one za(0.5,1)
+    # window at the grid floor nonsingular where it is singular
+    rng = np.random.default_rng(1)
+    lat, lon = 30.0 + 7.0 * rng.random(200), -92.0 + 14.0 * rng.random(200)
+    yield "haversine", Dataset(
+        points=np.column_stack([lat, lon]), responses=rng.normal(size=200), metric="haversine"
+    )
+
+
+# Rounding a system of condition number kappa may move its fit by about
+# kappa eps of the response scale; the fits may differ from the oracle's by
+# this many times that.  The worst measured was 10.5 (haversine, product).
+_ORACLE_EPS_MULT = 64.0
+
+
+@pytest.mark.parametrize(
+    "annulus", [None, (1.0, 1.5), (0.5, 1.0)], ids=["product", "za(1,1.5)", "za(0.5,1)"]
+)
+@pytest.mark.parametrize("name", ["euclidean", "haversine"])
+def test_fits_match_extended_precision_oracle(name, annulus):
+    data = dict(_oracle_datasets())[name]
+    kernel = ProductEpanechnikovKernel(2) if annulus is None else build_annulus_kernel(*annulus, 2)
+    scale = _ORACLE_EPS_MULT * np.finfo(float).eps * np.abs(data.responses).max()
+    for h in default_grid(data, kernel):
+        fitted = fit_all(data, float(h), kernel).fitted
+        est, singular, kappa = oracle_fits(data, kernel, float(h))
+        assert np.array_equal(np.isnan(fitted), singular)
+        ok = ~singular
+        assert (np.abs(fitted - est)[ok] <= scale * kappa[ok]).all()
+
+
 _GOLDEN_SCRIPT = """
 import hashlib
 import warnings
@@ -492,18 +581,18 @@ print("blas threads", before, get())
 _GOLDEN_BASE = ("family='spherical', c=2.0, alpha=1.0, dim=2, n=150, sigma2=0.1, "
                 "seed=2024, n_trials=1")
 _GOLDEN_ROWS = [
-    f"ResultRow({_GOLDEN_BASE}, method='minEpan', mse_prac_mean=0.014403563971919515, "
+    f"ResultRow({_GOLDEN_BASE}, method='minEpan', mse_prac_mean=0.014403563971919307, "
     "mse_prac_sd=0.0, mse_sigma2_mean=nan, mse_sigma2_sd=nan, sse_cor_mean=nan, "
     "sse_cor_sd=nan, failures=0)",
     f"ResultRow({_GOLDEN_BASE}, method='Raw', mse_prac_mean=nan, mse_prac_sd=nan, "
     "mse_sigma2_mean=0.0003526009937590173, mse_sigma2_sd=0.0, "
     "sse_cor_mean=3.7447634036751647, sse_cor_sd=0.0, failures=0)",
-    f"ResultRow({_GOLDEN_BASE}, method='ZA(1,1.5)', mse_prac_mean=0.02648497668709064, "
-    "mse_prac_sd=0.0, mse_sigma2_mean=9.050663955276129e-05, mse_sigma2_sd=0.0, "
-    "sse_cor_mean=3.8778426491802485, sse_cor_sd=0.0, failures=0)",
-    f"ResultRow({_GOLDEN_BASE}, method='GCV', mse_prac_mean=0.024325235634414674, "
-    "mse_prac_sd=0.0, mse_sigma2_mean=0.001693330483304136, mse_sigma2_sd=0.0, "
-    "sse_cor_mean=28.437441485498727, sse_cor_sd=0.0, failures=0)",
+    f"ResultRow({_GOLDEN_BASE}, method='ZA(1,1.5)', mse_prac_mean=0.026484976687090604, "
+    "mse_prac_sd=0.0, mse_sigma2_mean=9.050663955276551e-05, mse_sigma2_sd=0.0, "
+    "sse_cor_mean=3.877842649180269, sse_cor_sd=0.0, failures=0)",
+    f"ResultRow({_GOLDEN_BASE}, method='GCV', mse_prac_mean=0.02432523563441487, "
+    "mse_prac_sd=0.0, mse_sigma2_mean=0.0016933304833041392, mse_sigma2_sd=0.0, "
+    "sse_cor_mean=28.437441485498663, sse_cor_sd=0.0, failures=0)",
 ]
 
 
@@ -521,9 +610,10 @@ def _golden_output(blas_threads):
 
 def test_run_table_golden_rows():
     """run_table rows for one small seeded scenario, recorded before the
-    product-kernel sweeps shared one workspace and one solve per candidate
-    and re-recorded when the normal equations took their sums from one
-    matrix product.
+    product-kernel sweeps shared one workspace and one solve per candidate,
+    re-recorded when the normal equations took their sums from one matrix
+    product, and again when the local systems moved to the design's
+    centered frame with one solve for the smoother row.
 
     The rows come from a child interpreter with OpenBLAS on one thread, as
     they did before generate pinned its eigendecomposition to one thread.

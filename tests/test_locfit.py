@@ -10,6 +10,8 @@ from corrsmooth.kernels import ProductEpanechnikovKernel, RadialAnnulusKernel, b
 from corrsmooth.locfit import (
     EARTH_RADIUS_KM,
     Dataset,
+    _normal_systems,
+    _Workspace,
     fit_all,
     fit_points,
     hat_matrix,
@@ -88,10 +90,11 @@ def test_affine_reproduction(dim):
 @settings(max_examples=100, deadline=None)
 @given(case=_affine_cases())
 def test_affine_reproduction_property(case):
-    # Rounding in the centered normal equations grows with |x| (lat/lon
-    # degrees up to 92 here); 1e-10 of the response scale leaves a tenfold
-    # margin.  A random target may fall where the design leaves its system
-    # singular; those come back NaN and are not compared.
+    # Rounding in the normal equations grows with the design's spread about
+    # its mean (up to 14 degrees of longitude here); 1e-10 of the response
+    # scale leaves a tenfold margin.  A random target may fall where the
+    # design leaves its system singular; those come back NaN and are not
+    # compared.
     pts, _, _, _, coeffs, _ = case
     _assert_affine_reproduced(case, 1e-10 * (1.0 + np.abs(coeffs[0] + pts @ coeffs[1:]).max()))
 
@@ -125,6 +128,40 @@ def test_smoother_linearity_in_responses(case):
         for y in (y1, y2, a * y1 + y2)
     )
     assert np.abs(f12 - (a * f1 + f2)).max() < atol
+
+
+# Translating the design rounds its raw coordinates, and the kernel weights
+# read them; a system of condition number kappa may turn that into about
+# kappa eps of the response scale.  Fits may differ by this many times that;
+# the worst of 80 seeded designs shifted by 1e3 was 35.
+_TRANSLATION_EPS_MULT = 256.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    annulus=st.booleans(),
+    n=st.integers(60, 120),
+    seed=st.integers(0, 2**32 - 1),
+    reach=st.floats(0.0, 1e3),
+    grid_index=st.integers(0, 29),
+)
+@example(dim=2, annulus=True, n=100, seed=3, reach=1e3, grid_index=0)
+@example(dim=3, annulus=False, n=100, seed=4, reach=1e3, grid_index=10)
+def test_fits_are_invariant_under_translation(dim, annulus, n, seed, reach, grid_index):
+    rng = np.random.default_rng(seed)
+    data = Dataset(points=rng.random((n, dim)), responses=rng.normal(size=n))
+    shift = rng.normal(size=dim)
+    moved = Dataset(points=data.points + reach / np.linalg.norm(shift) * shift,
+                    responses=data.responses)
+    kernel = build_annulus_kernel(1.0, 1.5, dim) if annulus else ProductEpanechnikovKernel(dim)
+    h = float(default_grid(data, kernel)[grid_index])
+    fitted, moved_fitted = fit_all(data, h, kernel).fitted, fit_all(moved, h, kernel).fitted
+    ok = ~np.isnan(fitted)
+    assert np.array_equal(np.isnan(moved_fitted), ~ok)
+    kappa = np.linalg.cond(_normal_systems(_Workspace(data, kernel), h)[1][ok])
+    scale = _TRANSLATION_EPS_MULT * np.finfo(float).eps * np.abs(data.responses).max()
+    assert (np.abs(fitted - moved_fitted)[ok] <= scale * kappa).all()
 
 
 def test_constant_responses_reproduced():
@@ -207,6 +244,17 @@ def test_fit_points_rejects_malformed_targets(targets, match):
     data = make_affine_dataset(n=40, dim=2, seed=6)
     with pytest.raises(ValueError, match=match):
         fit_points(data, targets, 0.4, ProductEpanechnikovKernel(2))
+
+
+def test_fit_points_rejects_impossible_latitudes():
+    # targets go through Dataset's latitude check, with its message
+    rng = np.random.default_rng(8)
+    data = Dataset(_in_box(rng.random((60, 2)), "haversine"), rng.normal(size=60), "haversine")
+    targets = [[33.0, -85.0], [95.0, -85.0]]
+    with pytest.raises(ValueError, match=r"latitude must lie in \[-90, 90\]; row 1 has 95\.0"):
+        fit_points(data, targets, 300.0, ProductEpanechnikovKernel(2))
+    with pytest.raises(ValueError, match=r"row 1 has 95\.0"):
+        Dataset(targets + [[34.0, -84.0], [35.0, -83.0]], np.zeros(4), "haversine")
 
 
 def test_weight_scale_invariance():

@@ -321,7 +321,7 @@ def test_run_trial_scans_the_product_grid_once(monkeypatch):
         return real_grid(data, kernel, *args, **kwargs)
 
     def counting_systems(ws, h):
-        in_sample = ws.targets is ws.data.points
+        in_sample = ws.targets is ws.design
         fits.append(isinstance(ws.kernel, ProductEpanechnikovKernel) and in_sample)
         return real_systems(ws, h)
 
