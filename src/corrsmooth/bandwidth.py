@@ -24,7 +24,7 @@ from .kernels import (
     RadialAnnulusKernel,
     build_annulus_kernel,
 )
-from .locfit import Dataset, InSampleGeometry, _fit_all_ws, _fit_and_hat_diagonal, _Workspace, rss
+from .locfit import Dataset, _fit_all_ws, _fit_and_hat_diagonal, _Workspace, rss
 from .locfit import fit_all  # noqa: F401  (perfbench's tracer test checks this binding)
 
 __all__ = [
@@ -66,7 +66,7 @@ class ElbowDiagnostic:
 
 
 def default_grid(
-    data: Dataset, kernel, size: int = DEFAULT_GRID_SIZE, geometry: InSampleGeometry | None = None
+    data: Dataset, kernel, size: int = DEFAULT_GRID_SIZE, workspace: _Workspace | None = None
 ) -> np.ndarray:
     """Log-spaced candidate bandwidths over the data-driven feasible range.
 
@@ -80,10 +80,11 @@ def default_grid(
 
     The kernel's reach gives each point's distances as one sorted row, so
     a point's neighbor counts for all candidates come from two searchsorted
-    calls on its row.  A selection passes its InSampleGeometry, whose
-    sorted rows then serve every kernel scanned on the same data.
+    calls on its row.  A selection or scan passes its workspace of data,
+    so the geometry the rows come from also serves its fits (and every
+    annulus kernel of an elbow scan).
     """
-    rows, lo, hi = kernel.reach(geometry or InSampleGeometry(data))
+    rows, lo, hi = kernel.reach(workspace or _Workspace(data))
     min_neighbors = 2 * (data.dim + 1)
     first_positive = np.count_nonzero(rows <= 0.0, axis=1)
     has_positive = first_positive < rows.shape[1]
@@ -124,19 +125,19 @@ def _validate_grid(grid) -> np.ndarray:
 
 
 def select_h_z(
-    data: Dataset, kz: RadialAnnulusKernel, grid, geometry: InSampleGeometry | None = None
+    data: Dataset, kz: RadialAnnulusKernel, grid, workspace: _Workspace | None = None
 ) -> BandwidthSelection:
     """Pick the grid bandwidth minimizing in-sample RSS under the annulus kernel.
 
     Infeasible candidates (any singular local fit) carry an +inf sentinel;
-    ties break toward the smaller bandwidth.  The fits read their distances
-    from geometry when one is given.
+    ties break toward the smaller bandwidth.  Every candidate's fit reads
+    one workspace of data: the given one, or a new one.
     """
     grid = _validate_grid(grid)
-    ws = _Workspace(data, kz, geometry=geometry)
+    ws = workspace or _Workspace(data)
     trace = np.full(grid.shape, np.inf)
     for idx, h in enumerate(grid):
-        fit = _fit_all_ws(ws, h)
+        fit = _fit_all_ws(ws, kz, h)
         if fit.singular_count == 0:
             trace[idx] = rss(fit)
     if not np.any(np.isfinite(trace)):
@@ -171,13 +172,14 @@ def select_h_o(
     """select_h_z on grid (default_grid's of grid_size if None), converted by
     the factor method: the selection carries h_o = h_z * factor_ratio(kz, ko).
 
-    One InSampleGeometry serves the grid and the selection and is dropped
-    on return, so its n x n arrays do not outlive them into later fits.
+    One workspace serves the grid and the selection, so the distances are
+    built once.  It is dropped on return, so its n x n arrays do not outlive
+    the selection into later fits.
     """
-    geometry = InSampleGeometry(data)
+    ws = _Workspace(data)
     if grid is None:
-        grid = default_grid(data, kz, size=grid_size, geometry=geometry)
-    sel = select_h_z(data, kz, grid, geometry=geometry)
+        grid = default_grid(data, kz, size=grid_size, workspace=ws)
+    sel = select_h_z(data, kz, grid, workspace=ws)
     ratio = factor_ratio(kz, ko)
     return replace(sel, h_o=sel.h_z * ratio, factor_ratio=ratio)
 
@@ -196,7 +198,8 @@ def elbow_scan(
     RSS bandwidth, and record C-bar = (mu(K^2)/mu2^2)^(1/(D+4)) / h.  The
     chosen c1 is the first with two consecutive relative changes below
     stability_tol.  Failed candidates become gaps, not fatal errors.  One
-    InSampleGeometry serves every candidate's grid and selection.
+    workspace serves every candidate's grid and selection, so the distances
+    and their sorted rows are built once for the whole scan.
     """
     c1_arr = np.asarray(list(c1_list), dtype=float)
     if c1_arr.size < 3:
@@ -207,12 +210,12 @@ def elbow_scan(
 
     cbar = np.full(c1_arr.shape, np.nan)
     h_zs = np.full(c1_arr.shape, np.nan)
-    geometry = InSampleGeometry(data)
+    ws = _Workspace(data)
     for idx, c1 in enumerate(c1_arr):
         try:
             kz = build_annulus_kernel(c1, c1 + c2_offset, dim, objective)
-            grid = default_grid(data, kz, size=grid_size, geometry=geometry)
-            sel = select_h_z(data, kz, grid, geometry=geometry)
+            grid = default_grid(data, kz, size=grid_size, workspace=ws)
+            sel = select_h_z(data, kz, grid, workspace=ws)
         except (ValueError, CorrsmoothError):
             continue
         m = kz.moments()
@@ -255,12 +258,12 @@ def gcv_score(data: Dataset, ko, h: float) -> float:
     The fit and the hat diagonal come from one solve of the local normal
     equations; tr(H) is the sum of that diagonal, never the n x n matrix.
     """
-    return _gcv_score_ws(_Workspace(data, ko), h)[0]
+    return _gcv_score_ws(_Workspace(data), ko, h)[0]
 
 
-def _gcv_score_ws(ws: _Workspace, h: float):
+def _gcv_score_ws(ws: _Workspace, ko, h: float):
     """(GCV score, in-sample fit) at h from one solve; the score is +inf if infeasible."""
-    fit, hat_diagonal = _fit_and_hat_diagonal(ws, h)
+    fit, hat_diagonal = _fit_and_hat_diagonal(ws, ko, h)
     if fit.singular_count:
         return np.inf, fit
     denom = 1.0 - float(hat_diagonal.sum()) / ws.data.n
@@ -287,8 +290,8 @@ def gcv_select(data: Dataset, ko, grid) -> float:
     naive reference the annulus pipeline is compared against.
     """
     grid = _validate_grid(grid)
-    ws = _Workspace(data, ko)
-    return _gcv_pick(grid, np.array([_gcv_score_ws(ws, float(h))[0] for h in grid]))
+    ws = _Workspace(data)
+    return _gcv_pick(grid, np.array([_gcv_score_ws(ws, ko, float(h))[0] for h in grid]))
 
 
 def variance_fit_bandwidth(h_o: float, n: int, dim: int) -> float:

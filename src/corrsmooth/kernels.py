@@ -9,11 +9,11 @@ Conventions:
     R^D, for the factor method and the oracle bandwidth; the annulus
     kernel's reduce to 1-D integrals in r, exact for its cubic profile.
     RadialAnnulusKernel.to_text() is its one-line record in a fit report.
-  - The two fitting kernels own their geometry: geometry() computes what
-    weights() consumes, in_sample() reads or computes it at the design
-    points from a shared InSampleGeometry, and reach() turns that into the
-    sorted distance rows the bandwidth grid scans, so no caller branches on
-    the kernel kind.  weights() returns the dense (m, n) weights.
+  - The two fitting kernels read their geometry from a design's workspace
+    (locfit._Workspace), so no caller branches on the kernel kind:
+    geometry(ws) is what weights(geometry, h) turns into the dense (m, n)
+    weights, and reach(ws) the sorted distance rows the bandwidth grid
+    scans.  Both reject a workspace of another dimension.
 
 The annulus kernel is a cubic polynomial in r supported on [c1, c2] and
 identically zero elsewhere, normalized to integrate to 1 over R^D.  Its
@@ -31,7 +31,6 @@ import numpy as np
 from scipy import optimize
 
 from .errors import KernelConstructionError
-from .locfit import _component_displacements, _metric_distances
 
 __all__ = [
     "MIN_VARIANCE",
@@ -65,6 +64,13 @@ def sphere_surface(dim: int) -> float:
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
+def _same_dim(kernel, ws):
+    """ws, once its design is checked to have the kernel's dimension."""
+    if kernel.dim != ws.data.dim:
+        raise ValueError("kernel dimension does not match dataset")
+    return ws
+
+
 def _radial_mass(c1: float, c2: float, power: int) -> float:
     """int_{c1}^{c2} r^power dr."""
     return (c2 ** (power + 1) - c1 ** (power + 1)) / (power + 1)
@@ -95,13 +101,9 @@ class RadialAnnulusKernel:
         inside = (r >= self.c1) & (r <= self.c2)
         return np.where(inside, self.cubic(r), 0.0)
 
-    def geometry(self, data, targets):
-        """(m, n) metric distances from each target to each design point."""
-        return _metric_distances(data, targets)
-
-    def in_sample(self, shared):
-        """The shared (n, n) metric distances between the design points."""
-        return shared.distances
+    def geometry(self, ws):
+        """The workspace's (m, n) metric distances."""
+        return _same_dim(self, ws).distances
 
     def weights(self, dist, h):
         """profile(dist / h) as a C-ordered array.
@@ -118,10 +120,10 @@ class RadialAnnulusKernel:
         flat[support] = values
         return r
 
-    def reach(self, shared):
-        """Per-row sorted distances for default_grid's scan, and the support
-        (c1, c2) in units of h."""
-        return shared.sorted_distances, self.c1, self.c2
+    def reach(self, ws):
+        """The workspace's per-row sorted distances for default_grid's scan,
+        and the support (c1, c2) in units of h."""
+        return _same_dim(self, ws).sorted_distances, self.c1, self.c2
 
     def moments(self) -> KernelMoments:
         """mu2 and mu(K^2), exact for the cubic profile."""
@@ -148,27 +150,21 @@ class ProductEpanechnikovKernel:
         out = self.component_product(flat[:, d] for d in range(self.dim))
         return out.reshape(u.shape[:-1])[()]
 
-    def geometry(self, data, targets):
-        """(D, m, n) coordinate displacements from each target to each design point."""
-        if self.dim != data.dim:
-            raise ValueError("kernel dimension does not match dataset")
-        return _component_displacements(data, targets)
-
-    def in_sample(self, shared):
-        """(D, n, n) displacements between the design points, computed afresh:
-        they are not kept on the shared geometry."""
-        return self.geometry(shared.data, shared.data.points)
+    def geometry(self, ws):
+        """The workspace's (D, m, n) coordinate displacements."""
+        return _same_dim(self, ws).displacements
 
     def weights(self, disp, h):
         """K(disp / h)."""
         return self.component_product(d / h for d in disp)
 
-    def reach(self, shared):
+    def reach(self, ws):
         """Per-row sorted Chebyshev distances, below h exactly when every
         coordinate is inside the support, and the support (0, 1) in units of h."""
-        disp = self.in_sample(shared)
-        np.abs(disp, out=disp)
-        cheb = disp.max(axis=0)
+        disp = self.geometry(ws)
+        cheb = np.abs(disp[0])  # a new array: the fits still read disp
+        for d in disp[1:]:
+            np.maximum(cheb, np.abs(d), out=cheb)
         cheb.sort(axis=1)
         return cheb, 0.0, 1.0
 

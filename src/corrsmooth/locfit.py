@@ -5,12 +5,14 @@ target point.  Kernel weights enter un-normalized: the estimator is
 invariant to any positive rescaling of the weights, so the 1/h factor is
 dropped to avoid overflow at tiny bandwidths.
 
-The systems live in one frame per dataset, the design points minus their
-mean (see _Workspace), and their weighted sums come from one BLAS product
-of the dense (m, n) weights with the design's per-point moments [1, x,
-x x^T, y, x y].  Each system A is solved once, for the smoother-row
-coefficients z = A^-1 e1 (A is symmetric): the fit is z . rhs, and row i
-of the hat matrix is w_ij (z0 + z1 . (x_j - x_i)).
+One workspace per design (see _Workspace) holds the systems' frame, the
+design's per-point moments [1, x, x x^T, y, x y] and the geometry the
+kernels weight; the kernel is passed beside it, so one workspace serves
+every kernel and bandwidth of a selection.  A system's weighted sums come
+from one BLAS product of the dense (m, n) weights with the moments, and
+each system A is solved once, for the smoother-row coefficients
+z = A^-1 e1 (A is symmetric): the fit is z . rhs, and row i of the hat
+matrix is w_ij (z0 + z1 . (x_j - x_i)).
 
 Singularity is decided by partial-pivoted elimination on the normal
 matrix: a fit is singular when some pivot falls below 1e-12 relative to
@@ -32,7 +34,6 @@ __all__ = [
     "EARTH_RADIUS_KM",
     "Dataset",
     "FitResult",
-    "InSampleGeometry",
     "PairIndex",
     "fit_all",
     "fit_points",
@@ -110,7 +111,7 @@ class Dataset:
         are immutable, so it never goes stale, and the b candidates, the
         calibration and the covariance curve of every residual vector on the
         design read it.  The n x n matrices stay per selection (see
-        InSampleGeometry).
+        _Workspace).
         """
         return PairIndex.from_distances(pairwise_distances(self), self.n)
 
@@ -205,46 +206,21 @@ def _component_displacements(data: Dataset, targets: np.ndarray) -> np.ndarray:
     return diff
 
 
-class InSampleGeometry:
-    """A dataset's (n, n) metric distance matrix and its per-row sorted copy,
-    each built on first use.
-
-    One object serves one bandwidth selection: the grid scan reads the
-    sorted rows and the in-sample fits read the matrix, so neither is
-    recomputed per kernel or per candidate.  It is meant to be dropped when
-    the selection ends, so the arrays do not outlive it into later fits.
-    """
-
-    def __init__(self, data: Dataset):
-        self.data = data
-
-    @cached_property
-    def distances(self) -> np.ndarray:
-        return _metric_distances(self.data, self.data.points)
-
-    @cached_property
-    def sorted_distances(self) -> np.ndarray:
-        return np.sort(self.distances, axis=1)
-
-
 class _Workspace:
-    """Per-dataset precomputation, and the kernel's geometry, shared across bandwidths.
+    """One design's frame, moments and kernel geometry, shared by any kernel.
 
     The one place that knows the frame of the local systems: design is the
     design points minus their mean, and targets the fit points less the same
-    mean; the kernel's geometry reads the raw coordinates.  Each row of
-    moments holds [1, x, x x^T (D*D entries), y, x y] of one centered point,
-    so weights @ moments gives every weighted sum of the normal equations.
-    Without targets the workspace fits at the design points (targets is
-    design), and a given InSampleGeometry supplies the kernel's geometry.
+    mean (targets is design when none are given).  Each row of moments holds
+    [1, x, x x^T (D*D entries), y, x y] of one centered point, so weights @
+    moments gives every weighted sum of the normal equations.  The kernels'
+    geometry reads the raw coordinates, each array built on first use.  A
+    workspace lives for one selection, scan or fit, so its arrays do not
+    outlive it.
     """
 
-    def __init__(
-        self, data: Dataset, kernel, targets: np.ndarray | None = None,
-        geometry: InSampleGeometry | None = None,
-    ):
+    def __init__(self, data: Dataset, targets: np.ndarray | None = None):
         self.data = data
-        self.kernel = kernel
         center = data.points.mean(axis=0)
         x, y = data.points - center, data.responses
         self.design = x
@@ -252,13 +228,23 @@ class _Workspace:
             np.ones(data.n), x, np.einsum("jk,jl->jkl", x, x).reshape(data.n, -1),
             y, x * y[:, None],
         ])
-        if targets is None:
-            self.targets = x
-            self.kernel_geometry = kernel.in_sample(geometry or InSampleGeometry(data))
-        else:
-            targets = np.ascontiguousarray(targets, dtype=float)
-            self.targets = targets - center
-            self.kernel_geometry = kernel.geometry(data, targets)
+        raw = data.points if targets is None else np.ascontiguousarray(targets, dtype=float)
+        self._raw_targets = raw
+        self.targets = x if targets is None else raw - center
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """(m, n) metric distances, read by the annulus kernel."""
+        return _metric_distances(self.data, self._raw_targets)
+
+    @cached_property
+    def sorted_distances(self) -> np.ndarray:
+        return np.sort(self.distances, axis=1)
+
+    @cached_property
+    def displacements(self) -> np.ndarray:
+        """(D, m, n) coordinate displacements, read by the product kernel."""
+        return _component_displacements(self.data, self._raw_targets)
 
 
 def _solve_batched(a: np.ndarray):
@@ -297,14 +283,14 @@ def _solve_batched(a: np.ndarray):
     return z, singular
 
 
-def _normal_systems(ws: _Workspace, h: float):
-    """The kernel weights at bandwidth h and the weighted normal equations
+def _normal_systems(ws: _Workspace, kernel, h: float):
+    """The kernel's weights at bandwidth h and the weighted normal equations
     (a, rhs) for every target at once, centered at the targets."""
     if h <= 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
     xt = ws.targets
     m, d = xt.shape[0], ws.data.dim
-    weights = ws.kernel.weights(ws.kernel_geometry, h)
+    weights = kernel.weights(kernel.geometry(ws), h)
     sums = weights @ ws.moments
     s0 = sums[:, 0]
     p = sums[:, 1 : 1 + d]
@@ -331,10 +317,10 @@ def _normal_systems(ws: _Workspace, h: float):
     return weights, a, rhs
 
 
-def _smoother_rows(ws: _Workspace, h: float):
+def _smoother_rows(ws: _Workspace, kernel, h: float):
     """(weights, z, fit, singular_mask) at every target from one solve per
     system: the smoother-row coefficients z = A^-1 e1 and the fit z . rhs."""
-    weights, a, rhs = _normal_systems(ws, h)
+    weights, a, rhs = _normal_systems(ws, kernel, h)
     z, singular = _solve_batched(a)
     return weights, z, np.einsum("ik,ik->i", z, rhs), singular
 
@@ -354,27 +340,27 @@ def fit_points(data: Dataset, targets, h: float, kernel):
         raise ValueError("targets must be finite")
     if data.metric == "haversine":
         _check_latitudes(targets)
-    _, _, est, singular = _smoother_rows(_Workspace(data, kernel, targets=targets), h)
+    _, _, est, singular = _smoother_rows(_Workspace(data, targets), kernel, h)
     return est, singular
 
 
 def fit_all(data: Dataset, h: float, kernel) -> FitResult:
     """In-sample fit at every design point, recording singular points."""
-    return _fit_all_ws(_Workspace(data, kernel), h)
+    return _fit_all_ws(_Workspace(data), kernel, h)
 
 
-def _fit_all_ws(ws: _Workspace, h: float) -> FitResult:
-    return _fit_and_hat_diagonal(ws, h)[0]
+def _fit_all_ws(ws: _Workspace, kernel, h: float) -> FitResult:
+    return _fit_and_hat_diagonal(ws, kernel, h)[0]
 
 
-def _fit_and_hat_diagonal(ws: _Workspace, h: float):
+def _fit_and_hat_diagonal(ws: _Workspace, kernel, h: float):
     """In-sample fit and the diagonal w_ii z0 of its hat matrix from one solve.
 
     ws must target the design points.  hat_matrix's c_ii has the linear
     term z1 . (x_i - x_i) = 0 exactly, so the diagonal's sum equals np.trace
     of the hat matrix bit for bit; rows of singular systems are NaN.
     """
-    weights, z, est, singular = _smoother_rows(ws, h)
+    weights, z, est, singular = _smoother_rows(ws, kernel, h)
     fit = FitResult(
         fitted=est, residuals=ws.data.responses - est, singular_count=int(singular.sum())
     )
@@ -387,8 +373,8 @@ def hat_matrix(data: Dataset, h: float, kernel):
     Row i is w_ij (z0 + z1 . (x_j - x_i)), from the design's displacements.
     Returns (C, singular_mask); singular rows are NaN.
     """
-    ws = _Workspace(data, kernel)
-    weights, z, _, singular = _smoother_rows(ws, h)
+    ws = _Workspace(data)
+    weights, z, _, singular = _smoother_rows(ws, kernel, h)
     x = ws.design
     lin = sum(z[:, 1 + k, None] * (x[:, k] - x[:, k, None]) for k in range(data.dim))
     return weights * (z[:, :1] + lin), singular

@@ -179,13 +179,14 @@ class SimulatedData:
     def product_scan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(grid, GCV scores, MSE_prac) over the product kernel's default grid, built
         on first use: one solve per bandwidth serves the GCV row and minEpan.  MSE_prac
-        is inf where the fit is singular; no fit or workspace outlives the scan."""
+        is inf where the fit is singular.  One workspace serves the grid and the fits,
+        so the displacements are built once; no fit or workspace outlives the scan."""
         ko = ProductEpanechnikovKernel(self.dataset.dim)
-        grid = default_grid(self.dataset, ko)
-        ws = _Workspace(self.dataset, ko)
+        ws = _Workspace(self.dataset)
+        grid = default_grid(self.dataset, ko, workspace=ws)
         gcv, prac = np.full(grid.shape, np.inf), np.full(grid.shape, np.inf)
         for k, h in enumerate(grid):
-            gcv[k], fit = _gcv_score_ws(ws, float(h))
+            gcv[k], fit = _gcv_score_ws(ws, ko, float(h))
             if not fit.singular_count:
                 prac[k] = mse_prac(fit.fitted, self.mu_true)
         return grid, gcv, prac

@@ -21,7 +21,7 @@ from corrsmooth.kernels import (
     ProductEpanechnikovKernel,
     build_annulus_kernel,
 )
-from corrsmooth.locfit import Dataset, fit_all, hat_matrix, rss
+from corrsmooth.locfit import Dataset, fit_all, fit_points, hat_matrix, rss
 from corrsmooth.simulate import (
     CorrelationModel,
     SimScenario,
@@ -200,7 +200,7 @@ def test_elbow_constant_trace_picks_second_element(monkeypatch):
     data = make_affine_dataset(n=80, dim=2, seed=6)
     c1s = np.array([0.5, 1.0, 1.5, 2.0])
 
-    def fake_select(d, kz, grid, geometry=None):
+    def fake_select(d, kz, grid, workspace=None):
         m = kz.moments()
         h = (m.muK2 / m.mu2**2) ** (1.0 / 6.0) / 7.0  # forces C-bar == 7
         return bw.BandwidthSelection(h_z=h, grid=grid, rss_trace=np.array([0.0]))
@@ -219,7 +219,7 @@ def test_elbow_strictly_decreasing_trace_errors(monkeypatch):
     c1s = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
     values = iter([16.0, 8.0, 4.0, 2.0, 1.0])
 
-    def fake_select(d, kz, grid, geometry=None):
+    def fake_select(d, kz, grid, workspace=None):
         m = kz.moments()
         h = (m.muK2 / m.mu2**2) ** (1.0 / 6.0) / next(values)
         return bw.BandwidthSelection(h_z=h, grid=grid, rss_trace=np.array([0.0]))
@@ -250,7 +250,6 @@ def test_elbow_gap_handling():
 @pytest.fixture()
 def distance_builds(monkeypatch):
     """Records the target count of every metric distance matrix built."""
-    import corrsmooth.kernels as kernels_mod
     import corrsmooth.locfit as locfit_mod
 
     builds = []
@@ -261,7 +260,6 @@ def distance_builds(monkeypatch):
         return real(data, targets)
 
     monkeypatch.setattr(locfit_mod, "_metric_distances", counting)
-    monkeypatch.setattr(kernels_mod, "_metric_distances", counting)
     return builds
 
 
@@ -301,6 +299,21 @@ def test_cli_fit_builds_distance_matrix_once(distance_builds, tmp_path):
         assert main([*argv, "--output-dir", str(tmp_path / "fit")]) == 0
     assert distance_builds == [150]
 
+
+
+def test_annulus_kernel_rejects_a_design_of_another_dimension():
+    model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
+    data = generate(SimScenario("mu2d", 300, model, seed=3, n_trials=1), 0).dataset
+    kz3 = build_annulus_kernel(1.0, 1.5, 3)
+    grid = default_grid(data, KZ)
+    for call in (
+        lambda: default_grid(data, kz3),
+        lambda: select_h_z(data, kz3, grid),
+        lambda: fit_all(data, float(grid[10]), kz3),
+        lambda: fit_points(data, data.points[:5], float(grid[10]), kz3),
+    ):
+        with pytest.raises(ValueError, match="dimension"):
+            call()
 
 def test_elbow_determinism():
     model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)

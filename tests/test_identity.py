@@ -58,6 +58,8 @@ from corrsmooth.locfit import (
     Dataset,
     PairIndex,
     _PIVOT_RTOL,
+    _component_displacements,
+    _metric_distances,
     _normal_systems,
     _Workspace,
     fit_all,
@@ -112,11 +114,19 @@ def reference_min_epan_mse(sim, extra_h=()):
     return best
 
 
+def raw_geometry(data, kernel):
+    """The in-sample geometry a kernel weights, built without a workspace:
+    metric distances (annulus) or coordinate displacements (product)."""
+    if isinstance(kernel, RadialAnnulusKernel):
+        return _metric_distances(data, data.points)
+    return _component_displacements(data, data.points)
+
+
 def reference_support(data, kernel):
     """The distances a kernel's grid scans and its support (lo, hi) in units of h."""
     if isinstance(kernel, RadialAnnulusKernel):
-        return kernel.geometry(data, data.points), kernel.c1, kernel.c2
-    return np.abs(kernel.geometry(data, data.points)).max(axis=0), 0.0, 1.0
+        return raw_geometry(data, kernel), kernel.c1, kernel.c2
+    return np.abs(raw_geometry(data, kernel)).max(axis=0), 0.0, 1.0
 
 
 def reference_default_grid(data, kernel, size=30):
@@ -264,12 +274,12 @@ def test_run_trial_min_epan_matches_scan_over_grid_and_method_bandwidths():
     assert dataclasses.replace(fresh, seconds=out["GCV"].seconds) == out["GCV"]
 
 
-def reference_weights(ws, h):
+def reference_weights(ws, kernel, h):
     """The kernel at every entry: the annulus profile of dist / h, or the
     np.where/prod product value."""
-    if isinstance(ws.kernel, RadialAnnulusKernel):
-        return ws.kernel.profile(ws.kernel_geometry / h)
-    return reference_product_value(np.moveaxis(ws.kernel_geometry, 0, -1) / h)
+    if isinstance(kernel, RadialAnnulusKernel):
+        return kernel.profile(ws.distances / h)
+    return reference_product_value(np.moveaxis(ws.displacements, 0, -1) / h)
 
 
 def reference_normal_systems(ws, weights):
@@ -335,16 +345,16 @@ def reference_solve(a, *rhs):
     return solutions, singular
 
 
-def reference_solution(ws, h, rhs_fn):
-    weights = reference_weights(ws, h)
+def reference_solution(ws, kernel, h, rhs_fn):
+    weights = reference_weights(ws, kernel, h)
     a, rhs = reference_normal_systems(ws, weights)
     (z,), singular = reference_solve(a, rhs_fn(rhs))
     return weights, z, singular
 
 
 def reference_hat_matrix(data, h, kernel):
-    ws = _Workspace(data, kernel)
-    weights, z, singular = reference_solution(ws, h, _unit_rhs)
+    ws = _Workspace(data)
+    weights, z, singular = reference_solution(ws, kernel, h, _unit_rhs)
     x = ws.design
     lin = z[:, 1:] @ x.T - np.einsum("ik,ik->i", z[:, 1:], x)[:, None]
     return weights * (z[:, 0][:, None] + lin), singular
@@ -376,7 +386,7 @@ def assert_close(new, ref, atol):
     assert np.nanmax(np.abs(new - ref), initial=0.0) <= atol
 
 
-def assert_fits_match_reference(ws, h, est):
+def assert_fits_match_reference(ws, kernel, h, est):
     """The fits est at ws's targets against the solutions of the reference
     systems, with equal NaN positions.
 
@@ -386,7 +396,7 @@ def assert_fits_match_reference(ws, h, est):
     uncentered sums on raw degrees (haversine) make that large; the fits may
     differ by twice its first entry.
     """
-    weights, a, rhs = _normal_systems(ws, h)
+    weights, a, rhs = _normal_systems(ws, kernel, h)
     a_ref, rhs_ref = reference_normal_systems(ws, weights)
     (beta,), singular = reference_solve(a_ref, rhs_ref)
     assert np.array_equal(np.isnan(est), singular)
@@ -397,9 +407,9 @@ def assert_fits_match_reference(ws, h, est):
     assert (np.abs(est[ok] - beta[ok, 0]) <= 2.0 * bound).all()
 
 
-def assert_systems_match_reference(ws, h):
-    weights, a, rhs = _normal_systems(ws, h)
-    assert_same_bytes(weights, reference_weights(ws, h))
+def assert_systems_match_reference(ws, kernel, h):
+    weights, a, rhs = _normal_systems(ws, kernel, h)
+    assert_same_bytes(weights, reference_weights(ws, kernel, h))
     a_ref, rhs_ref = reference_normal_systems(ws, weights)
     reach = max(np.abs(ws.design).max(), np.abs(ws.targets).max())
     s0 = weights.sum(axis=1)
@@ -414,20 +424,20 @@ def test_annulus_moment_sums_match_dense_on_haversine_design(kernel_name):
     data = dict(_grid_datasets())["haversine"]
     assert (data.points[:, 1] < 0.0).all()
     kernel = _GRID_KERNELS[kernel_name]
-    ws = _Workspace(data, kernel)
+    ws = _Workspace(data)
     for h in default_grid(data, kernel):
-        assert_systems_match_reference(ws, float(h))
+        assert_systems_match_reference(ws, kernel, float(h))
 
 
 @pytest.mark.parametrize("c1, c2, hs", [(1.0, 1.5, (2.0, 4.0, 10.0)), (2.5, 3.0, (2.0, 4.0))])
 def test_annulus_moment_sums_match_dense_when_distances_tie_support_edges(c1, c2, hs):
     data = dict(_grid_datasets())["lattice"]
     kernel = build_annulus_kernel(c1, c2, 2)
-    ws = _Workspace(data, kernel)
+    ws = _Workspace(data)
     for h in hs:
-        r = ws.kernel_geometry / h
+        r = ws.distances / h
         assert (r == c1).any() and (r == c2).any()  # both inclusive edges are hit
-        assert_systems_match_reference(ws, h)
+        assert_systems_match_reference(ws, kernel, h)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -435,9 +445,9 @@ def test_product_moment_sums_match_dense(dim):
     rng = np.random.default_rng(60 + dim)
     data = Dataset(points=rng.random((180, dim)), responses=rng.normal(size=180))
     kernel = ProductEpanechnikovKernel(dim)
-    ws = _Workspace(data, kernel)
+    ws = _Workspace(data)
     for h in default_grid(data, kernel):
-        assert_systems_match_reference(ws, float(h))
+        assert_systems_match_reference(ws, kernel, float(h))
 
 
 @pytest.mark.parametrize("kernel_name", sorted(_GRID_KERNELS))
@@ -447,15 +457,15 @@ def test_singular_rows_match_dense(kernel_name):
     data = dict(_grid_datasets())["euclidean"]
     kernel = _GRID_KERNELS[kernel_name]
     h = float(default_grid(data, kernel)[0]) / 8.0
-    ws = _Workspace(data, kernel)
-    weights, _, _ = _normal_systems(ws, h)
+    ws = _Workspace(data)
+    weights, _, _ = _normal_systems(ws, kernel, h)
     if isinstance(kernel, RadialAnnulusKernel):
         assert not weights.any(axis=1).all()  # rows with an empty support
-    assert_systems_match_reference(ws, h)
+    assert_systems_match_reference(ws, kernel, h)
     fit = fit_all(data, h, kernel)
-    _, _, singular = reference_solution(ws, h, lambda rhs: rhs)
+    _, _, singular = reference_solution(ws, kernel, h, lambda rhs: rhs)
     assert fit.singular_count == int(singular.sum()) > 0
-    assert_fits_match_reference(ws, h, fit.fitted)
+    assert_fits_match_reference(ws, kernel, h, fit.fitted)
 
 
 @pytest.mark.parametrize("kernel_name", sorted(_GRID_KERNELS))
@@ -465,12 +475,12 @@ def test_out_of_sample_fit_matches_dense(kernel_name):
     rng = np.random.default_rng(5)
     targets = np.column_stack([30.0 + 7.0 * rng.random(90), -92.0 + 14.0 * rng.random(90)])
     for h in default_grid(data, kernel)[::7]:
-        ws = _Workspace(data, kernel, targets=targets)
-        assert_systems_match_reference(ws, float(h))
-        _, _, singular_ref = reference_solution(ws, float(h), lambda rhs: rhs)
+        ws = _Workspace(data, targets=targets)
+        assert_systems_match_reference(ws, kernel, float(h))
+        _, _, singular_ref = reference_solution(ws, kernel, float(h), lambda rhs: rhs)
         for layout in (targets, np.asfortranarray(targets)):
             est, singular = fit_points(data, layout, float(h), kernel)
-            assert_fits_match_reference(ws, float(h), est)
+            assert_fits_match_reference(ws, kernel, float(h), est)
             assert np.array_equal(singular, singular_ref)
 
 
@@ -480,13 +490,15 @@ def test_weights_and_fits_do_not_depend_on_memory_layout(kernel_name):
     # array; Fortran-ordered design points reach every fit
     data = dict(_grid_datasets())["euclidean"]
     kernel = _GRID_KERNELS[kernel_name]
-    ws = _Workspace(data, kernel)
+    ws = _Workspace(data)
     flipped = Dataset(np.asfortranarray(data.points), data.responses)
     targets = data.points[::3] + 0.01
     for h in default_grid(data, kernel)[::9]:
-        geometry = np.asfortranarray(ws.kernel_geometry)
+        geometry = np.asfortranarray(kernel.geometry(ws))
         assert not geometry.flags.c_contiguous
-        assert_same_bytes(kernel.weights(geometry, float(h)), reference_weights(ws, float(h)))
+        assert_same_bytes(
+            kernel.weights(geometry, float(h)), reference_weights(ws, kernel, float(h))
+        )
         assert_same_bytes(
             fit_all(flipped, float(h), kernel).fitted, fit_all(data, float(h), kernel).fitted
         )
@@ -512,7 +524,7 @@ def oracle_fits(data, kernel, h):
     np.longdouble systems, each built at its own target from the
     displacements x_j - x_i, with the fits' own weights and singular rule."""
     x = data.points.astype(np.longdouble)
-    w = kernel.weights(kernel.geometry(data, data.points), h).astype(np.longdouble)
+    w = kernel.weights(raw_geometry(data, kernel), h).astype(np.longdouble)
     v = np.concatenate([np.ones((data.n, data.n, 1), np.longdouble), x[None] - x[:, None]], axis=2)
     wv = w[:, :, None] * v
     a = np.einsum("mjk,mjl->mkl", wv, v)

@@ -159,7 +159,7 @@ def test_fits_are_invariant_under_translation(dim, annulus, n, seed, reach, grid
     fitted, moved_fitted = fit_all(data, h, kernel).fitted, fit_all(moved, h, kernel).fitted
     ok = ~np.isnan(fitted)
     assert np.array_equal(np.isnan(moved_fitted), ~ok)
-    kappa = np.linalg.cond(_normal_systems(_Workspace(data, kernel), h)[1][ok])
+    kappa = np.linalg.cond(_normal_systems(_Workspace(data), kernel, h)[1][ok])
     scale = _TRANSLATION_EPS_MULT * np.finfo(float).eps * np.abs(data.responses).max()
     assert (np.abs(fitted - moved_fitted)[ok] <= scale * kappa).all()
 

@@ -320,10 +320,10 @@ def test_run_trial_scans_the_product_grid_once(monkeypatch):
         grids.append(isinstance(kernel, ProductEpanechnikovKernel))
         return real_grid(data, kernel, *args, **kwargs)
 
-    def counting_systems(ws, h):
+    def counting_systems(ws, kernel, h):
         in_sample = ws.targets is ws.design
-        fits.append(isinstance(ws.kernel, ProductEpanechnikovKernel) and in_sample)
-        return real_systems(ws, h)
+        fits.append(isinstance(kernel, ProductEpanechnikovKernel) and in_sample)
+        return real_systems(ws, kernel, h)
 
     monkeypatch.setattr(bandwidth_mod, "default_grid", counting_grid)
     monkeypatch.setattr(simulate, "default_grid", counting_grid)
@@ -335,6 +335,22 @@ def test_run_trial_scans_the_product_grid_once(monkeypatch):
     assert sum(grids) == 1
     assert sum(fits) == 34
 
+
+def test_product_scan_builds_its_displacements_once(monkeypatch):
+    # the product grid and the GCV fits of the scan read one workspace
+    import corrsmooth.locfit as locfit_mod
+
+    builds = []
+    real = locfit_mod._component_displacements
+
+    def counting(data, targets):
+        builds.append(len(targets))
+        return real(data, targets)
+
+    monkeypatch.setattr(locfit_mod, "_component_displacements", counting)
+    grid, _, _ = _bench_sim().product_scan
+    assert grid.size == 30
+    assert builds == [150]
 
 @pytest.mark.parametrize("target, label", [
     ("run_method_trial", "GCV"), ("run_raw_trial", "Raw"), ("min_epan_mse", "minEpan"),
