@@ -7,6 +7,10 @@ symmetric kernel is replaced by the boundary kernel with q = t/b (q is
 clamped to a tiny positive value at t = 0; the formula is continuous in
 q and the lag-0 estimate is dominated by the i = j mass regardless).
 
+Every estimate is a sum over the design's sorted pair index, taken by
+_PairSums from one fit or residual vector; calibration and the curve each
+build one and evaluate all their lags on it.
+
 The smoothing bandwidth b is picked by variance calibration: the largest
 candidate keeping the kernel-based variance estimate within delta_n of
 the RSS-based one.
@@ -30,7 +34,6 @@ __all__ = [
     "CovarianceEstimate",
     "CalibrationTrace",
     "CorrelationCurve",
-    "estimate_covariance",
     "sigma2_rss",
     "default_b_candidates",
     "calibrate_b",
@@ -45,25 +48,31 @@ DEFAULT_B_CANDIDATES = 25
 _PILOT_POINTS = 256
 _PILOT_FLOOR = 0.02  # pilot truncation when |C| falls below this fraction of C(0)
 _SANITY_FACTOR = 1.5
-_FILL_GROWTH = 2  # each product fill at least doubles the filled head
 
 
 class _PairSums:
     """A pair index's sorted distances with aligned residual products.
 
-    Lets every lag evaluation touch only the pairs inside its window,
-    which keeps curve evaluation linear in the window size.  The products
-    r[i] * r[j] are filled in distance order as windows first reach them,
-    at least doubling the filled head each time, so calibration and
-    truncated curves never multiply the pairs beyond their widest window.
+    The one route from a fit or a residual vector to pair sums.  Every lag
+    evaluation touches only the pairs inside its window, which keeps curve
+    evaluation linear in the window size.  The products r[i] * r[j] are
+    filled in distance order up to each window's far end as windows first
+    reach them, so calibration and truncated curves never multiply a pair
+    beyond their widest window.
     """
 
-    def __init__(self, residuals: np.ndarray, index: PairIndex):
-        residuals = np.array(residuals, dtype=float)  # a copy: products are filled later
-        n = residuals.shape[0]
-        if n != index.n:
-            raise ValueError(f"need {index.n} residuals, one per design point, got {n}")
-        self.n = n
+    def __init__(self, fit_or_residuals, index: PairIndex):
+        if isinstance(fit_or_residuals, FitResult):
+            if fit_or_residuals.singular_count:
+                raise SingularFitError("residual fit contains singular points")
+            fit_or_residuals = fit_or_residuals.residuals
+        residuals = np.array(fit_or_residuals, dtype=float)  # a copy: products are filled later
+        if residuals.shape != (index.n,) or not np.isfinite(residuals).all():
+            raise ValueError(
+                f"need {index.n} finite residuals, one per design point, "
+                f"got shape {residuals.shape}"
+            )
+        self.n = index.n
         self.dist = index.dist
         self._index = index
         self._residuals = residuals
@@ -75,11 +84,10 @@ class _PairSums:
         """Residual products of the hi nearest pairs (all by default)."""
         hi = self.dist.size if hi is None else hi
         if hi > self.filled:
-            lo = self.filled
-            self.filled = min(max(hi, _FILL_GROWTH * lo), self.dist.size)
-            head = self._prod[lo : self.filled]
-            np.take(self._residuals, self._index.i[lo : self.filled], out=head)
-            head *= self._residuals[self._index.j[lo : self.filled]]
+            lo, self.filled = self.filled, hi
+            head = self._prod[lo:hi]
+            np.take(self._residuals, self._index.i[lo:hi], out=head)
+            head *= self._residuals[self._index.j[lo:hi]]
         return self._prod[:hi]
 
     def estimate(self, t: float, b: float) -> float:
@@ -106,14 +114,6 @@ class _PairSums:
         if mass == 0.0 or abs(den) < 1e-10 * mass:
             raise EmptyWindowError(t, b)
         return num / den
-
-
-def estimate_covariance(residuals, distances, t: float, b: float) -> float:
-    """One-shot covariance estimate at lag t from residuals (or true errors)
-    and the condensed pair distances."""
-    residuals = np.asarray(residuals, dtype=float)
-    index = PairIndex.from_distances(distances, residuals.shape[0])
-    return _PairSums(residuals, index).estimate(float(t), float(b))
 
 
 def _interpolate_truncated(t, t_grid, values, truncation_t):
@@ -164,8 +164,6 @@ class CorrelationCurve:
 
 def sigma2_rss(data: Dataset, h_t: float, ko) -> float:
     """RSS-based variance estimate at the dedicated (larger) bandwidth h_t."""
-    if h_t <= 0.0:
-        raise ValueError(f"h_t must be positive, got {h_t}")
     fit = fit_all(data, h_t, ko)
     if fit.singular_count:
         raise SingularFitError(
@@ -187,14 +185,6 @@ def default_b_candidates(data: Dataset, size: int = DEFAULT_B_CANDIDATES) -> np.
     if hi <= lo:
         hi = 2.0 * lo
     return np.geomspace(lo, hi, size)
-
-
-def _residuals_from(fit_or_residuals) -> np.ndarray:
-    if isinstance(fit_or_residuals, FitResult):
-        if fit_or_residuals.singular_count:
-            raise SingularFitError("residual fit contains singular points")
-        return fit_or_residuals.residuals
-    return np.asarray(fit_or_residuals, dtype=float)
 
 
 def calibrate_b(
@@ -219,7 +209,7 @@ def calibrate_b(
         b_candidates = default_b_candidates(data)
     b_arr = _validate_grid(b_candidates)
 
-    pairs = _PairSums(_residuals_from(fit_or_residuals), data.pair_index)
+    pairs = _PairSums(fit_or_residuals, data.pair_index)
     bs = [float(b) for b in b_arr]
     tildes = [pairs.estimate(0.0, b) for b in bs]
 
@@ -321,7 +311,7 @@ def covariance_curve(
         raise ValueError(f"n_star must be >= 2, got {n_star}")
     if not 0.0 < b < np.inf:
         raise ValueError(f"bandwidth b must be finite and positive, got {b}")
-    pairs = _PairSums(_residuals_from(fit_or_residuals), data.pair_index)
+    pairs = _PairSums(fit_or_residuals, data.pair_index)
     tilde = pairs.estimate(0.0, float(b))
 
     if truncation_t is None:

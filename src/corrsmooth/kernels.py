@@ -260,10 +260,10 @@ def build_annulus_kernel(
     """
     c1 = float(c1)
     c2 = float(c2)
-    if c1 <= 0.0:
-        raise ValueError(f"c1 must be positive, got {c1}")
-    if c2 <= c1:
-        raise ValueError(f"c2 must exceed c1, got (c1={c1}, c2={c2})")
+    if not 0.0 < c1 < np.inf:
+        raise ValueError(f"c1 must be positive and finite, got {c1}")
+    if not c1 < c2 < np.inf:
+        raise ValueError(f"c2 must exceed c1 and be finite, got (c1={c1}, c2={c2})")
     if int(dim) != dim or dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim}")
     dim = int(dim)

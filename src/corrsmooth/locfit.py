@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from .errors import SingularFitError
 
@@ -174,8 +174,7 @@ def _metric_distances(data: Dataset, targets: np.ndarray) -> np.ndarray:
     """(m, n) matrix of metric distances from each target to each design point."""
     pts = data.points
     if data.metric == "euclidean":
-        diff = targets[:, None, :] - pts[None, :, :]
-        return np.sqrt((diff * diff).sum(axis=-1))
+        return cdist(targets, pts)
     return _haversine(
         targets[:, None, 0], targets[:, None, 1], pts[None, :, 0], pts[None, :, 1]
     )
@@ -286,8 +285,8 @@ def _solve_batched(a: np.ndarray):
 def _normal_systems(ws: _Workspace, kernel, h: float):
     """The kernel's weights at bandwidth h and the weighted normal equations
     (a, rhs) for every target at once, centered at the targets."""
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {h}")
     xt = ws.targets
     m, d = xt.shape[0], ws.data.dim
     weights = kernel.weights(kernel.geometry(ws), h)

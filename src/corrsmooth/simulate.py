@@ -67,7 +67,6 @@ __all__ = [
 ]
 
 ZETA_DEFAULT = 0.02
-_SSE_CHUNK = 1 << 18  # distances per slice in sse_cor: 2 MB per temporary
 _SSE_CUT_SLACK = 2.0**-48  # covers the rounding of the profiles, whose values lie in [0, 1]
 _SSE_CUT_RTOL = 1e-6  # relative width at which the sse_cor cut's bisection stops
 
@@ -317,32 +316,23 @@ def sse_cor(rho_hat, model: CorrelationModel, distances, n: int, zeta: float = Z
 
     The threshold keeps only pairs where the real correlation matters;
     rho_hat is the estimated curve interpolated at the pair distances.  The
-    true correlations are evaluated _SSE_CHUNK distances at a time, so no
-    temporary is as long as distances; the kept pairs stay in the input's
-    order, which fixes the summation order of the result.
+    kept pairs stay in the input's order, which fixes the summation order of
+    the result.
 
     Every family profile is non-increasing in s, and rounds to within
     _SSE_CUT_SLACK / 2 of a non-increasing function of the lag.  So past a
     lag d_cut where the computed rho_n is below zeta / 2 - _SSE_CUT_SLACK,
-    it stays below zeta, and each slice drops the distances above d_cut
-    before rho_n is evaluated.  Negative distances are kept, so they still
-    raise, and NaN distances are dropped, as the zeta mask drops them.
+    it stays below zeta, and the distances above d_cut are dropped before
+    rho_n is evaluated.  Negative distances are kept, so they still raise,
+    and NaN distances are dropped, as the zeta mask drops them.
     """
     if not 0.0 < zeta < 1.0:
         raise ValueError("zeta must be in (0, 1)")
     d = np.asarray(distances, dtype=float)
-    d_cut = _sse_cut(model, n, zeta)
-    kept_d, kept_rho = [], []
-    for start in range(0, d.size, _SSE_CHUNK):
-        chunk = d[start : start + _SSE_CHUNK]
-        chunk = chunk[chunk <= d_cut]
-        rho_true = correlation_value(model, chunk, n)
-        mask = rho_true >= zeta
-        kept_d.append(chunk[mask])
-        kept_rho.append(rho_true[mask])
-    if not any(part.size for part in kept_d):
-        return 0.0
-    diff = rho_hat.interpolate(np.concatenate(kept_d)) - np.concatenate(kept_rho)
+    d = d[d <= _sse_cut(model, n, zeta)]
+    rho_true = correlation_value(model, d, n)
+    mask = rho_true >= zeta
+    diff = rho_hat.interpolate(d[mask]) - rho_true[mask]
     return float(diff @ diff)
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from corrsmooth.locfit import Dataset, pairwise_distances
+from corrsmooth.covariance import _PairSums
+from corrsmooth.locfit import Dataset, PairIndex, pairwise_distances
 from corrsmooth.simulate import draw_correlated_errors
 from scipy.spatial.distance import squareform
 
@@ -28,6 +29,12 @@ def make_affine_dataset(n=200, dim=2, seed=0, coeffs=None):
         coeffs = np.arange(1, dim + 1, dtype=float)
     y = 1.0 + x @ np.asarray(coeffs, dtype=float)
     return Dataset(points=x, responses=y)
+
+
+def pair_sums(residuals, distances):
+    """The covariance layer's pair sums of residuals over condensed pair distances."""
+    residuals = np.asarray(residuals, dtype=float)
+    return _PairSums(residuals, PairIndex.from_distances(distances, residuals.size))
 
 
 def make_geo_dataset(n=500, seed=42, range_km=200.0, sigma2=0.25):

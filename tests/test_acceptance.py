@@ -43,7 +43,7 @@ from corrsmooth.simulate import (
     run_table,
 )
 
-from conftest import make_affine_dataset
+from conftest import make_affine_dataset, pair_sums
 
 N_TRIALS = 30
 SP2_SEED = 20260810
@@ -265,13 +265,11 @@ def test_criterion_10_property_suite():
         failures.append("smoother linearity")
 
     # scale equivariance of the covariance estimate (exact, power-of-two scale)
-    from corrsmooth.covariance import estimate_covariance
-
     eps = rng.normal(size=90)
     d = pairwise_distances(Dataset(points=pts, responses=y1))
     for t in (0.0, 0.05):
-        v1 = estimate_covariance(eps, d, t, 0.08)
-        v2 = estimate_covariance(4.0 * eps, d, t, 0.08)
+        v1 = pair_sums(eps, d).estimate(t, 0.08)
+        v2 = pair_sums(4.0 * eps, d).estimate(t, 0.08)
         if v2 != 16.0 * v1:
             failures.append("scale equivariance")
 
@@ -279,8 +277,8 @@ def test_criterion_10_property_suite():
     perm = rng.permutation(90)
     d_perm = pairwise_distances(Dataset(points=pts[perm], responses=y1[perm]))
     if not np.isclose(
-        estimate_covariance(eps, d, 0.05, 0.08),
-        estimate_covariance(eps[perm], d_perm, 0.05, 0.08),
+        pair_sums(eps, d).estimate(0.05, 0.08),
+        pair_sums(eps[perm], d_perm).estimate(0.05, 0.08),
         rtol=1e-12,
     ):
         failures.append("permutation invariance")

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from corrsmooth.covariance import (
@@ -10,7 +12,6 @@ from corrsmooth.covariance import (
     covariance_curve,
     default_b_candidates,
     estimate_correlation,
-    estimate_covariance,
     sigma2_rss,
 )
 from corrsmooth.errors import (
@@ -28,7 +29,7 @@ from corrsmooth.simulate import (
     generate,
 )
 
-from conftest import make_affine_dataset
+from conftest import make_affine_dataset, pair_sums
 
 KO = ProductEpanechnikovKernel(2)
 
@@ -43,8 +44,8 @@ def test_constant_residuals_give_constant_covariance():
     pts = rng.random((40, 2))
     d = pairwise_distances(Dataset(points=pts, responses=np.zeros(40)))
     eps = np.full(40, 1.7)
-    assert estimate_covariance(eps, d, 0.05, 0.2) == pytest.approx(1.7**2, rel=1e-12)
-    assert estimate_covariance(eps, d, 0.0, 0.2) == pytest.approx(1.7**2, rel=1e-12)
+    assert pair_sums(eps, d).estimate(0.05, 0.2) == pytest.approx(1.7**2, rel=1e-12)
+    assert pair_sums(eps, d).estimate(0.0, 0.2) == pytest.approx(1.7**2, rel=1e-12)
 
 
 def test_lag_zero_matches_variance_formula():
@@ -54,7 +55,7 @@ def test_lag_zero_matches_variance_formula():
     eps = rng.normal(size=60)
     d = pairwise_distances(Dataset(points=pts, responses=np.zeros(60)))
     b = 0.1
-    got = estimate_covariance(eps, d, 0.0, b)
+    got = pair_sums(eps, d).estimate(0.0, b)
     # independent dense computation with the boundary kernel at q -> 0+
     from corrsmooth.kernels import BoundaryKernel
 
@@ -84,14 +85,14 @@ def test_windowed_path_matches_dense_double_sum():
         w = k.value((t - dmat) / b)  # includes the diagonal at distance 0
         num = float(np.einsum("ij,i,j->", w, eps, eps))
         den = float(w.sum())
-        assert estimate_covariance(eps, d, t, b) == pytest.approx(num / den, rel=1e-12)
+        assert pair_sums(eps, d).estimate(t, b) == pytest.approx(num / den, rel=1e-12)
 
 
 def test_empty_window_raises_with_context():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     d = pairwise_distances(Dataset(points=pts, responses=np.zeros(4)))
     with pytest.raises(EmptyWindowError) as err:
-        estimate_covariance(np.ones(4), d, 10.0, 0.01)
+        pair_sums(np.ones(4), d).estimate(10.0, 0.01)
     assert err.value.t == 10.0
     assert err.value.b == 0.01
 
@@ -108,7 +109,7 @@ def test_oracle_agreement_with_true_errors():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cal = calibrate_b(sim.dataset, sim.errors, s2_raw)
-    got = estimate_covariance(sim.errors, d, t_check, cal.chosen_b)
+    got = pair_sums(sim.errors, d).estimate(t_check, cal.chosen_b)
     assert abs(got - truth) < 0.03
 
     # max deviation over the grid up to 0.8x the correlation range
@@ -237,7 +238,7 @@ def test_calibration_contract_on_seeded_run():
     assert (s2 - 0.1) ** 2 < 1e-3  # squared error at the table's scale
     assert not trace.fallback
     d = pairwise_distances(sim.dataset)
-    tilde = estimate_covariance(fit.residuals, d, 0.0, trace.chosen_b)
+    tilde = pair_sums(fit.residuals, d).estimate(0.0, trace.chosen_b)
     assert abs(tilde - s2) <= 2e-4
 
 
@@ -359,27 +360,57 @@ def test_degenerate_truncation():
     assert str(neg.truncation_t) == "0.0"  # not -0.0
 
 
-def test_permutation_invariance():
-    sim = sp3_sim(seed=23, n=150)
-    rng = np.random.default_rng(5)
-    perm = rng.permutation(sim.n)
+def _estimate_or_empty(pairs, t, b):
+    try:
+        return pairs.estimate(t, b)
+    except EmptyWindowError:
+        return None
+
+
+_SIM_SEEDS = st.integers(0, 2**32 - 1)
+_SIM_SIZES = st.integers(5, 150)
+_LAGS = st.floats(0.0, 0.3)
+_BANDWIDTHS = st.floats(0.005, 0.3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_SIM_SEEDS, n=_SIM_SIZES, t=_LAGS, b=_BANDWIDTHS, perm_seed=st.integers(0, 2**32 - 1))
+@example(seed=23, n=150, t=0.04, b=0.03, perm_seed=5)
+def test_permutation_invariance(seed, n, t, b, perm_seed):
+    sim = sp3_sim(seed=seed, n=n)
+    perm = np.random.default_rng(perm_seed).permutation(n)
     d1 = pairwise_distances(sim.dataset)
     ds2 = Dataset(points=sim.dataset.points[perm], responses=sim.dataset.responses[perm])
     d2 = pairwise_distances(ds2)
-    v1 = estimate_covariance(sim.errors, d1, 0.04, 0.03)
-    v2 = estimate_covariance(sim.errors[perm], d2, 0.04, 0.03)
-    assert v1 == pytest.approx(v2, rel=1e-12)
+    v1 = _estimate_or_empty(pair_sums(sim.errors, d1), t, b)
+    v2 = _estimate_or_empty(pair_sums(sim.errors[perm], d2), t, b)
+    if v1 is None:
+        assert v2 is None
+    else:
+        assert v1 == pytest.approx(v2, rel=1e-12)
 
 
-def test_scale_equivariance_exact():
+@settings(max_examples=40, deadline=None)
+@given(seed=_SIM_SEEDS, n=_SIM_SIZES, t=_LAGS, b=_BANDWIDTHS, k=st.integers(-4, 4))
+@example(seed=24, n=150, t=0.0, b=0.05, k=2)
+@example(seed=24, n=150, t=0.03, b=0.05, k=2)
+@example(seed=24, n=150, t=0.08, b=0.05, k=2)
+def test_scale_equivariance_exact(seed, n, t, b, k):
     # power-of-two scaling keeps the ratio arithmetic exact
-    sim = sp3_sim(seed=24, n=150)
+    sim = sp3_sim(seed=seed, n=n)
     d = pairwise_distances(sim.dataset)
-    a = 4.0
-    for t in (0.0, 0.03, 0.08):
-        v1 = estimate_covariance(sim.errors, d, t, 0.05)
-        v2 = estimate_covariance(a * sim.errors, d, t, 0.05)
+    a = 2.0**k
+    v1 = _estimate_or_empty(pair_sums(sim.errors, d), t, b)
+    v2 = _estimate_or_empty(pair_sums(a * sim.errors, d), t, b)
+    if v1 is None:
+        assert v2 is None
+    else:
         assert v2 == a * a * v1
+
+
+def test_correlation_curve_scale_equivariance_exact():
+    sim = sp3_sim(seed=24, n=150)
+    a = 4.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         s2 = float(sim.errors @ sim.errors / sim.n)
@@ -438,7 +469,7 @@ def test_estimate_rejects_nonfinite_lag_or_bandwidth(t, b):
     pts = rng.random((40, 2))
     d = pairwise_distances(Dataset(points=pts, responses=np.zeros(40)))
     with pytest.raises(ValueError, match="finite"):
-        estimate_covariance(rng.normal(size=40), d, t, b)
+        pair_sums(rng.normal(size=40), d).estimate(t, b)
 
 
 @pytest.mark.parametrize("b", [np.nan, np.inf])
@@ -448,3 +479,24 @@ def test_covariance_curve_rejects_nonfinite_bandwidth(b):
     data = Dataset(points=rng.random((200, 2)), responses=rng.normal(size=200))
     with pytest.raises(ValueError, match="finite"):
         covariance_curve(data, data.responses, b)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "column"])
+@pytest.mark.parametrize("entry", ["calibrate_b", "covariance_curve"])
+def test_bad_residual_vectors_are_rejected(entry, bad):
+    # one NaN residual used to end in a calibration fallback or a NaN curve,
+    # and an (n, 1) column in a matmul error
+    rng = np.random.default_rng(18)
+    data = Dataset(points=rng.random((200, 2)), responses=rng.normal(size=200))
+    r = data.responses.copy()
+    if bad == "column":
+        r = r[:, None]
+    else:
+        r[7] = float(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no fallback or empty-window warning first
+        with pytest.raises(ValueError, match="200 finite residuals"):
+            if entry == "calibrate_b":
+                calibrate_b(data, r, 1.0)
+            else:
+                covariance_curve(data, r, 0.05)

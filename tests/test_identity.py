@@ -749,16 +749,9 @@ def test_tiny_designs_match_eager_products(n):
 def reference_sse_cor(rho_hat, model, distances, n, zeta):
     """sse_cor with the true correlation evaluated at every distance."""
     d = np.asarray(distances, dtype=float)
-    kept_d, kept_rho = [], []
-    for start in range(0, d.size, simulate_mod._SSE_CHUNK):
-        chunk = d[start : start + simulate_mod._SSE_CHUNK]
-        rho_true = correlation_value(model, chunk, n)
-        mask = rho_true >= zeta
-        kept_d.append(chunk[mask])
-        kept_rho.append(rho_true[mask])
-    if not any(part.size for part in kept_d):
-        return 0.0
-    diff = rho_hat.interpolate(np.concatenate(kept_d)) - np.concatenate(kept_rho)
+    rho_true = correlation_value(model, d, n)
+    mask = rho_true >= zeta
+    diff = rho_hat.interpolate(d[mask]) - rho_true[mask]
     return float(diff @ diff)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate
 
@@ -33,18 +35,33 @@ def test_sphere_surface_known_values():
     assert_allclose(sphere_surface(3), 4.0 * np.pi)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("c1", [0.5, 1.0, 2.0, 3.0])
-def test_annulus_normalization_and_positivity(c1, dim):
-    k = build_annulus_kernel(c1, c1 + 0.5, dim, MIN_AMISE)
+def assert_normalized_and_positive(k, dim):
+    c1, c2 = k.c1, k.c2
     assert abs(numeric_radial_integral(k, dim) - 1.0) < 1e-8
-    grid = np.linspace(c1, c1 + 0.5, 514)[1:-1]
+    grid = np.linspace(c1, c2, 514)[1:-1]
     assert np.all(k.profile(grid) > 1e-12)
     # exactly zero outside the closed annulus, positive at the midpoint
     eps = 1e-9
-    for r in (0.0, c1 - eps, c1 + 0.5 + eps):
+    for r in (0.0, c1 - eps, c2 + eps):
         assert k.profile(r) == 0.0
-    assert k.profile(c1 + 0.25) > 0.0
+    assert k.profile((c1 + c2) / 2.0) > 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("c1", [0.5, 1.0, 2.0, 3.0])
+def test_annulus_normalization_and_positivity(c1, dim):
+    assert_normalized_and_positive(build_annulus_kernel(c1, c1 + 0.5, dim, MIN_AMISE), dim)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    c1=st.floats(0.1, 5.0),
+    width=st.floats(0.05, 3.0),
+    dim=st.integers(1, 3),
+    objective=st.sampled_from([MIN_VARIANCE, MIN_AMISE, MIN_PRODUCT]),
+)
+def test_annulus_normalization_and_positivity_over_random_geometry(c1, width, dim, objective):
+    assert_normalized_and_positive(build_annulus_kernel(c1, c1 + width, dim, objective), dim)
 
 
 def test_annulus_builds_are_cached_bit_for_bit():
@@ -62,6 +79,21 @@ def test_annulus_rejects_bad_geometry():
         build_annulus_kernel(0.0, 0.5, 2)
     with pytest.raises(ValueError):
         build_annulus_kernel(1.0, 1.5, 0)
+
+
+@pytest.mark.parametrize(
+    "c1, c2, match",
+    [
+        (np.nan, 1.5, "c1 must be positive"),
+        (np.inf, np.inf, "c1 must be positive"),
+        (1.0, np.nan, "c2 must exceed c1"),
+        (1.0, np.inf, "c2 must exceed c1"),
+    ],
+)
+def test_annulus_rejects_nonfinite_radii(c1, c2, match):
+    # a NaN radius used to reach the search and raise KernelConstructionError
+    with pytest.raises(ValueError, match=match):
+        build_annulus_kernel(c1, c2, 2)
 
 
 def test_annulus_cross_moment_vanishes_by_symmetry():

@@ -3,13 +3,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.spatial.distance import squareform
 
-from corrsmooth.bandwidth import default_grid
+from corrsmooth.bandwidth import default_grid, gcv_score
+from corrsmooth.covariance import sigma2_rss
 from corrsmooth.errors import NoFeasibleBandwidthError, SingularFitError
 from corrsmooth.kernels import ProductEpanechnikovKernel, RadialAnnulusKernel, build_annulus_kernel
 from corrsmooth.locfit import (
     EARTH_RADIUS_KM,
     Dataset,
+    _metric_distances,
     _normal_systems,
     _Workspace,
     fit_all,
@@ -257,6 +260,25 @@ def test_fit_points_rejects_impossible_latitudes():
         Dataset(targets + [[34.0, -84.0], [35.0, -83.0]], np.zeros(4), "haversine")
 
 
+_BANDWIDTH_ENTRY_POINTS = {
+    "fit_all": fit_all,
+    "fit_points": lambda data, h, k: fit_points(data, data.points[:5], h, k),
+    "hat_matrix": hat_matrix,
+    "gcv_score": lambda data, h, k: gcv_score(data, k, h),
+    "sigma2_rss": sigma2_rss,
+}
+
+
+@pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, 0.0])
+@pytest.mark.parametrize("entry", sorted(_BANDWIDTH_ENTRY_POINTS))
+def test_nonfinite_or_nonpositive_bandwidth_is_rejected(entry, h):
+    # h = nan used to give n singular fits, a SingularFitError in sigma2_rss
+    # and an infinite GCV score
+    data = make_affine_dataset(n=60, dim=2, seed=14)
+    with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+        _BANDWIDTH_ENTRY_POINTS[entry](data, h, ProductEpanechnikovKernel(2))
+
+
 def test_weight_scale_invariance():
     # multiplying every kernel weight by a positive constant leaves the fit alone
     rng = np.random.default_rng(31)
@@ -291,6 +313,26 @@ def test_pairwise_distances_euclidean():
     d = pairwise_distances(data)
     assert d[0] == pytest.approx(5.0)
     assert d[1] == 0.0  # identical points
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=st.integers(1, 4),
+    extra=st.integers(0, 40),
+    m=st.integers(1, 10),
+    log_scale=st.integers(-8, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_euclidean_target_distances_equal_the_broadcast_definition(dim, extra, m, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    n = dim + 2 + extra
+    scale = 10.0**log_scale
+    data = Dataset(points=scale * rng.normal(size=(n, dim)), responses=np.zeros(n))
+    targets = scale * rng.normal(size=(m, dim))
+    diff = targets[:, None, :] - data.points[None, :, :]
+    expected = np.sqrt((diff * diff).sum(axis=-1))
+    assert _metric_distances(data, targets).tobytes() == expected.tobytes()
+    assert _metric_distances(data, data.points).tobytes() == squareform(pairwise_distances(data)).tobytes()
 
 
 def test_pairwise_distances_haversine_one_degree():

@@ -103,10 +103,10 @@ def test_calibration_and_curve_fill_only_the_pairs_their_windows_reach(
         curve = covariance_curve(data, r, cal.chosen_b, sigma2_hat=s2)
     dist = data.pair_index.dist
     assert len(built) == 2  # the calibration's, then the pilot and curve's
-    # each fill at least doubles the head, so it ends within twice the widest window
+    # each fill stops at its window's far end, so the head ends at the widest window
     widest = (cal.b_candidates[-1], curve.truncation_t + cal.chosen_b)
     for pairs, reach in zip(built, widest):
-        assert 0 < pairs.filled <= 2 * np.searchsorted(dist, reach, side="right")
+        assert 0 < pairs.filled == np.searchsorted(dist, reach, side="right")
         assert pairs.filled < dist.size
     built[1].estimate(float(dist[-1]), cal.chosen_b)
     assert built[1].filled == dist.size
@@ -186,12 +186,11 @@ def test_covariance_calls_on_one_dataset_share_the_index(index_builds):
     assert index_builds == [120]
 
 
-def test_chunked_sse_cor_equals_the_one_shot_sum():
+def test_cut_sse_cor_equals_the_one_shot_sum():
     rng = np.random.default_rng(5)
-    n = 800  # 319,600 pairs: more than one slice of simulate._SSE_CHUNK
+    n = 800
     data = Dataset(points=rng.random((n, 2)), responses=rng.normal(scale=0.3, size=n))
     d = pairwise_distances(data)
-    assert d.size > simulate_mod._SSE_CHUNK
     model = CorrelationModel("exponential", c=1.0, alpha=1.0, dim=2, sigma2=0.1)
     r = data.responses
     with warnings.catch_warnings():
@@ -200,6 +199,7 @@ def test_chunked_sse_cor_equals_the_one_shot_sum():
         rho_hat = estimate_correlation(covariance_curve(data, r, cal.chosen_b, n_star=50))
     rho_true = correlation_value(model, d, n)
     mask = rho_true >= simulate_mod.ZETA_DEFAULT
-    assert mask[: simulate_mod._SSE_CHUNK].any() and mask[simulate_mod._SSE_CHUNK :].any()
+    assert mask.any()
+    assert (d > simulate_mod._sse_cut(model, n, simulate_mod.ZETA_DEFAULT)).any()  # the cut drops pairs
     diff = rho_hat.interpolate(d[mask]) - rho_true[mask]
     assert sse_cor(rho_hat, model, d, n) == float(diff @ diff)
