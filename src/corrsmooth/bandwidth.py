@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
 
 from .errors import CorrsmoothError, NoElbowError, NoFeasibleBandwidthError
 from .kernels import (
@@ -299,25 +298,6 @@ def variance_fit_bandwidth(h_o: float, n: int, dim: int) -> float:
     return float(h_o) * n ** (1.0 / (dim + 4) - 1.0 / (dim + 8))
 
 
-def _radial_correlation_integral(family: str, c: float, dim: int) -> float:
-    """C_rho = lim n^alpha * int rho_n(||u||) du, via the scaled radial profile."""
-    from .kernels import sphere_surface
-    from .simulate import FAMILY_PROFILES  # local import avoids a cycle
-
-    profile = FAMILY_PROFILES[family]
-    s = sphere_surface(dim)
-    if family == "inverse_quadratic" and dim >= 2:
-        raise CorrsmoothError(
-            "inverse-quadratic correlation is not integrable over R^D for D >= 2; "
-            "no finite C_rho exists"
-        )
-    upper = c if family == "spherical" else np.inf
-    val, _ = integrate.quad(
-        lambda r: profile(np.asarray(r), c) * r ** (dim - 1), 0.0, upper
-    )
-    return s * float(val)
-
-
 def _laplacian_integral(mu, dim: int, grid_per_axis: int, eps: float = 1e-4) -> float:
     """int_{[0,1]^D} sum_d d2 mu / dx_d^2 dx by midpoint rule + central differences."""
     axes = [np.linspace(0.5 / grid_per_axis, 1.0 - 0.5 / grid_per_axis, grid_per_axis)] * dim
@@ -338,7 +318,8 @@ def oracle_bandwidth(model, mu, ko, n: int) -> float:
 
     Assumes the uniform design density on [0, 1]^D.  Valid for alpha in
     (0, 1]; the alpha = 1 branch adds the domain volume (1) to the
-    correlation integral.  mu must be the known regression function
+    correlation integral, which model.correlation_integral() gives (see
+    simulate.CorrelationModel).  mu must be the known regression function
     (callable on (m, D) arrays).
     """
     alpha = model.alpha
@@ -350,7 +331,7 @@ def oracle_bandwidth(model, mu, ko, n: int) -> float:
     if ko.dim != dim:
         raise ValueError(f"kernel dimension {ko.dim} differs from the model's {dim}")
     grid_per_axis = 201 if dim <= 2 else 61
-    c_rho = _radial_correlation_integral(model.family, model.c, dim)
+    c_rho = model.correlation_integral()
     delta_f = _laplacian_integral(mu, dim, grid_per_axis)
     if delta_f == 0.0:
         raise CorrsmoothError("curvature integral is zero; oracle bandwidth diverges")

@@ -80,9 +80,8 @@ class _PairSums:
         self.filled = 0  # products [0, filled) are computed
         self.diag = float(residuals @ residuals)
 
-    def products(self, hi: int | None = None) -> np.ndarray:
-        """Residual products of the hi nearest pairs (all by default)."""
-        hi = self.dist.size if hi is None else hi
+    def products(self, hi: int) -> np.ndarray:
+        """Residual products of the hi nearest pairs."""
         if hi > self.filled:
             lo, self.filled = self.filled, hi
             head = self._prod[lo:hi]
@@ -221,10 +220,10 @@ def calibrate_b(
         bracket = None
         for i in range(len(bs) - 1, 0, -1):
             if signs[i - 1] != 0.0 and signs[i] != 0.0 and signs[i - 1] != signs[i]:
-                bracket = (bs[i - 1], tildes[i - 1], bs[i], tildes[i])
+                bracket = (bs[i - 1], tildes[i - 1], bs[i])
                 break
         if bracket is not None:
-            b_lo, t_lo, b_hi, t_hi = bracket
+            b_lo, t_lo, b_hi = bracket
             for _ in range(64):
                 if b_hi / b_lo < 1.0 + 1e-12:
                     break
@@ -237,7 +236,7 @@ def calibrate_b(
                 if np.sign(t_mid - sigma2_hat) == np.sign(t_lo - sigma2_hat):
                     b_lo, t_lo = mid, t_mid
                 else:
-                    b_hi, t_hi = mid, t_mid
+                    b_hi = mid
 
     order = np.argsort(bs)
     b_all = np.asarray(bs)[order]

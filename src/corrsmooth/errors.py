@@ -14,10 +14,6 @@ class KernelConstructionError(CorrsmoothError):
 class SingularFitError(CorrsmoothError):
     """Local linear system had fewer than D+1 effective points in general position."""
 
-    def __init__(self, message, x=None):
-        super().__init__(message)
-        self.x = x
-
 
 class NoFeasibleBandwidthError(CorrsmoothError):
     """No candidate bandwidth produced a nonsingular fit everywhere."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import SingularFitError
 
@@ -390,12 +390,14 @@ def rss(fit: FitResult) -> float:
 
 
 def pairwise_distances(data: Dataset) -> np.ndarray:
-    """Condensed n(n-1)/2 vector of metric distances, pdist ordering."""
+    """Condensed n(n-1)/2 vector of metric distances, pdist ordering.
+
+    Haversine pairs are the upper triangle of the n x n matrix that the
+    fits read, so both come from one routine.
+    """
     if data.metric == "euclidean":
         return pdist(data.points)
-    iu, ju = np.triu_indices(data.n, k=1)
-    pts = data.points
-    return _haversine(pts[iu, 0], pts[iu, 1], pts[ju, 0], pts[ju, 1])
+    return squareform(_metric_distances(data, data.points), checks=False)
 
 
 def load_csv(path, metric: str = "euclidean") -> Dataset:

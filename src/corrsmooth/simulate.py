@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy import integrate
+from scipy.spatial.distance import cdist
 
 from .bandwidth import _gcv_pick, _gcv_score_ws, default_grid, select_h_o, variance_fit_bandwidth
 from .covariance import (
@@ -38,8 +39,8 @@ from .covariance import (
     sigma2_rss,
 )
 from .errors import CorrsmoothError, SingularFitError
-from .kernels import MIN_PRODUCT, ProductEpanechnikovKernel, build_annulus_kernel
-from .locfit import Dataset, _Workspace, fit_all, hat_matrix, pairwise_distances
+from .kernels import MIN_PRODUCT, ProductEpanechnikovKernel, build_annulus_kernel, sphere_surface
+from .locfit import Dataset, _metric_distances, _Workspace, fit_all, hat_matrix, pairwise_distances
 
 __all__ = [
     "FAMILIES",
@@ -107,14 +108,29 @@ class CorrelationModel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.c <= 0.0:
-            raise ValueError("c must be positive")
+        if not 0.0 < self.c < np.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if self.sigma2 < 0.0:
-            raise ValueError("sigma2 must be nonnegative")
+        if not 0.0 <= self.sigma2 < np.inf:
+            raise ValueError(f"sigma2 must be nonnegative and finite, got {self.sigma2}")
+
+    def correlation_integral(self) -> float:
+        """C_rho = lim n^alpha * int rho_n(||u||) du over R^D, via the scaled
+        radial profile; it sets the correlated-error term of the oracle bandwidth."""
+        if self.family == "inverse_quadratic" and self.dim >= 2:
+            raise CorrsmoothError(
+                "inverse-quadratic correlation is not integrable over R^D for D >= 2; "
+                "no finite C_rho exists"
+            )
+        profile = FAMILY_PROFILES[self.family]
+        upper = self.c if self.family == "spherical" else np.inf
+        val, _ = integrate.quad(
+            lambda r: profile(np.asarray(r), self.c) * r ** (self.dim - 1), 0.0, upper
+        )
+        return sphere_surface(self.dim) * float(val)
 
 
 def correlation_value(model: CorrelationModel, t, n: int):
@@ -269,7 +285,7 @@ def generate(scn: SimScenario, trial: int = 0) -> SimulatedData:
     rng = np.random.default_rng(child)
     model = scn.model
     x = rng.random((scn.n, model.dim))
-    cov = model.sigma2 * correlation_value(model, squareform(pdist(x)), scn.n)
+    cov = model.sigma2 * correlation_value(model, cdist(x, x), scn.n)
     errors = draw_correlated_errors(cov, rng)
     mu_true = scn.mu(x)
     dataset = Dataset(points=x, responses=mu_true + errors)
@@ -342,8 +358,7 @@ def correlation_penalty(data: Dataset, model: CorrelationModel, h: float, kernel
     c, singular = hat_matrix(data, h, kernel)
     if singular.any():
         raise SingularFitError(f"{int(singular.sum())} singular rows in hat matrix")
-    dist = squareform(pairwise_distances(data))
-    rho = correlation_value(model, dist, data.n)
+    rho = correlation_value(model, _metric_distances(data, data.points), data.n)
     np.fill_diagonal(rho, 0.0)
     return float(2.0 * model.sigma2 / data.n * np.einsum("is,is->", c, rho))
 
@@ -375,8 +390,8 @@ def parse_method(text: str) -> MethodSpec:
     match = _ZA_RE.match(token)
     if match:
         c1, c2 = float(match.group(1)), float(match.group(2))
-        if not 0.0 < c1 < c2:
-            raise ValueError(f"method {text!r} needs 0 < c1 < c2")
+        if not 0.0 < c1 < c2 < np.inf:
+            raise ValueError(f"method {text!r} needs finite radii 0 < c1 < c2")
         return MethodSpec(kind="za", c1=c1, c2=c2)
     raise ValueError(f"unknown method {text!r}; expected gcv or za(c1,c2)")
 

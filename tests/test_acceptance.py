@@ -16,7 +16,6 @@ from corrsmooth.bandwidth import (
     gcv_select,
     oracle_bandwidth,
     select_h_o,
-    _radial_correlation_integral,
 )
 from corrsmooth.kernels import (
     MIN_AMISE,
@@ -229,7 +228,7 @@ def test_criterion_7_calibration_contract(sp3):
 
 
 def test_criterion_8_oracle_bandwidth_sanity(sp2):
-    crho = _radial_correlation_integral("spherical", 2.0, 2)
+    crho = CorrelationModel("spherical", c=2.0, dim=2).correlation_integral()
     crho_ok = abs(crho - np.pi * 4.0 / 5.0) < 1e-3
     h_opt = oracle_bandwidth(sp2["model"], mu2d, ProductEpanechnikovKernel(2), 500)
     ratios = [t.h_o / h_opt for t in sp2["trials"]]

@@ -345,9 +345,7 @@ def test_variance_fit_bandwidth_exponent_arithmetic():
 
 def test_oracle_bandwidth_spherical_constant():
     model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
-    from corrsmooth.bandwidth import _radial_correlation_integral
-
-    crho = _radial_correlation_integral("spherical", 2.0, 2)
+    crho = model.correlation_integral()
     assert abs(crho - np.pi * 4.0 / 5.0) < 1e-3  # analytic pi c^2 / 5
     h = oracle_bandwidth(model, mu2d, KO, 500)
     # independent recomputation: Delta_f = 4 for this mean surface
@@ -384,9 +382,7 @@ def test_oracle_bandwidth_rejects_nonintegrable_family():
 
 def test_oracle_exponential_family_has_closed_form():
     # C_rho for the exponential profile in D=2 is 2*pi/c^2
-    from corrsmooth.bandwidth import _radial_correlation_integral
-
     for c in (1.0, 2.5):
-        assert _radial_correlation_integral("exponential", c, 2) == pytest.approx(
-            2.0 * np.pi / c**2, rel=1e-8
+        assert CorrelationModel("exponential", c=c, dim=2).correlation_integral() == (
+            pytest.approx(2.0 * np.pi / c**2, rel=1e-8)
         )

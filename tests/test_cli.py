@@ -101,6 +101,21 @@ def test_simulate_rejects_bad_za_spec(tmp_path, capsys):
     assert "0 < c1 < c2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad", ["c=nan", "c=inf", "sigma2=nan", "sigma2=inf", "methods=za(1,inf)"]
+)
+def test_simulate_nonfinite_scenario_value_exits_1_before_output(tmp_path, capsys, bad):
+    fields = dict(family="spherical", c="2.0", D="2", n="150", seed="1", trials="1", methods="gcv")
+    key, value = bad.split("=", 1)
+    fields[key] = value
+    scen = tmp_path / "scenes.txt"
+    scen.write_text(" ".join(f"{k}={v}" for k, v in fields.items()) + "\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenarios", str(scen), "--output-dir", str(out)]) == 1
+    assert ":1:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_missing_input_flag(tmp_path):
     assert main(["fit", "--output-dir", str(tmp_path / "o")]) == 1
 

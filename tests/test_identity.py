@@ -7,8 +7,10 @@ matrix, the minEpan scan as a fit_all loop, and the bandwidth grid's floor
 found by one n x n neighbor mask per scan candidate.  The covariance layer
 is held to its forms from before it computed only the pairs its windows
 reach: pair sums with every residual product computed up front, and
-sse_cor evaluating the true correlation at every distance.  Every such
-comparison is exact (== or equal bytes), not approximate.
+sse_cor evaluating the true correlation at every distance.  Haversine
+pairs are held to their gather over triu_indices, from before they were
+read off the n x n distance matrix.  Every such comparison is exact (==
+or equal bytes), not approximate.
 
 The one exception is the weighted sums of the normal equations.  They now
 come from one product of the weights with the design's moments, which adds
@@ -59,12 +61,14 @@ from corrsmooth.locfit import (
     PairIndex,
     _PIVOT_RTOL,
     _component_displacements,
+    _haversine,
     _metric_distances,
     _normal_systems,
     _Workspace,
     fit_all,
     fit_points,
     hat_matrix,
+    pairwise_distances,
     rss,
 )
 from corrsmooth.simulate import (
@@ -808,3 +812,28 @@ def test_sse_cor_still_rejects_negative_and_drops_nan_distances():
     assert got > 0.0
     assert got == sse_cor(rho_hat, model, d[~np.isnan(d)], 100)
     assert got == reference_sse_cor(rho_hat, model, d, 100, simulate_mod.ZETA_DEFAULT)
+
+
+def reference_haversine_pairs(data):
+    """Haversine pairs gathered over triu_indices, in pdist order."""
+    iu, ju = np.triu_indices(data.n, k=1)
+    pts = data.points
+    return _haversine(pts[iu, 0], pts[iu, 1], pts[ju, 0], pts[ju, 1])
+
+
+def _lat_lon_clouds(n=400):
+    rng = np.random.default_rng(24)
+    yield "ordinary", (30.0 + 7.0 * rng.random(n), -92.0 + 14.0 * rng.random(n))
+    # longitudes 170 to 190 east wrapped into [-180, 180), both edges present
+    lon = (170.0 + 20.0 * rng.random(n - 2) + 180.0) % 360.0 - 180.0
+    yield "antimeridian", (-20.0 + 40.0 * rng.random(n), np.concatenate([[180.0, -180.0], lon]))
+    # a polar cap, the pole itself included
+    lat = np.concatenate([[90.0], 85.0 + 5.0 * rng.random(n - 1)])
+    yield "pole", (lat, -180.0 + 360.0 * rng.random(n))
+
+
+@pytest.mark.parametrize("name", ["ordinary", "antimeridian", "pole"])
+def test_haversine_pairs_match_the_triu_gather(name):
+    lat, lon = dict(_lat_lon_clouds())[name]
+    data = Dataset(points=np.column_stack([lat, lon]), responses=np.zeros(lat.size), metric="haversine")
+    assert pairwise_distances(data).tobytes() == reference_haversine_pairs(data).tobytes()

@@ -65,7 +65,7 @@ def test_index_and_products_equal_the_sorted_pdist_definition(data):
     assert index.j.tobytes() == ju[order].astype(np.int32).tobytes()
     r = data.responses
     products = squareform(np.outer(r, r), checks=False)
-    assert _PairSums(r, index).products().tobytes() == products[order].tobytes()
+    assert _PairSums(r, index).products(index.dist.size).tobytes() == products[order].tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -66,6 +66,15 @@ def test_model_validation():
         CorrelationModel("spherical", c=1.0, alpha=1.5)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("c", np.nan), ("c", np.inf), ("sigma2", np.nan), ("sigma2", np.inf), ("sigma2", -np.inf)],
+)
+def test_model_rejects_nonfinite_scale_and_variance(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        CorrelationModel("spherical", **{"c": 2.0, "sigma2": 0.1, field: value})
+
+
 def test_scenario_validation():
     model = CorrelationModel("spherical", c=2.0, dim=2)
     with pytest.raises(ValueError, match="D=3"):
@@ -223,7 +232,8 @@ def test_parse_method():
     assert spec.label == "ZA(1,1.5)"
     with pytest.raises(ValueError):
         parse_method("za[1,2]")
-    for bad in ("za(2,1)", "za(1,1)", "za(0,1)", "za(-1,0.5)"):
+    for bad in ("za(2,1)", "za(1,1)", "za(0,1)", "za(-1,0.5)", "za(1,inf)", "za(inf,inf)",
+                "za(nan,2)", "za(1,nan)"):
         with pytest.raises(ValueError, match="0 < c1 < c2"):
             parse_method(bad)
 
