@@ -23,7 +23,7 @@ from .kernels import (
     RadialAnnulusKernel,
     build_annulus_kernel,
 )
-from .locfit import Dataset, _fit_all_ws, _fit_and_hat_diagonal, _Workspace, rss
+from .locfit import Dataset, _fit_and_hat_diagonal, _Workspace, rss
 from .locfit import fit_all  # noqa: F401  (perfbench's tracer test checks this binding)
 
 __all__ = [
@@ -123,6 +123,16 @@ def _validate_grid(grid) -> np.ndarray:
     return grid
 
 
+def _pick(trace) -> int:
+    """Index of a trace's least entry, the first on ties; +inf marks an
+    infeasible candidate, and NoFeasibleBandwidthError says none is finite."""
+    if not np.any(np.isfinite(trace)):
+        raise NoFeasibleBandwidthError(
+            "every candidate bandwidth was infeasible; raise the upper grid bound"
+        )
+    return int(np.argmin(trace))
+
+
 def select_h_z(
     data: Dataset, kz: RadialAnnulusKernel, grid, workspace: _Workspace | None = None
 ) -> BandwidthSelection:
@@ -136,15 +146,10 @@ def select_h_z(
     ws = workspace or _Workspace(data)
     trace = np.full(grid.shape, np.inf)
     for idx, h in enumerate(grid):
-        fit = _fit_all_ws(ws, kz, h)
+        fit = _fit_and_hat_diagonal(ws, kz, h)[0]
         if fit.singular_count == 0:
             trace[idx] = rss(fit)
-    if not np.any(np.isfinite(trace)):
-        raise NoFeasibleBandwidthError(
-            "every candidate bandwidth produced singular fits; "
-            "raise the upper grid bound"
-        )
-    best = int(np.argmin(trace))
+    best = _pick(trace)
     if best in (0, grid.size - 1):
         warnings.warn(
             f"selected bandwidth {grid[best]:.6g} sits on the grid boundary; "
@@ -271,15 +276,6 @@ def _gcv_score_ws(ws: _Workspace, ko, h: float):
     return rss(fit) / denom**2, fit
 
 
-def _gcv_pick(grid: np.ndarray, scores: np.ndarray) -> float:
-    """The grid bandwidth of the least GCV score, the first on ties."""
-    if not np.any(np.isfinite(scores)):
-        raise NoFeasibleBandwidthError(
-            "every candidate bandwidth was infeasible for GCV; raise the upper grid bound"
-        )
-    return float(grid[int(np.argmin(scores))])
-
-
 def gcv_select(data: Dataset, ko, grid) -> float:
     """Generalized cross-validation baseline: minimize the GCV score on a grid.
 
@@ -290,7 +286,7 @@ def gcv_select(data: Dataset, ko, grid) -> float:
     """
     grid = _validate_grid(grid)
     ws = _Workspace(data)
-    return _gcv_pick(grid, np.array([_gcv_score_ws(ws, ko, float(h))[0] for h in grid]))
+    return float(grid[_pick([_gcv_score_ws(ws, ko, float(h))[0] for h in grid])])
 
 
 def variance_fit_bandwidth(h_o: float, n: int, dim: int) -> float:

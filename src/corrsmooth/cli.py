@@ -88,12 +88,14 @@ def _write_report(path: Path, items) -> None:
             f.write(f"{key}={_fmt(value)}\n")
 
 
-def _load_config_file(path: str) -> dict:
+def _read_key_values(path) -> dict:
+    """The key=value lines of a --config file or of a run's report.txt or
+    config_echo.txt, skipping blanks and # comments; key dashes become _."""
     values = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as err:
-        raise UsageError(f"cannot read config file {path}: {err}") from err
+        raise UsageError(f"cannot read key=value file {path}: {err}") from err
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -129,7 +131,7 @@ def _resolve(args, defaults: dict) -> dict:
     every value given either way goes through _checked."""
     cfg = dict(defaults)
     if args.config:
-        for key, raw in _load_config_file(args.config).items():
+        for key, raw in _read_key_values(args.config).items():
             if key not in cfg:
                 raise UsageError(f"unknown config key {key!r}")
             cfg[key] = _checked(key, raw, type(defaults[key]))
@@ -140,13 +142,14 @@ def _resolve(args, defaults: dict) -> dict:
     return cfg
 
 
-def _echo_config(outdir: Path, cfg: dict) -> None:
-    _write_report(outdir / "config_echo.txt", sorted(cfg.items()))
-
-
 def _outdir(cfg: dict) -> Path:
+    """The output directory, made if missing, with the resolved configuration
+    echoed into its config_echo.txt."""
+    if not cfg["output_dir"]:
+        raise UsageError("output_dir must not be empty")
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
+    _write_report(out / "config_echo.txt", sorted(cfg.items()))
     return out
 
 
@@ -183,7 +186,9 @@ def _annulus_kernel(cfg, dim):
     return build_annulus_kernel(cfg["c1"], cfg["c1"] + cfg["c2_offset"], dim, cfg["objective"])
 
 
-def _load_dataset(cfg) -> Dataset:
+def _load_dataset(cfg, command: str) -> Dataset:
+    if not cfg["input"]:
+        raise UsageError(f"{command} requires --input CSV")
     try:
         return load_csv(cfg["input"], metric=cfg["metric"])
     except FileNotFoundError as err:
@@ -197,12 +202,9 @@ def _load_dataset(cfg) -> Dataset:
 
 
 def cmd_fit(cfg: dict) -> int:
-    if not cfg["input"]:
-        raise UsageError("fit requires --input CSV")
-    data = _load_dataset(cfg)
+    data = _load_dataset(cfg, "fit")
     grid = _candidates(cfg, "grid")
     outdir = _outdir(cfg)
-    _echo_config(outdir, cfg)
     ko = ProductEpanechnikovKernel(data.dim)
     kz = _annulus_kernel(cfg, data.dim)
     sel = select_h_o(data, kz, ko, grid, cfg["grid_size"])
@@ -249,7 +251,7 @@ def cmd_fit(cfg: dict) -> int:
         ("h_z", sel.h_z),
         ("factor_ratio", sel.factor_ratio),
         ("h_o", h_o),
-        ("rss_min", float(np.nanmin(np.where(np.isfinite(sel.rss_trace), sel.rss_trace, np.nan)))),
+        ("rss_min", sel.rss_trace.min()),
         ("rss_at_h_o", rss(fit) if fit.singular_count == 0 else np.nan),
         ("singular_count", fit.singular_count),
         ("surface_singular_count", int(singular.sum())),
@@ -260,14 +262,11 @@ def cmd_fit(cfg: dict) -> int:
 
 
 def cmd_elbow(cfg: dict) -> int:
-    if not cfg["input"]:
-        raise UsageError("elbow requires --input CSV")
-    data = _load_dataset(cfg)
+    data = _load_dataset(cfg, "elbow")
     c1_list = _parse_float_list(cfg, "c1_list")
     if c1_list.size < 3:
         raise UsageError("need >= 3 candidates for stability detection")
     outdir = _outdir(cfg)
-    _echo_config(outdir, cfg)
     diag = elbow_scan(
         data,
         c1_list,
@@ -300,11 +299,6 @@ def cmd_elbow(cfg: dict) -> int:
     return 0
 
 
-def _read_key_values(path: Path) -> dict:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    return dict(line.split("=", 1) for line in lines if "=" in line)
-
-
 def _fit_dir_h_o(cfg: dict, data: Dataset) -> float:
     """h_o from a fit run's report, once that run is known to be a fit of
     the same input file with the same metric."""
@@ -328,19 +322,15 @@ def _fit_dir_h_o(cfg: dict, data: Dataset) -> float:
 
 
 def cmd_covariance(cfg: dict) -> int:
-    if not cfg["input"]:
-        raise UsageError("covariance requires --input CSV")
-    data = _load_dataset(cfg)
+    data = _load_dataset(cfg, "covariance")
     grid = _candidates(cfg, "grid")
     b_candidates = _candidates(cfg, "b_candidates")
+    h_o = _fit_dir_h_o(cfg, data) if cfg["fit_dir"] else None
     outdir = _outdir(cfg)
-    _echo_config(outdir, cfg)
     ko = ProductEpanechnikovKernel(data.dim)
     if b_candidates is None:
         b_candidates = default_b_candidates(data, size=cfg["b_count"])
-    if cfg["fit_dir"]:
-        h_o = _fit_dir_h_o(cfg, data)
-    else:
+    if h_o is None:
         h_o = select_h_o(data, _annulus_kernel(cfg, data.dim), ko, grid, cfg["grid_size"]).h_o
 
     fit = fit_all(data, h_o, ko)
@@ -431,6 +421,8 @@ def _parse_scenario_file(path: str):
                 n_trials=int(fields.get("trials", "1")),
             )
             methods = [parse_method(m) for m in fields["methods"].split(";") if m]
+            if len({m.label for m in methods}) < len(methods):
+                raise ValueError(f"methods {fields['methods']!r} repeat a method")
         except (KeyError, ValueError) as err:
             raise UsageError(f"{path}:{lineno}: {err}") from err
         scenarios.append(scn)
@@ -449,7 +441,6 @@ def cmd_simulate(cfg: dict) -> int:
     path = cfg["scenarios"] or _bundled_scenarios()
     scenarios, methods_per = _parse_scenario_file(path)
     outdir = _outdir(cfg)
-    _echo_config(outdir, cfg)
     rows = []
 
     def progress(scn, trial):
@@ -514,7 +505,6 @@ def cmd_bench(cfg: dict) -> int:
     so GCV_s includes it and minEpan_s is about 0.  Per-layer times come
     from perfbench/run.py --trace 1."""
     outdir = _outdir(cfg)
-    _echo_config(outdir, cfg)
     model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
     scn = SimScenario("mu2d", cfg["n"], model, seed=cfg["seed"], n_trials=1)
     start = time.perf_counter()
@@ -588,7 +578,7 @@ _BOUNDS = {
     "delta_n": (0.0, False, np.inf, False), "c1": (0.0, True, np.inf, False),
     "c2_offset": (0.0, True, np.inf, False), "n": (4, False, np.inf, False),
     "zeta": (0.0, True, 1.0, True), "stability_tol": (0.0, True, np.inf, False),
-    "truncation_t": (-np.inf, True, np.inf, True),
+    "truncation_t": (-np.inf, True, np.inf, True), "seed": (0, False, np.inf, False),
 }
 _HELP = {
     "fit_dir": "reuse h_o from a previous fit run's report",

@@ -216,14 +216,11 @@ def calibrate_b(
     # variance estimates align; bisect the rightmost sign change of
     # (sigma2_tilde - sigma2_hat) and keep the refined candidates.
     if not any(abs(sigma2_hat - t) <= delta_n for t in tildes):
-        signs = np.sign(np.asarray(tildes) - sigma2_hat)
-        bracket = None
-        for i in range(len(bs) - 1, 0, -1):
-            if signs[i - 1] != 0.0 and signs[i] != 0.0 and signs[i - 1] != signs[i]:
-                bracket = (bs[i - 1], tildes[i - 1], bs[i])
-                break
-        if bracket is not None:
-            b_lo, t_lo, b_hi = bracket
+        # no sign is 0 here: a zero discrepancy would have qualified
+        changes = np.flatnonzero(np.diff(np.sign(np.asarray(tildes) - sigma2_hat)))
+        if changes.size:
+            i = int(changes[-1])
+            b_lo, t_lo, b_hi = bs[i], tildes[i], bs[i + 1]
             for _ in range(64):
                 if b_hi / b_lo < 1.0 + 1e-12:
                     break

@@ -345,11 +345,7 @@ def fit_points(data: Dataset, targets, h: float, kernel):
 
 def fit_all(data: Dataset, h: float, kernel) -> FitResult:
     """In-sample fit at every design point, recording singular points."""
-    return _fit_all_ws(_Workspace(data), kernel, h)
-
-
-def _fit_all_ws(ws: _Workspace, kernel, h: float) -> FitResult:
-    return _fit_and_hat_diagonal(ws, kernel, h)[0]
+    return _fit_and_hat_diagonal(_Workspace(data), kernel, h)[0]
 
 
 def _fit_and_hat_diagonal(ws: _Workspace, kernel, h: float):

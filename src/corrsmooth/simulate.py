@@ -22,14 +22,14 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 
 import numpy as np
 from scipy import integrate
 from scipy.spatial.distance import cdist
 
-from .bandwidth import _gcv_pick, _gcv_score_ws, default_grid, select_h_o, variance_fit_bandwidth
+from .bandwidth import _gcv_score_ws, _pick, default_grid, select_h_o, variance_fit_bandwidth
 from .covariance import (
     DEFAULT_N_STAR,
     DELTA_N_DEFAULT,
@@ -176,6 +176,8 @@ class SimScenario:
             raise ValueError("n too small for the dimension")
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def mu(self):
@@ -454,7 +456,8 @@ def run_method_trial(
     if spec.kind == "za":
         h = select_h_o(data, build_annulus_kernel(spec.c1, spec.c2, dim, objective), ko).h_o
     elif spec.kind == "gcv":
-        h = _gcv_pick(*sim.product_scan[:2])
+        grid, scores, _ = sim.product_scan
+        h = float(grid[_pick(scores)])
     else:
         raise ValueError(f"unknown method kind {spec.kind!r}")
 
@@ -486,10 +489,8 @@ def run_raw_trial(
 def min_epan_mse(sim: SimulatedData) -> float:
     """Least MSE_prac over the Epanechnikov default grid, read from the draw's
     product_scan, which the GCV row shares and the first reader computes."""
-    best = float(np.min(sim.product_scan[2]))
-    if not np.isfinite(best):
-        raise CorrsmoothError("no feasible bandwidth in the exhaustive scan")
-    return best
+    prac = sim.product_scan[2]
+    return float(prac[_pick(prac)])
 
 
 def _aggregate(values) -> tuple[float, float]:
@@ -569,9 +570,7 @@ def run_table(
     rows: list[ResultRow] = []
     for scn in scenarios:
         trials = scn.n_trials if n_trials is None else int(n_trials)
-        scn = SimScenario(
-            mu_id=scn.mu_id, n=scn.n, model=scn.model, seed=scn.seed, n_trials=trials
-        )
+        scn = replace(scn, n_trials=trials)
 
         def one_trial(trial_idx: int) -> dict[str, TrialOutcome | None]:
             return run_trial(

@@ -101,10 +101,11 @@ def test_simulate_rejects_bad_za_spec(tmp_path, capsys):
     assert "0 < c1 < c2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "bad", ["c=nan", "c=inf", "sigma2=nan", "sigma2=inf", "methods=za(1,inf)"]
-)
-def test_simulate_nonfinite_scenario_value_exits_1_before_output(tmp_path, capsys, bad):
+@pytest.mark.parametrize("bad", [
+    "c=nan", "c=inf", "sigma2=nan", "sigma2=inf", "methods=za(1,inf)", "seed=-1",
+    "methods=za(1,1.5);za(1,1.5)",
+])
+def test_simulate_bad_scenario_value_exits_1_before_output(tmp_path, capsys, bad):
     fields = dict(family="spherical", c="2.0", D="2", n="150", seed="1", trials="1", methods="gcv")
     key, value = bad.split("=", 1)
     fields[key] = value
@@ -116,8 +117,20 @@ def test_simulate_nonfinite_scenario_value_exits_1_before_output(tmp_path, capsy
     assert not out.exists()
 
 
-def test_fit_missing_input_flag(tmp_path):
-    assert main(["fit", "--output-dir", str(tmp_path / "o")]) == 1
+def test_fit_missing_input_flag(tmp_path, capsys):
+    for command in ("fit", "elbow", "covariance"):
+        out = tmp_path / command
+        assert main([command, "--output-dir", str(out)]) == 1
+        assert f"{command} requires --input CSV" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_empty_output_dir_exits_1_before_output(tmp_path, affine_csv, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["fit", "--input", str(affine_csv), "--output-dir", ""]) == 1
+    assert "output_dir" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_elbow_csv_row_count_and_determinism(tmp_path):
@@ -346,6 +359,7 @@ def test_config_value_outside_choices_is_usage_error(tmp_path, affine_csv, capsy
     (["covariance", "--truncation-t", "nan"], "", None),
     (["covariance", "--truncation-t", "inf"], "", None),
     (["covariance"], "truncation_t=-inf", None),
+    (["bench", "--seed", "-1"], "", None),
 ])
 def test_out_of_range_options_exit_1_before_fitting(
     tmp_path, affine_csv, capsys, monkeypatch, argv, config, threads_env
@@ -400,6 +414,7 @@ def test_covariance_fit_dir_rejects_other_input(tmp_path, affine_csv, affine_fit
     ])
     assert code == 1
     assert "used input=" in capsys.readouterr().err
+    assert not (tmp_path / "cov").exists()
 
 
 def test_covariance_fit_dir_rejects_other_metric(tmp_path, affine_csv, affine_fit_dir, capsys):
@@ -409,6 +424,7 @@ def test_covariance_fit_dir_rejects_other_metric(tmp_path, affine_csv, affine_fi
     ])
     assert code == 1
     assert "used metric='euclidean'" in capsys.readouterr().err
+    assert not (tmp_path / "cov").exists()
 
 
 def test_covariance_fit_dir_rejects_non_fit_report(tmp_path, affine_csv, capsys):
@@ -422,3 +438,16 @@ def test_covariance_fit_dir_rejects_non_fit_report(tmp_path, affine_csv, capsys)
     ])
     assert code == 1
     assert "command='elbow'" in capsys.readouterr().err
+    assert not (tmp_path / "cov").exists()
+
+
+def test_covariance_fit_dir_without_report_exits_1_before_output(tmp_path, affine_csv, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    code = main([
+        "covariance", "--input", str(affine_csv), "--fit-dir", str(empty),
+        "--output-dir", str(tmp_path / "cov"),
+    ])
+    assert code == 1
+    assert "report.txt" in capsys.readouterr().err
+    assert not (tmp_path / "cov").exists()

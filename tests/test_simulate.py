@@ -7,7 +7,7 @@ from scipy.spatial.distance import squareform
 
 import corrsmooth.simulate as simulate
 from corrsmooth.cli import main
-from corrsmooth.errors import SingularFitError
+from corrsmooth.errors import NoFeasibleBandwidthError, SingularFitError
 from corrsmooth.kernels import ProductEpanechnikovKernel, build_annulus_kernel
 from corrsmooth.locfit import Dataset, hat_matrix, pairwise_distances
 from corrsmooth.simulate import (
@@ -81,6 +81,8 @@ def test_scenario_validation():
         SimScenario("mu3d", 100, model, seed=0)
     with pytest.raises(ValueError, match="mu_id"):
         SimScenario("mu9d", 100, model, seed=0)
+    with pytest.raises(ValueError, match="seed"):
+        SimScenario("mu2d", 100, model, seed=-1)
 
 
 def test_generate_deterministic_and_zero_noise():
@@ -467,6 +469,17 @@ def test_min_epan_bounds_method_on_every_trial():
             out = run_trial(sim, [MethodSpec("za", 1.0, 1.5)], n_star=40)
         assert out["minEpan"].mse_prac <= out["ZA(1,1.5)"].mse_prac
         assert out["minEpan"].mse_prac <= min_epan_mse(sim)
+
+
+def test_min_epan_without_a_feasible_scan_bandwidth():
+    model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
+    sim = generate(SimScenario("mu2d", 60, model, seed=7), 0)
+    grid = np.geomspace(0.1, 0.5, 4)
+    sim.__dict__["product_scan"] = (grid, np.full(4, np.inf), np.full(4, np.inf))
+    with pytest.raises(NoFeasibleBandwidthError):
+        min_epan_mse(sim)
+    outcomes = run_trial(sim, [MethodSpec("gcv")], n_star=30)
+    assert outcomes["GCV"] is None and outcomes["minEpan"] is None
 
 
 def test_three_dimensional_pipeline_smoke():
