@@ -48,6 +48,7 @@ from .simulate import (
     CorrelationModel,
     SimScenario,
     ZETA_DEFAULT,
+    _method_specs,
     generate,
     parse_method,
     run_table,
@@ -420,9 +421,7 @@ def _parse_scenario_file(path: str):
                 seed=int(fields["seed"]),
                 n_trials=int(fields.get("trials", "1")),
             )
-            methods = [parse_method(m) for m in fields["methods"].split(";") if m]
-            if len({m.label for m in methods}) < len(methods):
-                raise ValueError(f"methods {fields['methods']!r} repeat a method")
+            methods = _method_specs(m for m in fields["methods"].split(";") if m)
         except (KeyError, ValueError) as err:
             raise UsageError(f"{path}:{lineno}: {err}") from err
         scenarios.append(scn)

@@ -9,7 +9,13 @@ q and the lag-0 estimate is dominated by the i = j mass regardless).
 
 Every estimate is a sum over the design's sorted pair index, taken by
 _PairSums from one fit or residual vector; calibration and the curve each
-build one and evaluate all their lags on it.
+build one.  No lag is evaluated on its own: the boundary kernel is a
+quadratic on each window, so one vector pass sums the pairs once per
+segment between window edges and gives every lag of the pass from those
+segment moments.  Calibration evaluates all its candidates in one pass
+(each bisection midpoint sums only the segments it splits), the pilot
+truncation a block of lags per pass up to its first stop, and the curve
+all of its lags in one pass on the pilot's segments.
 
 The smoothing bandwidth b is picked by variance calibration: the largest
 candidate keeping the kernel-based variance estimate within delta_n of
@@ -46,19 +52,31 @@ DEFAULT_N_STAR = 200
 _RHO_MODES = ("by_chat0", "by_sigma2_hat")
 DEFAULT_B_CANDIDATES = 25
 _PILOT_POINTS = 256
+_PILOT_BLOCK = 32  # lags per pilot pass
 _PILOT_FLOOR = 0.02  # pilot truncation when |C| falls below this fraction of C(0)
 _SANITY_FACTOR = 1.5
 
 
 class _PairSums:
-    """A pair index's sorted distances with aligned residual products.
+    """A pair index's sorted distances with aligned residual products, and
+    the kernel-weighted ratio at any set of lags from them.
 
-    The one route from a fit or a residual vector to pair sums.  Every lag
-    evaluation touches only the pairs inside its window, which keeps curve
-    evaluation linear in the window size.  The products r[i] * r[j] are
-    filled in distance order up to each window's far end as windows first
-    reach them, so calibration and truncated curves never multiply a pair
-    beyond their widest window.
+    estimates() evaluates an array of lags in one vector pass.  A lag's
+    window is the open distance interval (t - b, t + b), whose ends carry
+    zero weight.  The pass cuts the sorted pairs at the ends of all its
+    windows, and at the kernel's sign change for lags below b / 3, into
+    segments.  Each segment is summed once, over its products and over 1,
+    into the moments sum e^k x (k <= 2) about its first distance a, with
+    e = d - a.  On a segment the kernel is a quadratic in e / b whose
+    coefficients are BoundaryKernel's shifted to tau = (t - a) / b; inside
+    a window |tau| < 1 and e < 2b, so no sum is taken about a far anchor
+    and no large terms cancel.  A window adds up its segments' terms.
+
+    The segments' sums are kept, so a later pass sums only the segments
+    that its new cuts create: a bisection midpoint of calibration sums the
+    segments it splits.  The products r[i] * r[j] are filled in distance
+    order up to the far end of the widest window so far, so calibration
+    and truncated curves never multiply a pair beyond it.
     """
 
     def __init__(self, fit_or_residuals, index: PairIndex):
@@ -79,40 +97,122 @@ class _PairSums:
         self._prod = np.empty(index.dist.shape)
         self.filled = 0  # products [0, filled) are computed
         self.diag = float(residuals @ residuals)
+        # Segment k holds pairs [edges[k], edges[k + 1]); its row of sums is
+        # (x, e x, e^2 x, 1, e, e^2) summed over the segment, with x the
+        # products, or NaN until a window needs it.
+        self._edges = np.empty(0, dtype=np.intp)
+        self._sums = np.empty((0, 6))
 
     def products(self, hi: int) -> np.ndarray:
         """Residual products of the hi nearest pairs."""
         if hi > self.filled:
             lo, self.filled = self.filled, hi
             head = self._prod[lo:hi]
-            np.take(self._residuals, self._index.i[lo:hi], out=head)
-            head *= self._residuals[self._index.j[lo:hi]]
+            # the indices are in range, so mode="clip" only skips the
+            # checked take, which is three times slower on int32 indices
+            np.take(self._residuals, self._index.i[lo:hi], out=head, mode="clip")
+            head *= np.take(self._residuals, self._index.j[lo:hi], mode="clip")
         return self._prod[:hi]
 
     def estimate(self, t: float, b: float) -> float:
-        """Weighted ratio at lag t; boundary kernel for t < b."""
-        if not (np.isfinite(t) and np.isfinite(b)):
+        """The estimate at one lag; EmptyWindowError if its window is empty."""
+        value = float(self.estimates(t, b))
+        if np.isnan(value):
+            raise EmptyWindowError(t, b)
+        return value
+
+    def estimates(self, t, b) -> np.ndarray:
+        """Weighted ratios at lags t with bandwidths b, broadcast together;
+        boundary kernel for t < b, and NaN where a window is empty."""
+        t, b = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(b, dtype=float))
+        if not (np.isfinite(t).all() and np.isfinite(b).all()):
             raise ValueError(f"lag t and bandwidth b must be finite, got t={t}, b={b}")
-        if b <= 0.0:
+        if not (b > 0.0).all():
             raise ValueError(f"bandwidth b must be positive, got {b}")
-        if t < 0.0:
+        if not (t >= 0.0).all():
             raise ValueError(f"lag t must be nonnegative, got {t}")
+        shape = t.shape
+        t, b = t.ravel(), b.ravel()
         kernel = BoundaryKernel(q=t / b)  # q >= 1 collapses to Epanechnikov
         lo = np.searchsorted(self.dist, t - b, side="right")
-        hi = np.searchsorted(self.dist, t + b, side="right")
-        u = (t - self.dist[lo:hi]) / b
-        w = kernel.value(u)
-        num = 2.0 * float(w @ self.products(hi)[lo:])
-        den = 2.0 * float(w.sum())
-        # Diagonal pairs sit at distance 0 with argument t/b; the kernel's
-        # own support check zeroes them once t >= b.
-        w_diag = float(kernel.value(np.asarray(t / b)))
-        num += w_diag * self.diag
-        den += w_diag * self.n
-        mass = 2.0 * float(np.abs(w).sum()) + abs(w_diag) * self.n
-        if mass == 0.0 or abs(den) < 1e-10 * mass:
-            raise EmptyWindowError(t, b)
-        return num / den
+        hi = np.searchsorted(self.dist, t + b, side="left")
+        cut = np.clip(np.searchsorted(self.dist, t - kernel.sign_change * b), lo, hi)
+        edges = self._summed_segments(lo, cut, hi)
+        first, split, last = (np.searchsorted(edges, p) for p in (lo, cut, hi))
+
+        # Row l holds lag l's segments first[l] + j; the kernel at
+        # u = tau - e / b is c0 + c1 e + c2 e^2 on each.
+        seg = first[:, None] + np.arange(int((last - first).max(initial=0)))
+        inside = seg < last[:, None]
+        positive = seg < split[:, None]
+        seg = np.minimum(seg, edges.size - 2)
+        k0, k1, k2 = (k[:, None] for k in kernel.coefficients)
+        width = b[:, None]
+        tau = (t[:, None] - self.dist[edges[seg]]) / width
+        c0 = (k2 * tau + k1) * tau + k0
+        c1 = -(2.0 * k2 * tau + k1) / width
+        c2 = k2 / (width * width)
+        sums = self._sums[seg]
+        prod = c0 * sums[..., 0] + c1 * sums[..., 1] + c2 * sums[..., 2]
+        ones = c0 * sums[..., 3] + c1 * sums[..., 4] + c2 * sums[..., 5]
+        num = np.where(inside, prod, 0.0).sum(axis=1)
+        pos = np.where(positive, ones, 0.0).sum(axis=1)
+        neg = np.where(inside & ~positive, ones, 0.0).sum(axis=1)
+
+        # Diagonal pairs sit at distance 0 with argument t/b; their weight
+        # is 0 once t >= b.
+        w_diag = kernel.diagonal
+        num = 2.0 * num + w_diag * self.diag
+        den = 2.0 * (pos + neg) + w_diag * self.n
+        mass = 2.0 * (np.abs(pos) + np.abs(neg)) + w_diag * self.n  # w_diag >= 0
+        empty = (mass == 0.0) | (np.abs(den) < 1e-10 * mass)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(empty, np.nan, num / den).reshape(shape)
+
+    def _summed_segments(self, lo, cut, hi) -> np.ndarray:
+        """The segment edges after cutting at lo, cut and hi, with every
+        segment inside some window [lo, hi) summed; returns the edges."""
+        old = self._edges
+        edges = np.union1d(old, np.concatenate([lo, cut, hi]))
+        sums = np.full((max(edges.size - 1, 0), 6), np.nan)
+        # the old edges are among the new, so a segment between two old
+        # edges is an old segment and keeps its sums
+        was_edge = np.isin(edges, old)
+        kept = was_edge[:-1] & was_edge[1:]
+        sums[kept] = self._sums[np.searchsorted(old, edges[:-1][kept])]
+        cover = np.zeros(edges.size, dtype=np.intp)
+        np.add.at(cover, np.searchsorted(edges, lo), 1)
+        np.add.at(cover, np.searchsorted(edges, hi), -1)
+        todo = np.flatnonzero((np.cumsum(cover[:-1]) > 0) & np.isnan(sums[:, 0]))
+        if todo.size:
+            self.products(int(edges[todo[-1] + 1]))
+            runs = np.split(todo, np.flatnonzero(np.diff(todo) > 1) + 1)
+            for run in runs:  # consecutive segments, summed in one reduceat each
+                sums[run[0] : run[-1] + 1] = self._segment_sums(edges[run[0] : run[-1] + 2])
+        self._edges, self._sums = edges, sums
+        return edges
+
+    def _segment_sums(self, edges) -> np.ndarray:
+        """Rows (x, e x, e^2 x, 1, e, e^2) summed over each segment between
+        consecutive edges, with e the distance minus the segment's first."""
+        lo, hi = int(edges[0]), int(edges[-1])
+        x = self._prod[lo:hi]
+        d = self.dist[lo:hi]
+        starts = edges[:-1] - lo
+        counts = np.diff(edges)
+        e = np.repeat(d[starts], counts)
+        np.subtract(d, e, out=e)
+        ex = e * x
+        out = np.empty((counts.size, 6))
+        out[:, 0] = np.add.reduceat(x, starts)
+        out[:, 1] = np.add.reduceat(ex, starts)
+        ex *= e
+        out[:, 2] = np.add.reduceat(ex, starts)
+        out[:, 3] = counts
+        out[:, 4] = np.add.reduceat(e, starts)
+        e *= e
+        out[:, 5] = np.add.reduceat(e, starts)
+        return out
 
 
 def _interpolate_truncated(t, t_grid, values, truncation_t):
@@ -210,7 +310,10 @@ def calibrate_b(
 
     pairs = _PairSums(fit_or_residuals, data.pair_index)
     bs = [float(b) for b in b_arr]
-    tildes = [pairs.estimate(0.0, b) for b in bs]
+    tildes = pairs.estimates(0.0, b_arr)  # the nested windows [0, b) in one pass
+    if np.isnan(tildes).any():
+        raise EmptyWindowError(0.0, bs[int(np.argmax(np.isnan(tildes)))])
+    tildes = tildes.tolist()
 
     # The coarse grid often straddles the narrow band where the two
     # variance estimates align; bisect the rightmost sign change of
@@ -268,21 +371,26 @@ def calibrate_b(
     )
 
 
-def _pilot_truncation(pairs: _PairSums, b: float, sigma2_tilde: float) -> float:
-    """Smallest lag where a pilot curve changes sign or decays below the floor."""
+def _pilot_truncation(pairs: _PairSums, b: float) -> float:
+    """Smallest lag where a pilot curve changes sign or decays below the floor.
+
+    The pilot lags are evaluated _PILOT_BLOCK at a time, with lag 0, which
+    sets the floor, in the first pass; no pass runs past the first stop.
+    Lags with empty windows are skipped.
+    """
     d_max = float(pairs.dist[-1]) if pairs.dist.size else 0.0
     upper = d_max / 2.0
     if upper <= 0.0:
         return 0.0
-    ts = np.linspace(upper / _PILOT_POINTS, upper, _PILOT_POINTS)
-    floor = _PILOT_FLOOR * abs(sigma2_tilde)
-    for t in ts:
-        try:
-            val = pairs.estimate(float(t), b)
-        except EmptyWindowError:
-            continue
-        if val <= 0.0 or abs(val) < floor:
-            return float(t)
+    ts = np.concatenate([[0.0], np.linspace(upper / _PILOT_POINTS, upper, _PILOT_POINTS)])
+    floor = np.nan
+    for start in range(0, ts.size, _PILOT_BLOCK):
+        values = pairs.estimates(ts[start : start + _PILOT_BLOCK], b)
+        if start == 0:
+            floor, values[0] = _PILOT_FLOOR * abs(values[0]), np.nan
+        stops = np.flatnonzero((values <= 0.0) | (np.abs(values) < floor))
+        if stops.size:
+            return float(ts[start + stops[0]])
     return upper
 
 
@@ -307,11 +415,10 @@ def covariance_curve(
         raise ValueError(f"n_star must be >= 2, got {n_star}")
     if not 0.0 < b < np.inf:
         raise ValueError(f"bandwidth b must be finite and positive, got {b}")
+    b = float(b)
     pairs = _PairSums(fit_or_residuals, data.pair_index)
-    tilde = pairs.estimate(0.0, float(b))
-
     if truncation_t is None:
-        truncation_t = _pilot_truncation(pairs, float(b), tilde)
+        truncation_t = _pilot_truncation(pairs, b)
     truncation_t = float(truncation_t)
     if not 0.0 <= truncation_t < np.inf:
         raise ValueError(f"truncation_t must be finite and nonnegative, got {truncation_t}")
@@ -320,25 +427,23 @@ def covariance_curve(
     if truncation_t == 0.0:  # -0.0 too, which the estimate records as 0.0
         ts, truncation_t = ts[:1], 0.0
     values = np.zeros(ts.shape)  # the clamp at T: the curve is 0 from there on
-    values[0] = tilde
-    keep = np.ones(ts.shape, dtype=bool)
-    dropped = []
-    for idx in range(1, ts.size - 1):
-        try:
-            values[idx] = pairs.estimate(float(ts[idx]), float(b))
-        except EmptyWindowError:
-            keep[idx] = False
-            dropped.append(ts[idx])
-    if dropped:
-        if len(dropped) == ts.size - 2:
-            raise EmptyWindowError(float(dropped[0]), float(b))
+    lags = ts[:-1] if ts.size > 1 else ts  # every lag but T, in one pass
+    values[: lags.size] = pairs.estimates(lags, b)
+    if np.isnan(values[0]):
+        raise EmptyWindowError(0.0, b)
+    tilde = float(values[0])
+    empty = np.isnan(values)
+    dropped = ts[empty]
+    if dropped.size:
+        if dropped.size == ts.size - 2:
+            raise EmptyWindowError(float(dropped[0]), b)
         warnings.warn(
-            f"{len(dropped)} lag grid point(s) had empty windows and were "
+            f"{dropped.size} lag grid point(s) had empty windows and were "
             "dropped from interpolation",
             stacklevel=2,
         )
-    ts = ts[keep]
-    values = values[keep]
+    ts = ts[~empty]
+    values = values[~empty]
     flags = np.abs(values) > _SANITY_FACTOR * abs(tilde)
     if flags.any():
         warnings.warn(
@@ -348,11 +453,11 @@ def covariance_curve(
     return CovarianceEstimate(
         t_grid=ts,
         c_hat=values,
-        b=float(b),
+        b=b,
         sigma2_hat=float(sigma2_hat),
         sigma2_tilde=tilde,
         truncation_t=truncation_t,
-        dropped=np.asarray(dropped),
+        dropped=dropped,
         flags=flags,
     )
 

@@ -197,27 +197,57 @@ class ProductEpanechnikovKernel:
 class BoundaryKernel:
     """Asymmetric kernel on [-1, q] restoring zeroth/first moments near lag 0.
 
-    q is the ratio t/b clamped to (0, 1]; at q = 1 the formula reduces to
-    the Epanechnikov kernel.
+    q is the ratio t/b clamped to (0, 1]; an array of ratios gives one
+    kernel per lag.  On its support the kernel is the quadratic
+
+        12 (u + 1) (u (1 - 2q) + (3q^2 - 2q + 1) / 2) / (1 + q)^4,
+
+    which at q = 1 is the Epanechnikov kernel 3/4 (1 - u^2).  Its factors
+    below give value(), and the coefficients, the weight at u = q of the
+    pairs at distance 0 and the sign change that the covariance layer's
+    window sums read.
     """
 
-    q: float
+    q: float | np.ndarray
 
     def __post_init__(self):
-        q = float(self.q)
-        q = min(q, 1.0)
-        if q <= 0.0:
-            q = np.finfo(float).eps
-        object.__setattr__(self, "q", q)
+        q = np.minimum(np.asarray(self.q, dtype=float), 1.0)
+        q = np.where(q > 0.0, q, np.finfo(float).eps)
+        object.__setattr__(self, "q", float(q) if q.ndim == 0 else q)
 
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
+    def _factors(self):
+        """(scale, slope, offset) with the kernel scale (u + 1)(slope u + offset)."""
         q = self.q
-        core = (12.0 * (t + 1.0) / (1.0 + q) ** 4) * (
-            t * (1.0 - 2.0 * q) + (3.0 * q * q - 2.0 * q + 1.0) / 2.0
-        )
-        inside = (t >= -1.0) & (t <= q)
-        return np.where(inside, core, 0.0)
+        return 12.0 / (1.0 + q) ** 4, 1.0 - 2.0 * q, (3.0 * q * q - 2.0 * q + 1.0) / 2.0
+
+    @property
+    def coefficients(self):
+        """(k0, k1, k2) with the kernel k0 + k1 u + k2 u^2 on its support."""
+        scale, slope, offset = self._factors()
+        return scale * offset, scale * (slope + offset), scale * slope
+
+    @property
+    def diagonal(self):
+        """The kernel at u = q, where pairs at distance 0 sit: 6 (1 - q) / (1 + q)^2,
+        which is 0 at q = 1, so for every lag t >= b."""
+        return 6.0 * (1.0 - self.q) / (1.0 + self.q) ** 2
+
+    @property
+    def sign_change(self):
+        """The root -offset / slope, left of which the kernel is negative on
+        its support.  It lies in (-1, q) only for q < 1/3; elsewhere the
+        kernel is nonnegative and -1, the support's end, stands in."""
+        _, slope, offset = self._factors()
+        turns = np.asarray(self.q < 1.0 / 3.0)
+        root = np.divide(-offset, slope, out=np.full(turns.shape, -1.0), where=turns)
+        return root[()]
+
+    def value(self, u):
+        """The kernel at u, in factored form so that it is exactly 0 at u = -1."""
+        u = np.asarray(u, dtype=float)
+        scale, slope, offset = self._factors()
+        inside = (u >= -1.0) & (u <= self.q)
+        return np.where(inside, scale * (u + 1.0) * (slope * u + offset), 0.0)
 
 
 def _annulus_vectors(c1, c2, dim):

@@ -40,7 +40,7 @@ from .covariance import (
 )
 from .errors import CorrsmoothError, SingularFitError
 from .kernels import MIN_PRODUCT, ProductEpanechnikovKernel, build_annulus_kernel, sphere_surface
-from .locfit import Dataset, _metric_distances, _Workspace, fit_all, hat_matrix, pairwise_distances
+from .locfit import Dataset, _metric_distances, _Workspace, fit_all, hat_matrix
 
 __all__ = [
     "FAMILIES",
@@ -398,6 +398,16 @@ def parse_method(text: str) -> MethodSpec:
     raise ValueError(f"unknown method {text!r}; expected gcv or za(c1,c2)")
 
 
+def _method_specs(methods) -> list[MethodSpec]:
+    """MethodSpecs from specs or their text; ValueError if two share a row label,
+    since a trial keeps one outcome per label."""
+    specs = [parse_method(m) if isinstance(m, str) else m for m in methods]
+    labels = [spec.label for spec in specs]
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"methods {', '.join(labels)} repeat a method")
+    return specs
+
+
 @dataclass
 class TrialOutcome:
     """One row kind's result on one trial; metrics a row kind lacks stay NaN.
@@ -437,7 +447,7 @@ def _covariance_metrics(sim, residuals, sigma2_hat, n_star, delta_n, zeta):
         sim.dataset, residuals, cal.chosen_b, n_star=n_star, sigma2_hat=sigma2_hat
     )
     rho = estimate_correlation(curve, "by_chat0")
-    sse = sse_cor(rho, sim.model, pairwise_distances(sim.dataset), sim.n, zeta=zeta)
+    sse = sse_cor(rho, sim.model, sim.dataset.pair_index.dist, sim.n, zeta=zeta)
     return sse, cal.fallback
 
 
@@ -559,14 +569,15 @@ def run_table(
     for a numerical failure, for every method plus the "Raw" (true-error
     covariance reference) and "minEpan" (exhaustive-scan reference) rows.
     Every row aggregates its column of those maps the same way, over the
-    completed trials.  progress(scenario, trial) is called as each trial's
+    completed trials; a method listed twice raises ValueError before any
+    trial runs.  progress(scenario, trial) is called as each trial's
     map arrives, in trial order.  Child seeds make trials order-independent,
     so threads > 1 shares them out over a worker pool; one thread runs them
     in the caller, which keeps the peak RSS lower than a one-worker pool.
     Pooled trials share numpy's OpenBLAS thread count, which each trial's
     draw_correlated_errors briefly pins to one.
     """
-    method_specs = [parse_method(m) if isinstance(m, str) else m for m in methods]
+    method_specs = _method_specs(methods)
     rows: list[ResultRow] = []
     for scn in scenarios:
         trials = scn.n_trials if n_trials is None else int(n_trials)

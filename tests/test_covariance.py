@@ -151,8 +151,8 @@ def test_calibration_largest_qualifying_rule():
         def __init__(self, *a, **k):
             pass
 
-        def estimate(self, t, b):
-            idx = int(np.argmin(np.abs(pairs_b - b)))
+        def estimates(self, t, b):
+            idx = np.argmin(np.abs(pairs_b - np.asarray(b)[..., None]), axis=-1)
             return 0.1 + target[idx]
 
     real = cov._PairSums
@@ -173,8 +173,8 @@ def test_calibration_all_qualifying_takes_last():
         def __init__(self, *a, **k):
             pass
 
-        def estimate(self, t, b):
-            return 0.1  # zero discrepancy everywhere
+        def estimates(self, t, b):
+            return np.full(np.shape(b), 0.1)  # zero discrepancy everywhere
 
     real = cov._PairSums
     cov._PairSums = FakePairs
@@ -358,6 +358,65 @@ def test_degenerate_truncation():
     assert curve.flags.tolist() == [False]
     neg = covariance_curve(sim.dataset, sim.errors, 0.05, n_star=10, truncation_t=-0.0)
     assert str(neg.truncation_t) == "0.0"  # not -0.0
+
+
+@pytest.mark.parametrize("bisects", [False, True], ids=["coarse", "bisected"])
+def test_lags_are_evaluated_in_vector_passes(monkeypatch, bisects):
+    # calibration evaluates its candidates in one pass, and each bisection
+    # midpoint in one more that sums only the segments its cuts split; the
+    # pilot takes one pass per block of lags up to its stop and the curve one
+    # for all of its lags, whatever n_star is
+    import corrsmooth.covariance as cov
+    from corrsmooth.kernels import BoundaryKernel
+
+    passes = []  # (caller's first bandwidth, lags, pairs summed)
+
+    class CountingPairSums(cov._PairSums):
+        def estimates(self, t, b):
+            t, b = np.broadcast_arrays(t, b)
+            passes.append([float(b.flat[0]), t.size, 0])
+            return super().estimates(t, b)
+
+        def _segment_sums(self, edges):
+            passes[-1][2] += int(edges[-1] - edges[0])
+            return super()._segment_sums(edges)
+
+    sim = sp3_sim(seed=31, n=300)
+    data, r = sim.dataset, sim.errors
+    cands = default_b_candidates(data)
+    s2 = float(r @ r / data.n)
+    if bisects:  # halfway between two candidates' estimates, far from all
+        tildes = cov._PairSums(r, data.pair_index).estimates(0.0, cands)
+        mids = (tildes[:-1] + tildes[1:]) / 2.0
+        s2 = float([m for m in mids if np.abs(tildes - m).min() > 2e-4][-1])
+    monkeypatch.setattr(cov, "_PairSums", CountingPairSums)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cal = calibrate_b(data, r, s2)
+    midpoints = cal.b_candidates.size - cands.size
+    assert (midpoints > 0) == bisects
+    assert [p[1] for p in passes] == [cands.size] + [1] * midpoints
+    dist, seen = data.pair_index.dist, list(cands)
+    cut = -float(BoundaryKernel(0.0).sign_change)  # lag 0's sign change, in units of b
+    for b_mid, _, summed in passes[1:]:
+        left = max(v for v in seen if v < b_mid)
+        right = min(v for v in seen if v > b_mid)
+        split = np.searchsorted(dist, [b_mid, left, cut * right, cut * left])
+        assert summed <= split[0] - split[1] + split[2] - split[3]
+        seen.append(b_mid)
+
+    counts = []
+    for n_star in (40, 400):
+        del passes[:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            curve = covariance_curve(data, r, cal.chosen_b, n_star=n_star)
+        assert passes[-1][1] == n_star  # lag 0 and every lag below T
+        counts.append(len(passes))
+    upper = float(dist[-1]) / 2.0
+    pilot = np.concatenate([[0.0], np.linspace(upper / 256, upper, 256)])
+    blocks = int(np.flatnonzero(pilot == curve.truncation_t)[0]) // cov._PILOT_BLOCK + 1
+    assert counts == [blocks + 1, blocks + 1]
 
 
 def _estimate_or_empty(pairs, t, b):

@@ -10,6 +10,9 @@ digests below, which were recorded before the kernel dispatch moved into
 when the local normal equations took their weighted sums from one matrix
 product, which rounds them differently, and again when the local systems
 moved to the design's centered frame with one solve for the smoother row.
+The ``covariance`` digests and the ``simulate`` SSE_cor table were
+re-recorded when the covariance layer evaluated all lags in one vector pass
+of segment moments, and sse_cor summed over the sorted pair index.
 Path-valued keys of ``config_echo.txt`` are left out, because the run
 directory differs per test.  Re-record a digest only together with a
 CHANGES.md note that says which output moved and why.
@@ -99,11 +102,11 @@ _ARTIFACTS = {
     "fit/rss_trace.csv": "3930bb7a9bdfd38054eaabe1184ff232824b92a5beb0ad0de4ca396846720a8b",
     "fit/surface.csv": "2faabef95118279e3630087816116f350fc2d7772d6b5630c89809f9a51c336d",
     "covariance/exit": 0,
-    "covariance/stdout": "0844f524df9440cd533b6f48e7dfae4d1cde9765e39324d3a59249f7a3bfe5df",
-    "covariance/calibration.csv": "bfb3e76cdb470ab28629bfaf6dcbc00d461d7ded19063e40274cd48ae675a4b1",
+    "covariance/stdout": "0eb3030e9f6a4609d5fd0a5dfac1fd09ce20ae925ffbc341b06a67cfcdef677e",
+    "covariance/calibration.csv": "978db78ab8788fea5f0f4633ae3022a33745b5494675f1e222b6d7a80eeefe89",
     "covariance/config_echo.txt": "870f46c6386a34020979735a26f1f5ad7c66b90e8736be635440516b1a8bf722",
-    "covariance/covariance.csv": "b6e4e2c758a811acba51ff906fefd8ac31ad6b7a4650c4cff17bcfd5d79a72d9",
-    "covariance/report.txt": "644ca66616997dbb8d34dfd255653d4e27e6bb5d434bc94728512cc9826d08f7",
+    "covariance/covariance.csv": "75a181c6292a76141da33b787fef7c4eada7df9fcd641432ba2ebed37fd3de74",
+    "covariance/report.txt": "19dc949c2811429511494fb61a02e609901809d06471175469df0365833304a3",
     "simulate/exit": 0,
     "simulate/stdout": "6f695a41d5c6ded018f37a55275d8b889aa21807cc8a70b79b35ffcb841462ac",
     "simulate/config_echo.txt": "fcc4325184ed9cdf1735f2d3f9b0c6da125157ac4faeee1fe71a9877404caebf",
@@ -111,7 +114,7 @@ _ARTIFACTS = {
     "simulate/report.txt": "af1a93ae963adb57d567e21b149feceaf9b492e63688ba22936442b1c7108e65",
     "simulate/table_mse_prac.csv": "c8e21abc8bb4b2f0126c4e02afb9dc5df38e0b71e95bff71f0c01b371ceb0b7c",
     "simulate/table_mse_sigma2.csv": "b4bedd7bc4f3844ad63b96d65deccc723764702dd665f72cda14614ec18b3605",
-    "simulate/table_sse_cor.csv": "d13ff6ed1ae8ffcc0f0490337ce67fd6a710fe3f15eb7a6affee5a754dcf0ed3",
+    "simulate/table_sse_cor.csv": "01365943be982e5b833978164d573a3fdb8ecc15d5216d6f6c5b3d3f30339335",
 }
 
 # --help at COLUMNS=100 (argparse as in Python 3.11).

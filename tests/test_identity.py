@@ -4,15 +4,20 @@ The references below are the formulas the fits used before they shared
 one workspace and one solve per candidate: the np.where/prod kernel value,
 the annulus profile on every entry, GCV from fit_all plus the n x n hat
 matrix, the minEpan scan as a fit_all loop, and the bandwidth grid's floor
-found by one n x n neighbor mask per scan candidate.  The covariance layer
-is held to its forms from before it computed only the pairs its windows
-reach: pair sums with every residual product computed up front, and
-sse_cor evaluating the true correlation at every distance.  Haversine
-pairs are held to their gather over triu_indices, from before they were
-read off the n x n distance matrix.  Every such comparison is exact (==
-or equal bytes), not approximate.
+found by one n x n neighbor mask per scan candidate.  sse_cor is held to
+its form from before it evaluated the true correlation only below a cut,
+and haversine pairs to their gather over triu_indices, from before they
+were read off the n x n distance matrix.  Every such comparison is exact
+(== or equal bytes), not approximate.
 
-The one exception is the weighted sums of the normal equations.  They now
+There are two exceptions.  The covariance layer's pair sums now come from
+one vector pass of segment moments for all lags, which rounds otherwise
+than one kernel-weighted sum per lag with every residual product computed
+up front.  They are held to that per-lag reference within 1e-12 of |C(0)|,
+with the same empty windows, chosen b, truncation lag, dropped lags and
+flags, and both to an 80-bit oracle of direct window sums.
+
+The other is the weighted sums of the normal equations.  They now
 come from one product of the weights with the design's moments, which adds
 the terms in another order than the five separate dense sums of the
 reference; both are taken in the workspace's centered frame.  The systems
@@ -38,20 +43,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corrsmooth
+import corrsmooth.covariance as covariance_mod
 import corrsmooth.simulate as simulate_mod
 
 from corrsmooth.bandwidth import default_grid, gcv_score, gcv_select
 from corrsmooth.covariance import (
     _PILOT_POINTS,
     CorrelationCurve,
+    DELTA_N_DEFAULT,
     _PairSums,
-    _pilot_truncation,
     calibrate_b,
     covariance_curve,
+    default_b_candidates,
 )
 from corrsmooth.errors import EmptyWindowError
 from corrsmooth.kernels import (
-    BoundaryKernel,
     ProductEpanechnikovKernel,
     RadialAnnulusKernel,
     build_annulus_kernel,
@@ -602,13 +608,13 @@ _GOLDEN_ROWS = [
     "sse_cor_sd=nan, failures=0)",
     f"ResultRow({_GOLDEN_BASE}, method='Raw', mse_prac_mean=nan, mse_prac_sd=nan, "
     "mse_sigma2_mean=0.0003526009937590173, mse_sigma2_sd=0.0, "
-    "sse_cor_mean=3.7447634036751647, sse_cor_sd=0.0, failures=0)",
+    "sse_cor_mean=3.744763403675162, sse_cor_sd=0.0, failures=0)",
     f"ResultRow({_GOLDEN_BASE}, method='ZA(1,1.5)', mse_prac_mean=0.026484976687090604, "
     "mse_prac_sd=0.0, mse_sigma2_mean=9.050663955276551e-05, mse_sigma2_sd=0.0, "
-    "sse_cor_mean=3.877842649180269, sse_cor_sd=0.0, failures=0)",
+    "sse_cor_mean=3.8778426491802542, sse_cor_sd=0.0, failures=0)",
     f"ResultRow({_GOLDEN_BASE}, method='GCV', mse_prac_mean=0.02432523563441487, "
     "mse_prac_sd=0.0, mse_sigma2_mean=0.0016933304833041392, mse_sigma2_sd=0.0, "
-    "sse_cor_mean=28.437441485498663, sse_cor_sd=0.0, failures=0)",
+    "sse_cor_mean=28.437441485498624, sse_cor_sd=0.0, failures=0)",
 ]
 
 
@@ -628,8 +634,10 @@ def test_run_table_golden_rows():
     """run_table rows for one small seeded scenario, recorded before the
     product-kernel sweeps shared one workspace and one solve per candidate,
     re-recorded when the normal equations took their sums from one matrix
-    product, and again when the local systems moved to the design's
-    centered frame with one solve for the smoother row.
+    product, again when the local systems moved to the design's
+    centered frame with one solve for the smoother row, and again when the
+    covariance layer evaluated all lags in one vector pass and sse_cor
+    summed over the sorted pair index, which moved the SSE_cor values.
 
     The rows come from a child interpreter with OpenBLAS on one thread, as
     they did before generate pinned its eigendecomposition to one thread.
@@ -653,8 +661,24 @@ def test_run_table_golden_rows_on_two_blas_threads():
     assert before == after
 
 
-class ReferencePairSums:
-    """The pair sums with every product r[i] * r[j] computed up front."""
+class PerLagSums:
+    """estimates() as one estimate() per lag, NaN where it raises EmptyWindowError."""
+
+    def estimates(self, t, b):
+        t, b = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(b, dtype=float))
+        out = np.empty(t.shape)
+        for k, (lag, width) in enumerate(zip(t.flat, b.flat)):
+            try:
+                out.flat[k] = self.estimate(float(lag), float(width))
+            except EmptyWindowError:
+                out.flat[k] = np.nan
+        return out
+
+
+class ReferencePairSums(PerLagSums):
+    """The pair sums as one window per lag, with every product r[i] * r[j]
+    computed up front and the kernel formula of the code that summed them
+    so, before all lags were evaluated in one vector pass."""
 
     def __init__(self, residuals, index):
         residuals = np.asarray(residuals, dtype=float)
@@ -664,15 +688,23 @@ class ReferencePairSums:
         self.prod *= residuals[index.j]
         self.diag = float(residuals @ residuals)
 
+    @staticmethod
+    def kernel(q, u):
+        q = min(float(q), 1.0)
+        if q <= 0.0:
+            q = np.finfo(float).eps
+        core = (12.0 * (u + 1.0) / (1.0 + q) ** 4) * (
+            u * (1.0 - 2.0 * q) + (3.0 * q * q - 2.0 * q + 1.0) / 2.0
+        )
+        return np.where((u >= -1.0) & (u <= q), core, 0.0)
+
     def estimate(self, t, b):
-        kernel = BoundaryKernel(q=t / b)
         lo = np.searchsorted(self.dist, t - b, side="right")
         hi = np.searchsorted(self.dist, t + b, side="right")
-        u = (t - self.dist[lo:hi]) / b
-        w = kernel.value(u)
+        w = self.kernel(t / b, (t - self.dist[lo:hi]) / b)
         num = 2.0 * float(w @ self.prod[lo:hi])
         den = 2.0 * float(w.sum())
-        w_diag = float(kernel.value(np.asarray(t / b)))
+        w_diag = float(self.kernel(t / b, np.asarray(t / b)))
         num += w_diag * self.diag
         den += w_diag * self.n
         mass = 2.0 * float(np.abs(w).sum()) + abs(w_diag) * self.n
@@ -681,39 +713,79 @@ class ReferencePairSums:
         return num / den
 
 
-def estimates_or_empty(pairs, lags, b):
-    """The estimate at each lag, or None where its window is empty."""
-    out = []
-    for t in lags:
-        try:
-            out.append(pairs.estimate(float(t), b))
-        except EmptyWindowError:
-            out.append(None)
-    return out
+# The vector pass adds each window's terms in another order than one sum
+# per lag, and its segment moments carry a quadratic's coefficients: both
+# round differently, by at most about 1e-14 of C(0) on these designs.
+_PASS_RTOL = 1e-12
 
 
-def test_calibration_pilot_and_curve_match_eager_products(exponential_field):
-    data = exponential_field
-    r = data.responses
-    s2 = float(r @ r / data.n)
+def assert_same_estimates(got, ref, c0):
+    """Equal empty windows, and values within _PASS_RTOL of |C(0)|."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    assert np.array_equal(np.isnan(got), np.isnan(ref))
+    assert np.nanmax(np.abs(got - ref), initial=0.0) <= _PASS_RTOL * abs(c0)
+
+
+def bisecting_sigma2(tildes):
+    """A sigma2_hat halfway between two neighbouring candidates' estimates and
+    farther than delta_n from each, so that calibration must bisect."""
+    mids = (tildes[:-1] + tildes[1:]) / 2.0
+    return float([m for m in mids if np.abs(tildes - m).min() > DELTA_N_DEFAULT][-1])
+
+
+def calibration_and_curve(data, r, s2, pairs_cls, monkeypatch, **curve_kwargs):
+    monkeypatch.setattr(covariance_mod, "_PairSums", pairs_cls)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cal = calibrate_b(data, r, s2)
-        curve = covariance_curve(data, r, cal.chosen_b, sigma2_hat=s2)
-    ref = ReferencePairSums(r, data.pair_index)
-    assert list(cal.sigma2_tilde) == [ref.estimate(0.0, float(b)) for b in cal.b_candidates]
-    b = cal.chosen_b
-    tilde = ref.estimate(0.0, b)
-    assert curve.sigma2_tilde == curve.c_hat[0] == tilde
-    assert curve.truncation_t == _pilot_truncation(ref, b, tilde) > 0.0
+        curve = covariance_curve(data, r, cal.chosen_b, sigma2_hat=s2, **curve_kwargs)
+    return cal, curve
+
+
+def test_calibration_pilot_and_curve_match_eager_products(exponential_field, monkeypatch):
+    r = exponential_field.responses
+    assert_matches_eager_products(exponential_field, float(r @ r / r.size), monkeypatch, bisects=False)
+
+
+def spherical_errors(n=400):
+    """A seeded design whose responses are its true spherical errors."""
+    model = CorrelationModel("spherical", c=3.0, alpha=1.0, dim=2, sigma2=0.1)
+    sim = generate(SimScenario("mu2d", n, model, seed=27, n_trials=1), 0)
+    return Dataset(points=sim.dataset.points, responses=sim.errors)
+
+
+def test_bisected_calibration_and_curve_match_eager_products(monkeypatch):
+    data = spherical_errors()
+    tildes = ReferencePairSums(data.responses, data.pair_index).estimates(
+        0.0, default_b_candidates(data)
+    )
+    assert_matches_eager_products(data, bisecting_sigma2(tildes), monkeypatch, bisects=True)
+
+
+def assert_matches_eager_products(data, s2, monkeypatch, bisects):
+    r = data.responses
+    cal, curve = calibration_and_curve(data, r, s2, _PairSums, monkeypatch)
+    ref_cal, ref_curve = calibration_and_curve(data, r, s2, ReferencePairSums, monkeypatch)
+    assert (cal.b_candidates.size > 25) == bisects
+    # the same candidates and midpoints, the same b, fallback and truncation
+    assert cal.b_candidates.tobytes() == ref_cal.b_candidates.tobytes()
+    assert (cal.chosen_b, cal.fallback) == (ref_cal.chosen_b, ref_cal.fallback)
+    assert_same_estimates(cal.sigma2_tilde, ref_cal.sigma2_tilde, s2)
+    assert curve.truncation_t == ref_curve.truncation_t > 0.0
+    assert curve.t_grid.tobytes() == ref_curve.t_grid.tobytes()
+    assert curve.dropped.tobytes() == ref_curve.dropped.tobytes()
+    assert curve.flags.tobytes() == ref_curve.flags.tobytes()
+    assert curve.c_hat[0] == curve.sigma2_tilde and curve.c_hat[-1] == 0.0  # the clamp at T
+    assert_same_estimates(curve.c_hat, ref_curve.c_hat, curve.sigma2_tilde)
     # every pilot lag up to half the largest distance, past the truncation too
-    upper = float(ref.dist[-1]) / 2.0
+    b = cal.chosen_b
+    upper = float(data.pair_index.dist[-1]) / 2.0
     pilot = np.linspace(upper / _PILOT_POINTS, upper, _PILOT_POINTS)
-    pairs = _PairSums(r, data.pair_index)
-    pairs.estimate(0.0, b)
-    assert estimates_or_empty(pairs, pilot, b) == estimates_or_empty(ref, pilot, b)
-    assert curve.dropped.size == 0 and curve.c_hat[-1] == 0.0  # the clamp at T
-    assert list(curve.c_hat[1:-1]) == [ref.estimate(float(t), b) for t in curve.t_grid[1:-1]]
+    assert_same_estimates(
+        _PairSums(r, data.pair_index).estimates(pilot, b),
+        ReferencePairSums(r, data.pair_index).estimates(pilot, b),
+        curve.sigma2_tilde,
+    )
 
 
 def test_window_reaching_the_last_pair_matches_eager_products(exponential_field):
@@ -723,14 +795,15 @@ def test_window_reaching_the_last_pair_matches_eager_products(exponential_field)
     d_max = float(index.dist[-1])
     b = d_max / 50.0
     pairs = _PairSums(r, index)
-    assert pairs.estimate(0.0, b) == ref.estimate(0.0, b)  # a short head first
-    for t in (d_max - b / 2.0, d_max):
-        assert pairs.estimate(t, b) == ref.estimate(t, b)
+    c0 = pairs.estimate(0.0, b)  # a short head first
+    assert_same_estimates(c0, ref.estimate(0.0, b), c0)
+    lags = [d_max - b / 2.0, d_max]
+    assert_same_estimates(pairs.estimates(lags, b), ref.estimates(lags, b), c0)
     assert pairs.filled == index.dist.size
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_tiny_designs_match_eager_products(n):
+def test_tiny_designs_match_eager_products(n, monkeypatch):
     rng = np.random.default_rng(n)
     pts = rng.random((n, 1))
     r = rng.normal(size=n)
@@ -738,16 +811,76 @@ def test_tiny_designs_match_eager_products(n):
     d_max = float(index.dist[-1])
     lags = [0.0, *index.dist, d_max / 2.0, 2.0 * d_max]
     for b in (d_max / 4.0, d_max, 4.0 * d_max):
-        assert estimates_or_empty(_PairSums(r, index), lags, b) == estimates_or_empty(
-            ReferencePairSums(r, index), lags, b
-        )
+        got = _PairSums(r, index).estimates(lags, b)
+        assert_same_estimates(got, ReferencePairSums(r, index).estimates(lags, b), got[0])
     if n == 3:  # the smallest Dataset in one dimension
         data = Dataset(points=pts, responses=r)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cal = calibrate_b(data, r, float(r @ r / n))
-        ref = ReferencePairSums(r, data.pair_index)
-        assert list(cal.sigma2_tilde) == [ref.estimate(0.0, float(b)) for b in cal.b_candidates]
+        s2 = float(r @ r / n)
+        cal, _ = calibration_and_curve(data, r, s2, _PairSums, monkeypatch)
+        ref, _ = calibration_and_curve(data, r, s2, ReferencePairSums, monkeypatch)
+        assert (cal.chosen_b, cal.fallback) == (ref.chosen_b, ref.fallback)
+        assert cal.b_candidates.tobytes() == ref.b_candidates.tobytes()
+        assert_same_estimates(cal.sigma2_tilde, ref.sigma2_tilde, s2)
+
+
+class OraclePairSums(PerLagSums):
+    """Each window summed directly in 80-bit long double: the kernel at
+    every pair, its products and the diagonal, with the empty-window rule."""
+
+    def __init__(self, residuals, index):
+        r = np.asarray(residuals, dtype=np.longdouble)
+        self.n = r.size
+        self.dist = index.dist
+        self.d = index.dist.astype(np.longdouble)
+        self.prod = r[index.i] * r[index.j]
+        self.diag = (r * r).sum()
+
+    def estimate(self, t, b):
+        lo = np.searchsorted(self.dist, t - b - 1e-9 * b)  # the support test decides
+        hi = np.searchsorted(self.dist, t + b + 1e-9 * b, side="right")
+        t, b = np.longdouble(t), np.longdouble(b)
+        q = max(min(t / b, np.longdouble(1.0)), np.longdouble(np.finfo(float).eps))
+        u = (t - self.d[lo:hi]) / b
+        k = 12 * (u + 1) * (u * (1 - 2 * q) + (3 * q * q - 2 * q + 1) / 2) / (1 + q) ** 4
+        w = np.where((u > -1) & (u < q), k, 0)
+        w[u == q] = k[u == q]  # pairs at distance 0 sit at u = q
+        w_diag = 6 * (1 - q) / (1 + q) ** 2
+        num = 2 * (w * self.prod[lo:hi]).sum() + w_diag * self.diag
+        den = 2 * w.sum() + w_diag * self.n
+        mass = 2 * np.abs(w).sum() + w_diag * self.n
+        if mass == 0 or abs(den) < 1e-10 * mass:
+            raise EmptyWindowError(float(t), float(b))
+        return float(num / den)
+
+
+def test_vector_pass_matches_the_80_bit_oracle(monkeypatch):
+    """Every lag a calibration, its bisection, a pilot and a curve evaluate,
+    with boundary lags t < b, the window reaching the last pair and an empty
+    window, within 1e-12 of |C(0)| of 80-bit direct window sums.  On this
+    design the vector pass is off by at most ~1e-14 of C(0), and the
+    per-lag sums by about the same."""
+    data = spherical_errors()
+    r = data.responses
+    oracle = OraclePairSums(r, data.pair_index)
+    cands = default_b_candidates(data)
+    s2 = bisecting_sigma2(oracle.estimates(0.0, cands))
+    cal, curve = calibration_and_curve(data, r, s2, _PairSums, monkeypatch)
+    assert cal.b_candidates.size > cands.size
+    b = cal.chosen_b
+    c0 = oracle.estimate(0.0, b)
+    expected = oracle.estimates(0.0, cal.b_candidates)  # the candidates and midpoints
+    for got in (_PairSums, ReferencePairSums):
+        assert_same_estimates(got(r, data.pair_index).estimates(0.0, cal.b_candidates), expected, s2)
+    upper = float(data.pair_index.dist[-1]) / 2.0
+    d_max = 2.0 * upper
+    pilot = np.linspace(upper / _PILOT_POINTS, upper, _PILOT_POINTS)
+    lags = np.concatenate([curve.t_grid[:-1], pilot, [d_max - b / 2.0, d_max + 2.0 * b]])
+    assert (curve.t_grid < b).sum() > 2  # boundary lags
+    expected = oracle.estimates(lags, b)
+    assert np.isnan(expected[-1]) and not np.isnan(expected[-2])  # empty, and the last pair's
+    for got in (_PairSums, ReferencePairSums):
+        assert_same_estimates(got(r, data.pair_index).estimates(lags, b), expected, c0)
+    assert_same_estimates(curve.c_hat[:-1], expected[: curve.t_grid.size - 1], c0)
 
 
 def reference_sse_cor(rho_hat, model, distances, n, zeta):

@@ -16,6 +16,8 @@ from scipy.spatial.distance import squareform
 import corrsmooth.covariance as covariance_mod
 import corrsmooth.simulate as simulate_mod
 from corrsmooth.covariance import (
+    _PILOT_BLOCK,
+    _PILOT_POINTS,
     _PairSums,
     calibrate_b,
     covariance_curve,
@@ -103,10 +105,16 @@ def test_calibration_and_curve_fill_only_the_pairs_their_windows_reach(
         curve = covariance_curve(data, r, cal.chosen_b, sigma2_hat=s2)
     dist = data.pair_index.dist
     assert len(built) == 2  # the calibration's, then the pilot and curve's
-    # each fill stops at its window's far end, so the head ends at the widest window
-    widest = (cal.b_candidates[-1], curve.truncation_t + cal.chosen_b)
+    # each fill stops at its widest window's far end, which is open: the
+    # largest candidate's, and the window of the last lag in the pilot pass
+    # that found the truncation
+    upper = float(dist[-1]) / 2.0
+    pilot = np.concatenate([[0.0], np.linspace(upper / _PILOT_POINTS, upper, _PILOT_POINTS)])
+    stop = int(np.flatnonzero(pilot == curve.truncation_t)[0])
+    last = pilot[min((stop // _PILOT_BLOCK + 1) * _PILOT_BLOCK, pilot.size) - 1]
+    widest = (cal.b_candidates[-1], last + cal.chosen_b)
     for pairs, reach in zip(built, widest):
-        assert 0 < pairs.filled == np.searchsorted(dist, reach, side="right")
+        assert 0 < pairs.filled == np.searchsorted(dist, reach)
         assert pairs.filled < dist.size
     built[1].estimate(float(dist[-1]), cal.chosen_b)
     assert built[1].filled == dist.size

@@ -280,6 +280,19 @@ def test_run_table_counts_reference_row_failures(monkeypatch):
     assert rows[2] == clean[2]
 
 
+@pytest.mark.parametrize("methods", [["gcv", "gcv"], ["za(1,1.5)", MethodSpec("za", 1.0, 1.5)]])
+def test_run_table_rejects_a_repeated_method_before_any_trial(monkeypatch, methods):
+    # a trial keeps one outcome per row label, so a repeat used to run twice
+    # and return the second result in two rows
+    import corrsmooth.simulate as sim_mod
+
+    monkeypatch.setattr(sim_mod, "generate", _failing_trial(AssertionError("a trial ran")))
+    model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
+    scn = SimScenario("mu2d", 80, model, seed=909, n_trials=1)
+    with pytest.raises(ValueError, match="repeat a method"):
+        run_table([scn], methods, n_star=20)
+
+
 @pytest.mark.parametrize("target", ["run_raw_trial", "min_epan_mse"])
 def test_run_table_propagates_reference_row_bugs(monkeypatch, target):
     import corrsmooth.simulate as sim_mod
