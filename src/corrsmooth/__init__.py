@@ -3,7 +3,9 @@ selection, factor conversion, and nonparametric error covariance estimation,
 with a seeded simulation harness and a CLI."""
 
 from .bandwidth import elbow_scan, gcv_select, select_h_o, variance_fit_bandwidth
-from .covariance import calibrate_b, covariance_curve, estimate_correlation, sigma2_rss
+from .covariance import (
+    calibrate_b, covariance_curve, error_covariance, estimate_correlation, sigma2_rss,
+)
 from .errors import (
     CorrsmoothError,
     DegenerateCorrelationError,

@@ -1,4 +1,4 @@
-"""Command-line surface: fit / elbow / covariance / simulate / bench.
+"""Command-line surface: fit / elbow / covariance / simulate.
 
 Every command reads an optional key=value config file (flags win), echoes
 the resolved configuration into the output directory, and writes CSV
@@ -6,33 +6,28 @@ artifacts plus a key=value run report.  Artifacts carry no timestamps, so
 identical config + seed reproduces byte-identical outputs.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 I/O failure.
-The thread count for the simulation harness can be overridden with the
-CORRSMOOTH_THREADS environment variable.
+The covariance command runs covariance.error_covariance, the chain that the
+simulation trials run too.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-import time
 import warnings
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .bandwidth import _validate_grid, elbow_scan, select_h_o, variance_fit_bandwidth
+from .bandwidth import _validate_grid, elbow_scan, select_h_o
 from .covariance import (
     _RHO_MODES,
     DEFAULT_N_STAR,
     DELTA_N_DEFAULT,
-    calibrate_b,
-    covariance_curve,
     default_b_candidates,
-    estimate_correlation,
-    sigma2_rss,
+    error_covariance,
 )
 from .errors import CorrsmoothError
 from .kernels import (
@@ -44,16 +39,7 @@ from .kernels import (
     build_annulus_kernel,
 )
 from .locfit import _METRICS, Dataset, fit_all, fit_points, load_csv, rss
-from .simulate import (
-    CorrelationModel,
-    SimScenario,
-    ZETA_DEFAULT,
-    _method_specs,
-    generate,
-    parse_method,
-    run_table,
-    run_trial,
-)
+from .simulate import CorrelationModel, SimScenario, ZETA_DEFAULT, _method_specs, run_table
 
 __all__ = ["main"]
 
@@ -174,7 +160,7 @@ def _parse_float_list(cfg: dict, key: str) -> np.ndarray:
 
 
 def _candidates(cfg: dict, key: str):
-    """cfg[key] checked as select_h_z and calibrate_b check candidates, or None."""
+    """cfg[key] checked as every candidate grid is checked (_validate_grid), or None."""
     if not cfg[key]:
         return None
     try:
@@ -302,7 +288,7 @@ def cmd_elbow(cfg: dict) -> int:
 
 def _fit_dir_h_o(cfg: dict, data: Dataset) -> float:
     """h_o from a fit run's report, once that run is known to be a fit of
-    the same input file with the same metric."""
+    the same input file with the same metric; it must be positive and finite."""
     fit_dir = Path(cfg["fit_dir"])
     try:
         report = _read_key_values(fit_dir / "report.txt")
@@ -317,7 +303,10 @@ def _fit_dir_h_o(cfg: dict, data: Dataset) -> float:
                 raise UsageError(
                     f"the fit in {fit_dir} used {key}={echo[key]!r}, not {cfg[key]!r}"
                 )
-        return float(report["h_o"])
+        h_o = float(report["h_o"])
+        if not 0.0 < h_o < np.inf:
+            raise UsageError(f"the fit in {fit_dir} has h_o={report['h_o']!r}, not in (0, inf)")
+        return h_o
     except (OSError, KeyError, ValueError) as err:
         raise UsageError(f"cannot recover h_o from {fit_dir}: {err}") from err
 
@@ -328,22 +317,17 @@ def cmd_covariance(cfg: dict) -> int:
     b_candidates = _candidates(cfg, "b_candidates")
     h_o = _fit_dir_h_o(cfg, data) if cfg["fit_dir"] else None
     outdir = _outdir(cfg)
-    ko = ProductEpanechnikovKernel(data.dim)
     if b_candidates is None:
         b_candidates = default_b_candidates(data, size=cfg["b_count"])
     if h_o is None:
+        ko = ProductEpanechnikovKernel(data.dim)
         h_o = select_h_o(data, _annulus_kernel(cfg, data.dim), ko, grid, cfg["grid_size"]).h_o
-
-    fit = fit_all(data, h_o, ko)
-    h_t = variance_fit_bandwidth(h_o, data.n, data.dim)
-    sigma2_hat = sigma2_rss(data, h_t, ko)
-    cal = calibrate_b(data, fit, sigma2_hat, b_candidates, delta_n=cfg["delta_n"])
-    truncation = cfg["truncation_t"] if cfg["truncation_t"] >= 0.0 else None
-    curve = covariance_curve(
-        data, fit, cal.chosen_b, n_star=cfg["n_star"],
-        truncation_t=truncation, sigma2_hat=sigma2_hat,
+    chain = error_covariance(
+        data, h_o, b_candidates=b_candidates, delta_n=cfg["delta_n"], n_star=cfg["n_star"],
+        truncation_t=cfg["truncation_t"] if cfg["truncation_t"] >= 0.0 else None,
+        rho_mode=cfg["rho_mode"],
     )
-    rho = estimate_correlation(curve, cfg["rho_mode"])
+    cal, curve, rho = chain.calibration, chain.curve, chain.rho
 
     chosen_idx = int(np.argmin(np.abs(cal.b_candidates - cal.chosen_b)))
     _write_csv(
@@ -369,8 +353,8 @@ def cmd_covariance(cfg: dict) -> int:
         [
             ("command", "covariance"),
             ("h_o", h_o),
-            ("h_t", h_t),
-            ("sigma2_hat", sigma2_hat),
+            ("h_t", chain.h_t),
+            ("sigma2_hat", curve.sigma2_hat),
             ("sigma2_tilde", curve.sigma2_tilde),
             ("chosen_b", cal.chosen_b),
             ("delta_n", cal.delta_n),
@@ -383,7 +367,7 @@ def cmd_covariance(cfg: dict) -> int:
         ],
     )
     print(
-        f"b={cal.chosen_b!r} sigma2_hat={sigma2_hat!r} "
+        f"b={cal.chosen_b!r} sigma2_hat={curve.sigma2_hat!r} "
         f"sigma2_tilde={curve.sigma2_tilde!r} fallback={int(cal.fallback)}"
     )
     return 0
@@ -436,7 +420,6 @@ def _bundled_scenarios() -> str:
 
 
 def cmd_simulate(cfg: dict) -> int:
-    threads = _checked("threads", os.environ.get("CORRSMOOTH_THREADS", cfg["threads"]), int)
     path = cfg["scenarios"] or _bundled_scenarios()
     scenarios, methods_per = _parse_scenario_file(path)
     outdir = _outdir(cfg)
@@ -460,7 +443,7 @@ def cmd_simulate(cfg: dict) -> int:
                     n_star=cfg["n_star"],
                     delta_n=cfg["delta_n"],
                     zeta=cfg["zeta"],
-                    threads=threads,
+                    threads=cfg["threads"],
                     progress=progress,
                 )
             )
@@ -497,34 +480,6 @@ def cmd_simulate(cfg: dict) -> int:
     return 0
 
 
-def cmd_bench(cfg: dict) -> int:
-    """Times one simulation trial on a small synthetic scenario: the data
-    draw, then each row of run_trial (ZA(1,1.5), GCV, Raw, minEpan).  GCV
-    and minEpan share the draw's product-kernel scan, which GCV runs first,
-    so GCV_s includes it and minEpan_s is about 0.  Per-layer times come
-    from perfbench/run.py --trace 1."""
-    outdir = _outdir(cfg)
-    model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
-    scn = SimScenario("mu2d", cfg["n"], model, seed=cfg["seed"], n_trials=1)
-    start = time.perf_counter()
-    sim = generate(scn, 0)
-    generate_s = time.perf_counter() - start
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        outcomes = run_trial(sim, [parse_method("za(1,1.5)"), parse_method("gcv")])
-    failed = [label for label, outcome in outcomes.items() if outcome is None]
-    if failed:
-        raise CorrsmoothError(f"bench rows failed: {', '.join(failed)}")
-    _write_report(
-        outdir / "bench.txt",
-        [("command", "bench"), ("n", sim.n), ("h_o", outcomes["ZA(1,1.5)"].h), ("status", "ok")],
-    )
-    print(f"generate_s={generate_s:.3f}")
-    for label, outcome in outcomes.items():
-        print(f"{label}_s={outcome.seconds:.3f}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -555,14 +510,12 @@ _SIM_DEFAULTS = dict(
     delta_n=DELTA_N_DEFAULT, zeta=ZETA_DEFAULT, threads=1,
     output_dir="corrsmooth_out/simulate",
 )
-_BENCH_DEFAULTS = dict(n=300, seed=0, output_dir="corrsmooth_out/bench")
 
 _COMMANDS = (
     ("fit", cmd_fit, _FIT_DEFAULTS, "select bandwidth and fit the surface"),
     ("elbow", cmd_elbow, _ELBOW_DEFAULTS, "scan c1 candidates for the elbow"),
     ("covariance", cmd_covariance, _COV_DEFAULTS, "estimate the error covariance curve"),
     ("simulate", cmd_simulate, _SIM_DEFAULTS, "run the seeded simulation tables"),
-    ("bench", cmd_bench, _BENCH_DEFAULTS, "time the pipeline on a synthetic run"),
 )
 _CHOICES = {
     "metric": _METRICS,
@@ -575,9 +528,8 @@ _BOUNDS = {
     "grid_size": (1, False, np.inf, False), "surface_grid": (1, False, np.inf, False),
     "b_count": (1, False, np.inf, False), "n_star": (2, False, np.inf, False),
     "delta_n": (0.0, False, np.inf, False), "c1": (0.0, True, np.inf, False),
-    "c2_offset": (0.0, True, np.inf, False), "n": (4, False, np.inf, False),
-    "zeta": (0.0, True, 1.0, True), "stability_tol": (0.0, True, np.inf, False),
-    "truncation_t": (-np.inf, True, np.inf, True), "seed": (0, False, np.inf, False),
+    "c2_offset": (0.0, True, np.inf, False), "zeta": (0.0, True, 1.0, True),
+    "stability_tol": (0.0, True, np.inf, False), "truncation_t": (-np.inf, True, np.inf, True),
 }
 _HELP = {
     "fit_dir": "reuse h_o from a previous fit run's report",

@@ -1,5 +1,12 @@
 """Nonparametric error covariance and correlation estimation.
 
+This module is the one home of the chain that follows the bandwidth:
+error_covariance fits at h_o, estimates sigma^2 from the RSS of a fit at
+the larger h_t, and hands the residuals to residual_covariance, which
+calibrates b, estimates the covariance curve at the chosen b and divides
+it into the correlation curve.  The CLI and the simulation trials call
+these two functions and no step of the chain on its own.
+
 The covariance at lag t is a kernel-weighted ratio over all ordered pairs
 (i, j), including i = j; the diagonal mass is what anchors the estimate
 at lag 0.  For t < b the smoothing window is truncated at lag 0, so the
@@ -8,8 +15,8 @@ clamped to a tiny positive value at t = 0; the formula is continuous in
 q and the lag-0 estimate is dominated by the i = j mass regardless).
 
 Every estimate is a sum over the design's sorted pair index, taken by
-_PairSums from one fit or residual vector; calibration and the curve each
-build one.  No lag is evaluated on its own: the boundary kernel is a
+_PairSums from one residual vector; calibration and the curve each build
+one.  No lag is evaluated on its own: the boundary kernel is a
 quadratic on each window, so one vector pass sums the pairs once per
 segment between window edges and gives every lag of the pass from those
 segment moments.  Calibration evaluates all its candidates in one pass
@@ -25,13 +32,13 @@ the RSS-based one.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bandwidth import _validate_grid
+from .bandwidth import _validate_grid, variance_fit_bandwidth
 from .errors import DegenerateCorrelationError, EmptyWindowError, SingularFitError
-from .kernels import BoundaryKernel
+from .kernels import BoundaryKernel, ProductEpanechnikovKernel
 from .locfit import Dataset, FitResult, PairIndex, fit_all, rss
 
 __all__ = [
@@ -40,11 +47,14 @@ __all__ = [
     "CovarianceEstimate",
     "CalibrationTrace",
     "CorrelationCurve",
+    "ErrorCovariance",
     "sigma2_rss",
     "default_b_candidates",
     "calibrate_b",
     "covariance_curve",
     "estimate_correlation",
+    "residual_covariance",
+    "error_covariance",
 ]
 
 DELTA_N_DEFAULT = 2e-4
@@ -79,12 +89,8 @@ class _PairSums:
     and truncated curves never multiply a pair beyond it.
     """
 
-    def __init__(self, fit_or_residuals, index: PairIndex):
-        if isinstance(fit_or_residuals, FitResult):
-            if fit_or_residuals.singular_count:
-                raise SingularFitError("residual fit contains singular points")
-            fit_or_residuals = fit_or_residuals.residuals
-        residuals = np.array(fit_or_residuals, dtype=float)  # a copy: products are filled later
+    def __init__(self, residuals, index: PairIndex):
+        residuals = np.array(residuals, dtype=float)  # a copy: products are filled later
         if residuals.shape != (index.n,) or not np.isfinite(residuals).all():
             raise ValueError(
                 f"need {index.n} finite residuals, one per design point, "
@@ -288,7 +294,7 @@ def default_b_candidates(data: Dataset, size: int = DEFAULT_B_CANDIDATES) -> np.
 
 def calibrate_b(
     data: Dataset,
-    fit_or_residuals,
+    residuals,
     sigma2_hat: float,
     b_candidates=None,
     delta_n: float = DELTA_N_DEFAULT,
@@ -308,7 +314,7 @@ def calibrate_b(
         b_candidates = default_b_candidates(data)
     b_arr = _validate_grid(b_candidates)
 
-    pairs = _PairSums(fit_or_residuals, data.pair_index)
+    pairs = _PairSums(residuals, data.pair_index)
     bs = [float(b) for b in b_arr]
     tildes = pairs.estimates(0.0, b_arr)  # the nested windows [0, b) in one pass
     if np.isnan(tildes).any():
@@ -396,7 +402,7 @@ def _pilot_truncation(pairs: _PairSums, b: float) -> float:
 
 def covariance_curve(
     data: Dataset,
-    fit_or_residuals,
+    residuals,
     b: float,
     n_star: int = DEFAULT_N_STAR,
     truncation_t: float | None = None,
@@ -416,7 +422,7 @@ def covariance_curve(
     if not 0.0 < b < np.inf:
         raise ValueError(f"bandwidth b must be finite and positive, got {b}")
     b = float(b)
-    pairs = _PairSums(fit_or_residuals, data.pair_index)
+    pairs = _PairSums(residuals, data.pair_index)
     if truncation_t is None:
         truncation_t = _pilot_truncation(pairs, b)
     truncation_t = float(truncation_t)
@@ -487,3 +493,53 @@ def estimate_correlation(cov: CovarianceEstimate, mode: str = "by_chat0") -> Cor
         truncation_t=cov.truncation_t,
         clamped=clamped,
     )
+
+
+@dataclass(frozen=True)
+class ErrorCovariance:
+    """The chain's results: the calibration of b, the covariance curve at the
+    chosen b and its correlation curve; the final fit and the variance-fit
+    bandwidth h_t when the chain started from a bandwidth."""
+
+    calibration: CalibrationTrace
+    curve: CovarianceEstimate
+    rho: CorrelationCurve
+    fit: FitResult | None = None
+    h_t: float = np.nan
+
+
+def residual_covariance(
+    data: Dataset,
+    residuals,
+    sigma2_hat: float,
+    *,
+    b_candidates=None,
+    delta_n: float = DELTA_N_DEFAULT,
+    n_star: int = DEFAULT_N_STAR,
+    truncation_t: float | None = None,
+    rho_mode: str = "by_chat0",
+) -> ErrorCovariance:
+    """Calibrate b against sigma2_hat, then estimate the covariance curve at
+    the chosen b and its correlation curve, from one residual vector."""
+    cal = calibrate_b(data, residuals, sigma2_hat, b_candidates, delta_n=delta_n)
+    curve = covariance_curve(
+        data, residuals, cal.chosen_b, n_star=n_star,
+        truncation_t=truncation_t, sigma2_hat=sigma2_hat,
+    )
+    return ErrorCovariance(cal, curve, estimate_correlation(curve, rho_mode))
+
+
+def error_covariance(data: Dataset, h_o: float, **options) -> ErrorCovariance:
+    """The chain from a bandwidth: the product Epanechnikov fit at h_o,
+    sigma2_hat from the RSS of the fit at h_t = variance_fit_bandwidth(h_o),
+    and residual_covariance of the fit's residuals with the keyword options.
+
+    A singular final fit raises SingularFitError before the variance fit.
+    """
+    ko = ProductEpanechnikovKernel(data.dim)
+    fit = fit_all(data, h_o, ko)
+    if fit.singular_count:
+        raise SingularFitError(f"final fit singular at {fit.singular_count} point(s)")
+    h_t = variance_fit_bandwidth(h_o, data.n, data.dim)
+    chain = residual_covariance(data, fit.residuals, sigma2_rss(data, h_t, ko), **options)
+    return replace(chain, fit=fit, h_t=h_t)

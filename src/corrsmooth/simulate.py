@@ -18,7 +18,6 @@ from __future__ import annotations
 import ctypes
 import re
 import threading
-import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
@@ -29,18 +28,11 @@ import numpy as np
 from scipy import integrate
 from scipy.spatial.distance import cdist
 
-from .bandwidth import _gcv_score_ws, _pick, default_grid, select_h_o, variance_fit_bandwidth
-from .covariance import (
-    DEFAULT_N_STAR,
-    DELTA_N_DEFAULT,
-    calibrate_b,
-    covariance_curve,
-    estimate_correlation,
-    sigma2_rss,
-)
+from .bandwidth import _gcv_score_ws, _pick, default_grid, select_h_o
+from .covariance import DEFAULT_N_STAR, DELTA_N_DEFAULT, error_covariance, residual_covariance
 from .errors import CorrsmoothError, SingularFitError
 from .kernels import MIN_PRODUCT, ProductEpanechnikovKernel, build_annulus_kernel, sphere_surface
-from .locfit import Dataset, _metric_distances, _Workspace, fit_all, hat_matrix
+from .locfit import Dataset, _metric_distances, _Workspace, hat_matrix
 
 __all__ = [
     "FAMILIES",
@@ -410,15 +402,13 @@ def _method_specs(methods) -> list[MethodSpec]:
 
 @dataclass
 class TrialOutcome:
-    """One row kind's result on one trial; metrics a row kind lacks stay NaN.
-    seconds is the row's wall time, which run_trial sets."""
+    """One row kind's result on one trial; metrics a row kind lacks stay NaN."""
 
     h: float = np.nan
     mse_prac: float = np.nan
     sigma2_hat: float = np.nan
     sse_cor: float = np.nan
     calibration_fallback: bool = False
-    seconds: float = np.nan
 
 
 @dataclass(frozen=True)
@@ -441,16 +431,6 @@ class ResultRow:
     failures: int
 
 
-def _covariance_metrics(sim, residuals, sigma2_hat, n_star, delta_n, zeta):
-    cal = calibrate_b(sim.dataset, residuals, sigma2_hat, delta_n=delta_n)
-    curve = covariance_curve(
-        sim.dataset, residuals, cal.chosen_b, n_star=n_star, sigma2_hat=sigma2_hat
-    )
-    rho = estimate_correlation(curve, "by_chat0")
-    sse = sse_cor(rho, sim.model, sim.dataset.pair_index.dist, sim.n, zeta=zeta)
-    return sse, cal.fallback
-
-
 def run_method_trial(
     sim: SimulatedData,
     spec: MethodSpec,
@@ -471,15 +451,11 @@ def run_method_trial(
     else:
         raise ValueError(f"unknown method kind {spec.kind!r}")
 
-    fit = fit_all(data, h, ko)
-    if fit.singular_count:
-        raise SingularFitError(f"final fit singular at {fit.singular_count} point(s)")
-    prac = mse_prac(fit.fitted, sim.mu_true)
-    h_t = variance_fit_bandwidth(h, sim.n, dim)
-    s2 = sigma2_rss(data, h_t, ko)
-    sse, fallback = _covariance_metrics(sim, fit.residuals, s2, n_star, delta_n, zeta)
+    chain = error_covariance(data, h, n_star=n_star, delta_n=delta_n)
     return TrialOutcome(
-        h=h, mse_prac=prac, sigma2_hat=s2, sse_cor=sse, calibration_fallback=fallback
+        h=h, mse_prac=mse_prac(chain.fit.fitted, sim.mu_true), sigma2_hat=chain.curve.sigma2_hat,
+        sse_cor=sse_cor(chain.rho, sim.model, data.pair_index.dist, sim.n, zeta=zeta),
+        calibration_fallback=chain.calibration.fallback,
     )
 
 
@@ -492,8 +468,11 @@ def run_raw_trial(
     """Reference pipeline treating the true errors as observed."""
     errors = sim.errors
     s2 = float(errors @ errors / errors.shape[0])
-    sse, fallback = _covariance_metrics(sim, errors, s2, n_star, delta_n, zeta)
-    return TrialOutcome(sigma2_hat=s2, sse_cor=sse, calibration_fallback=fallback)
+    chain = residual_covariance(sim.dataset, errors, s2, n_star=n_star, delta_n=delta_n)
+    return TrialOutcome(
+        sigma2_hat=s2, calibration_fallback=chain.calibration.fallback,
+        sse_cor=sse_cor(chain.rho, sim.model, sim.dataset.pair_index.dist, sim.n, zeta=zeta),
+    )
 
 
 def min_epan_mse(sim: SimulatedData) -> float:
@@ -513,15 +492,11 @@ def _aggregate(values) -> tuple[float, float]:
 
 
 def _counted(run, *args, **kwargs):
-    """run(*args, **kwargs) with its wall time in .seconds, or None on a
-    numerical failure (CorrsmoothError)."""
-    start = time.perf_counter()
+    """run(*args, **kwargs), or None on a numerical failure (CorrsmoothError)."""
     try:
-        outcome = run(*args, **kwargs)
+        return run(*args, **kwargs)
     except CorrsmoothError:
         return None
-    outcome.seconds = time.perf_counter() - start
-    return outcome
 
 
 def run_trial(
@@ -534,8 +509,8 @@ def run_trial(
 ) -> dict[str, TrialOutcome | None]:
     """Every method, then the Raw and minEpan references, on one simulated trial.
 
-    Maps each row label, in that order, to its TrialOutcome stamped with the
-    row's wall seconds, or to None for a numerical failure (CorrsmoothError).
+    Maps each row label, in that order, to its TrialOutcome, or to None for
+    a numerical failure (CorrsmoothError).
     Any other exception is a bug and propagates.  minEpan is the least of the
     scan's MSE_prac and every completed method's own, so it bounds each of them.
     """

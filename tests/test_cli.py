@@ -306,15 +306,6 @@ def test_config_echo_round_trip(tmp_path, affine_csv):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_bench_runs(tmp_path, capsys):
-    out = tmp_path / "bench"
-    assert main(["bench", "--n", "150", "--output-dir", str(out)]) == 0
-    assert "status=ok" in (out / "bench.txt").read_text()
-    printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
-    assert list(printed) == ["generate_s", "ZA(1,1.5)_s", "GCV_s", "Raw_s", "minEpan_s"]
-    assert all(float(seconds) >= 0.0 for seconds in printed.values())
-
-
 @pytest.mark.parametrize("line", ["rho_mode=by_nothing", "objective=bogus"])
 def test_config_value_outside_choices_is_usage_error(tmp_path, affine_csv, capsys, line):
     config = tmp_path / "cov.cfg"
@@ -329,50 +320,43 @@ def test_config_value_outside_choices_is_usage_error(tmp_path, affine_csv, capsy
     assert not (out / "covariance.csv").exists()
 
 
-@pytest.mark.parametrize("argv, config, threads_env", [
-    (["simulate"], "", "abc"),
-    (["simulate", "--threads", "0"], "", None),
-    (["simulate", "--threads", "-4"], "", None),
-    (["simulate", "--trials", "-3"], "", None),
-    (["simulate"], "threads=0", None),
-    (["fit", "--surface-grid", "0"], "", None),
-    (["fit", "--grid-size", "0"], "", None),
-    (["fit", "--c1", "0"], "", None),
-    (["fit"], "c1=0", None),
-    (["covariance", "--n-star", "1"], "", None),
-    (["covariance", "--b-count", "0"], "", None),
-    (["covariance", "--delta-n", "-1"], "", None),
-    (["covariance", "--delta-n", "nan"], "", None),
-    (["elbow", "--c2-offset", "0"], "", None),
-    (["elbow", "--stability-tol", "0"], "", None),
-    (["elbow", "--stability-tol", "nan"], "", None),
-    (["simulate", "--zeta", "0"], "", None),
-    (["simulate", "--zeta", "1"], "", None),
-    (["simulate", "--zeta", "2"], "", None),
-    (["simulate"], "zeta=1.5", None),
-    (["bench", "--n", "2"], "", None),
-    (["fit", "--grid", "nan,0.3,0.4"], "", None),
-    (["fit", "--grid", "0.5,0.1"], "", None),
-    (["fit", "--grid", "0,0.3,0.4"], "", None),
-    (["elbow", "--c1-list", "1,0.5,2,3"], "", None),
-    (["covariance", "--b-candidates", "0.5,0.1"], "", None),
-    (["covariance", "--truncation-t", "nan"], "", None),
-    (["covariance", "--truncation-t", "inf"], "", None),
-    (["covariance"], "truncation_t=-inf", None),
-    (["bench", "--seed", "-1"], "", None),
+# Each case keeps the id it had when the table also set the environment, so that
+# a case reads the same in every test report.
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(["simulate", "--threads", "0"], "", id="argv1--None"),
+    pytest.param(["simulate", "--threads", "-4"], "", id="argv2--None"),
+    pytest.param(["simulate", "--trials", "-3"], "", id="argv3--None"),
+    pytest.param(["simulate"], "threads=0", id="argv4-threads=0-None"),
+    pytest.param(["fit", "--surface-grid", "0"], "", id="argv5--None"),
+    pytest.param(["fit", "--grid-size", "0"], "", id="argv6--None"),
+    pytest.param(["fit", "--c1", "0"], "", id="argv7--None"),
+    pytest.param(["fit"], "c1=0", id="argv8-c1=0-None"),
+    pytest.param(["covariance", "--n-star", "1"], "", id="argv9--None"),
+    pytest.param(["covariance", "--b-count", "0"], "", id="argv10--None"),
+    pytest.param(["covariance", "--delta-n", "-1"], "", id="argv11--None"),
+    pytest.param(["covariance", "--delta-n", "nan"], "", id="argv12--None"),
+    pytest.param(["elbow", "--c2-offset", "0"], "", id="argv13--None"),
+    pytest.param(["elbow", "--stability-tol", "0"], "", id="argv14--None"),
+    pytest.param(["elbow", "--stability-tol", "nan"], "", id="argv15--None"),
+    pytest.param(["simulate", "--zeta", "0"], "", id="argv16--None"),
+    pytest.param(["simulate", "--zeta", "1"], "", id="argv17--None"),
+    pytest.param(["simulate", "--zeta", "2"], "", id="argv18--None"),
+    pytest.param(["simulate"], "zeta=1.5", id="argv19-zeta=1.5-None"),
+    pytest.param(["fit", "--grid", "nan,0.3,0.4"], "", id="argv21--None"),
+    pytest.param(["fit", "--grid", "0.5,0.1"], "", id="argv22--None"),
+    pytest.param(["fit", "--grid", "0,0.3,0.4"], "", id="argv23--None"),
+    pytest.param(["elbow", "--c1-list", "1,0.5,2,3"], "", id="argv24--None"),
+    pytest.param(["covariance", "--b-candidates", "0.5,0.1"], "", id="argv25--None"),
+    pytest.param(["covariance", "--truncation-t", "nan"], "", id="argv26--None"),
+    pytest.param(["covariance", "--truncation-t", "inf"], "", id="argv27--None"),
+    pytest.param(["covariance"], "truncation_t=-inf", id="argv28-truncation_t=-inf-None"),
 ])
-def test_out_of_range_options_exit_1_before_fitting(
-    tmp_path, affine_csv, capsys, monkeypatch, argv, config, threads_env
-):
-    if threads_env is None:
-        monkeypatch.delenv("CORRSMOOTH_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("CORRSMOOTH_THREADS", threads_env)
+def test_out_of_range_options_exit_1_before_fitting(tmp_path, affine_csv, capsys, argv, config):
     if argv[0] == "simulate":
         scen = tmp_path / "scenes.txt"
         scen.write_text("family=spherical c=2.0 D=2 n=150 seed=1 trials=1 methods=gcv\n")
         argv = [*argv, "--scenarios", str(scen), "--n-star", "40"]
-    elif argv[0] != "bench":
+    else:
         argv = [*argv, "--input", str(affine_csv)]
     if config:
         (tmp_path / "run.cfg").write_text(f"{config}\n")
@@ -451,3 +435,42 @@ def test_covariance_fit_dir_without_report_exits_1_before_output(tmp_path, affin
     assert code == 1
     assert "report.txt" in capsys.readouterr().err
     assert not (tmp_path / "cov").exists()
+
+
+def _fit_dir_with_h_o(tmp_path, affine_csv, h_o):
+    fit_dir = tmp_path / "fit"
+    fit_dir.mkdir()
+    (fit_dir / "report.txt").write_text(f"command=fit\nh_o={h_o}\n")
+    (fit_dir / "config_echo.txt").write_text(f"input={affine_csv}\nmetric=euclidean\n")
+    return fit_dir
+
+
+@pytest.mark.parametrize("h_o", ["nan", "inf", "0.0", "-1.0"])
+def test_covariance_fit_dir_rejects_nonpositive_or_nonfinite_h_o(tmp_path, affine_csv, capsys, h_o):
+    code = main([
+        "covariance", "--input", str(affine_csv),
+        "--fit-dir", str(_fit_dir_with_h_o(tmp_path, affine_csv, h_o)),
+        "--output-dir", str(tmp_path / "cov"),
+    ])
+    assert code == 1
+    assert f"h_o='{h_o}'" in capsys.readouterr().err
+    assert not (tmp_path / "cov").exists()
+
+
+def test_covariance_singular_final_fit_exits_2_before_the_variance_fit(
+    tmp_path, affine_csv, capsys
+):
+    code = main([
+        "covariance", "--input", str(affine_csv),
+        "--fit-dir", str(_fit_dir_with_h_o(tmp_path, affine_csv, 1e-9)),
+        "--output-dir", str(tmp_path / "cov"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "final fit singular" in err and "variance fit" not in err
+    assert not (tmp_path / "cov" / "calibration.csv").exists()
+
+
+def test_bench_is_not_a_command(capsys):
+    assert main(["bench"]) == 1
+    assert "invalid choice: 'bench'" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from corrsmooth.covariance import (
     calibrate_b,
     covariance_curve,
     default_b_candidates,
+    error_covariance,
     estimate_correlation,
     sigma2_rss,
 )
@@ -190,7 +191,7 @@ def test_calibration_fallback_warns_on_unreachable_tolerance():
     sim = sp3_sim(seed=13, n=150)
     fit = fit_all(sim.dataset, 0.35, KO)
     with pytest.warns(UserWarning, match="falling back"):
-        trace = calibrate_b(sim.dataset, fit, 0.5, delta_n=0.0)
+        trace = calibrate_b(sim.dataset, fit.residuals, 0.5, delta_n=0.0)
     assert trace.fallback
     assert trace.chosen_b == trace.b_candidates[np.argmin(trace.discrepancy)]
 
@@ -228,17 +229,16 @@ def test_calibration_contract_on_seeded_run():
     sim = sp3_sim()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        from corrsmooth.bandwidth import select_h_o, variance_fit_bandwidth
+        from corrsmooth.bandwidth import select_h_o
         from corrsmooth.kernels import build_annulus_kernel
 
         h_o = select_h_o(sim.dataset, build_annulus_kernel(2.0, 2.5, 2), KO).h_o
-        fit = fit_all(sim.dataset, h_o, KO)
-        s2 = sigma2_rss(sim.dataset, variance_fit_bandwidth(h_o, sim.n, 2), KO)
-        trace = calibrate_b(sim.dataset, fit, s2)
+        chain = error_covariance(sim.dataset, h_o)
+    s2, trace = chain.curve.sigma2_hat, chain.calibration
     assert (s2 - 0.1) ** 2 < 1e-3  # squared error at the table's scale
     assert not trace.fallback
     d = pairwise_distances(sim.dataset)
-    tilde = pair_sums(fit.residuals, d).estimate(0.0, trace.chosen_b)
+    tilde = pair_sums(chain.fit.residuals, d).estimate(0.0, trace.chosen_b)
     assert abs(tilde - s2) <= 2e-4
 
 

@@ -80,7 +80,7 @@ for name, argv in runs.items():
             )
         digests[f"{name}/{path.name}"] = hashlib.sha256(data).hexdigest()
 helps = {}
-for name in ("fit", "elbow", "covariance", "simulate", "bench"):
+for name in ("fit", "elbow", "covariance", "simulate"):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):
         main([name, "--help"])
@@ -123,7 +123,6 @@ _HELP = {
     "elbow": "8af58b26a7b3d2fede65ac5328667c707cb93eba8fa85b98f6d0cb0529a12654",
     "covariance": "c147d6bdb92454ac3be80d5b76c4686741610d8d1899eabe61f7c2ff7312fd1e",
     "simulate": "1841227d4c8de2a3ac7f1a8071ccbbe681ad02173eab1052247adf3b7382a2ec",
-    "bench": "f4419f060cfc6a411e13e96a8f604118db32ff3bd6376b956cc6aba192b4a927",
 }
 # The one help line that changed since the recording: covariance --grid
 # gained the help text that fit --grid already had.

@@ -1,7 +1,9 @@
 """The package's modules form one stack of layers: each imports only the
 modules below it, at module level and inside functions alike.  A formula
 that two layers need lives in the lower one, so no import cycle is ever
-worked around with a function-level import."""
+worked around with a function-level import.  The covariance chain after the
+bandwidth has one home too: the CLI and the trials reach its steps only
+through covariance.error_covariance and covariance.residual_covariance."""
 
 import ast
 from pathlib import Path
@@ -43,3 +45,31 @@ def test_modules_import_only_lower_layers():
         if LAYERS.index(dep) >= rank
     ]
     assert upward == []
+
+
+CHAIN_STEPS = {
+    "calibrate_b", "covariance_curve", "estimate_correlation", "sigma2_rss",
+    "variance_fit_bandwidth",
+}
+
+
+def names_in(node) -> list:
+    """The names that an AST node uses, reads an attribute by, or imports."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def test_cli_and_trials_do_not_restate_the_covariance_chain():
+    named = [
+        f"{module} names {name}"
+        for module in ("cli", "simulate")
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")))
+        for name in names_in(node)
+        if name in CHAIN_STEPS
+    ]
+    assert named == []

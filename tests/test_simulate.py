@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.spatial.distance import squareform
 
 import corrsmooth.simulate as simulate
-from corrsmooth.cli import main
+from corrsmooth.covariance import error_covariance
 from corrsmooth.errors import NoFeasibleBandwidthError, SingularFitError
 from corrsmooth.kernels import ProductEpanechnikovKernel, build_annulus_kernel
 from corrsmooth.locfit import Dataset, hat_matrix, pairwise_distances
@@ -316,19 +316,17 @@ def test_run_table_propagates_programming_errors(monkeypatch, exc_type):
         run_table([scn], ["gcv"], n_star=40)
 
 
-def _bench_sim(n=150):
-    # the scenario that corrsmooth bench runs, at its default seed 0
+def _sp2_sim(n=150):
+    # spherical c=2 correlation on mu2d, seed 0
     model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
     return generate(SimScenario("mu2d", n, model, seed=0), 0)
 
 
-def test_run_trial_rows_in_order_with_their_seconds():
+def test_run_trial_rows_in_order():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        out = run_trial(_bench_sim(), [parse_method("za(1,1.5)"), parse_method("gcv")], n_star=40)
+        out = run_trial(_sp2_sim(), [parse_method("za(1,1.5)"), parse_method("gcv")], n_star=40)
     assert list(out) == ["ZA(1,1.5)", "GCV", "Raw", "minEpan"]
-    for outcome in out.values():
-        assert np.isfinite(outcome.seconds) and outcome.seconds >= 0.0
     assert np.isfinite(out["minEpan"].mse_prac) and np.isnan(out["minEpan"].sse_cor)
 
 
@@ -355,7 +353,7 @@ def test_run_trial_scans_the_product_grid_once(monkeypatch):
     monkeypatch.setattr(locfit_mod, "_normal_systems", counting_systems)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        out = run_trial(_bench_sim(), [parse_method("za(1,1.5)"), parse_method("gcv")], n_star=40)
+        out = run_trial(_sp2_sim(), [parse_method("za(1,1.5)"), parse_method("gcv")], n_star=40)
     assert all(outcome is not None for outcome in out.values())
     assert sum(grids) == 1
     assert sum(fits) == 34
@@ -373,7 +371,7 @@ def test_product_scan_builds_its_displacements_once(monkeypatch):
         return real(data, targets)
 
     monkeypatch.setattr(locfit_mod, "_component_displacements", counting)
-    grid, _, _ = _bench_sim().product_scan
+    grid, _, _ = _sp2_sim().product_scan
     assert grid.size == 30
     assert builds == [150]
 
@@ -381,13 +379,13 @@ def test_product_scan_builds_its_displacements_once(monkeypatch):
     ("run_method_trial", "GCV"), ("run_raw_trial", "Raw"), ("min_epan_mse", "minEpan"),
 ])
 def test_run_trial_fails_rows_only_on_numerical_errors(monkeypatch, target, label):
-    sim = _bench_sim(n=100)
+    sim = _sp2_sim(n=100)
     monkeypatch.setattr(simulate, target, _failing_trial(SingularFitError("numerical")))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         out = run_trial(sim, [parse_method("gcv")], n_star=30)
     assert out[label] is None
-    assert all(o.seconds >= 0.0 for key, o in out.items() if key != label)
+    assert all(o is not None for key, o in out.items() if key != label)
     monkeypatch.setattr(simulate, target, _failing_trial(ValueError("bug")))
     with pytest.raises(ValueError, match="bug"):
         run_trial(sim, [parse_method("gcv")], n_star=30)
@@ -414,22 +412,6 @@ def test_run_table_reports_each_trial_as_it_finishes(monkeypatch, threads):
         assert events.index(("generate", trial)) < events.index(("progress", trial))
     if threads == 1:
         assert events == [(kind, t) for t in range(3) for kind in ("generate", "progress")]
-
-
-def test_bench_writes_the_h_o_of_run_trial(tmp_path):
-    assert main(["bench", "--n", "150", "--output-dir", str(tmp_path)]) == 0
-    report = dict(line.split("=", 1) for line in (tmp_path / "bench.txt").read_text().splitlines())
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        out = run_trial(_bench_sim(), [parse_method("za(1,1.5)"), parse_method("gcv")])
-    assert report["h_o"] == repr(out["ZA(1,1.5)"].h)
-
-
-def test_bench_exits_2_when_a_row_fails(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(simulate, "run_raw_trial", _failing_trial(SingularFitError("raw")))
-    assert main(["bench", "--n", "150", "--output-dir", str(tmp_path)]) == 2
-    assert "Raw" in capsys.readouterr().err
-    assert not (tmp_path / "bench.txt").exists()
 
 
 def test_run_table_single_trial_structure():
@@ -493,6 +475,18 @@ def test_min_epan_without_a_feasible_scan_bandwidth():
         min_epan_mse(sim)
     outcomes = run_trial(sim, [MethodSpec("gcv")], n_star=30)
     assert outcomes["GCV"] is None and outcomes["minEpan"] is None
+
+
+@pytest.mark.parametrize("method", ["za(1,1.5)", "gcv"])
+def test_method_trial_runs_the_covariance_chain_at_its_own_h(method):
+    sim = _sp2_sim()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = simulate.run_method_trial(sim, parse_method(method))
+        chain = error_covariance(sim.dataset, out.h)
+    assert out.sigma2_hat == chain.curve.sigma2_hat
+    assert out.calibration_fallback == chain.calibration.fallback
+    assert out.mse_prac == mse_prac(chain.fit.fitted, sim.mu_true)
 
 
 def test_three_dimensional_pipeline_smoke():
