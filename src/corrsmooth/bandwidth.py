@@ -7,6 +7,11 @@ The candidate grid is data-driven (the theory leaves its endpoints as
 unspecified constants): it spans the smallest bandwidth at which nearly
 all points have enough positive-weight neighbors up to the bandwidth at
 which the kernel's reach covers the point cloud.
+
+One private scan does every grid criterion's per-candidate work: one solve
+per bandwidth gives the in-sample fit, its RSS and its GCV score, which
+select_h_z, gcv_score, gcv_select and gcv_scan (the simulation's GCV
+baseline and minEpan scan) read.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .errors import CorrsmoothError, NoElbowError, NoFeasibleBandwidthError
 from .kernels import (
     DEFAULT_C2_OFFSET,
     MIN_AMISE,
+    ProductEpanechnikovKernel,
     RadialAnnulusKernel,
     build_annulus_kernel,
 )
@@ -34,6 +40,7 @@ __all__ = [
     "select_h_o",
     "factor_ratio",
     "elbow_scan",
+    "gcv_scan",
     "gcv_select",
     "gcv_score",
     "oracle_bandwidth",
@@ -133,6 +140,20 @@ def _pick(trace) -> int:
     return int(np.argmin(trace))
 
 
+def _scan(ws: _Workspace, kernel, grid):
+    """(in-sample fit, RSS, GCV score) per grid bandwidth from one solve each;
+    GCV is RSS/(1 - tr(H)/n)^2 with tr(H) the sum of the solve's hat diagonal.
+    Both scores are +inf where the fit is singular, GCV also where tr(H) >= n."""
+    for h in grid:
+        fit, hat_diagonal = _fit_and_hat_diagonal(ws, kernel, float(h))
+        if fit.singular_count:
+            yield fit, np.inf, np.inf
+            continue
+        score = rss(fit)
+        denom = 1.0 - float(hat_diagonal.sum()) / ws.data.n
+        yield fit, score, score / denom**2 if denom > 0.0 else np.inf
+
+
 def select_h_z(
     data: Dataset, kz: RadialAnnulusKernel, grid, workspace: _Workspace | None = None
 ) -> BandwidthSelection:
@@ -143,12 +164,7 @@ def select_h_z(
     one workspace of data: the given one, or a new one.
     """
     grid = _validate_grid(grid)
-    ws = workspace or _Workspace(data)
-    trace = np.full(grid.shape, np.inf)
-    for idx, h in enumerate(grid):
-        fit = _fit_and_hat_diagonal(ws, kz, h)[0]
-        if fit.singular_count == 0:
-            trace[idx] = rss(fit)
+    trace = np.array([score for _, score, _ in _scan(workspace or _Workspace(data), kz, grid)])
     best = _pick(trace)
     if best in (0, grid.size - 1):
         warnings.warn(
@@ -171,10 +187,10 @@ def factor_ratio(kz, ko) -> float:
 
 
 def select_h_o(
-    data: Dataset, kz: RadialAnnulusKernel, ko, grid=None, grid_size: int = DEFAULT_GRID_SIZE
+    data: Dataset, kz: RadialAnnulusKernel, grid=None, grid_size: int = DEFAULT_GRID_SIZE
 ) -> BandwidthSelection:
-    """select_h_z on grid (default_grid's of grid_size if None), converted by
-    the factor method: the selection carries h_o = h_z * factor_ratio(kz, ko).
+    """select_h_z on grid (default_grid's of grid_size if None), converted by the factor
+    method to the product Epanechnikov kernel ko: h_o = h_z * factor_ratio(kz, ko).
 
     One workspace serves the grid and the selection, so the distances are
     built once.  It is dropped on return, so its n x n arrays do not outlive
@@ -184,7 +200,7 @@ def select_h_o(
     if grid is None:
         grid = default_grid(data, kz, size=grid_size, workspace=ws)
     sel = select_h_z(data, kz, grid, workspace=ws)
-    ratio = factor_ratio(kz, ko)
+    ratio = factor_ratio(kz, ProductEpanechnikovKernel(kz.dim))
     return replace(sel, h_o=sel.h_z * ratio, factor_ratio=ratio)
 
 
@@ -257,36 +273,28 @@ def elbow_scan(
 
 
 def gcv_score(data: Dataset, ko, h: float) -> float:
-    """GCV criterion RSS/(1 - tr(H)/n)^2 at one bandwidth; +inf if infeasible.
-
-    The fit and the hat diagonal come from one solve of the local normal
-    equations; tr(H) is the sum of that diagonal, never the n x n matrix.
-    """
-    return _gcv_score_ws(_Workspace(data), ko, h)[0]
-
-
-def _gcv_score_ws(ws: _Workspace, ko, h: float):
-    """(GCV score, in-sample fit) at h from one solve; the score is +inf if infeasible."""
-    fit, hat_diagonal = _fit_and_hat_diagonal(ws, ko, h)
-    if fit.singular_count:
-        return np.inf, fit
-    denom = 1.0 - float(hat_diagonal.sum()) / ws.data.n
-    if denom <= 0.0:
-        return np.inf, fit
-    return rss(fit) / denom**2, fit
+    """GCV criterion RSS/(1 - tr(H)/n)^2 at one bandwidth; +inf if infeasible."""
+    return next(_scan(_Workspace(data), ko, [h]))[2]
 
 
 def gcv_select(data: Dataset, ko, grid) -> float:
     """Generalized cross-validation baseline: minimize the GCV score on a grid.
 
-    One workspace serves the whole grid, and each candidate's trace comes
-    from the hat diagonal of the same solve as its fit (see gcv_score).
-    This selector ignores error correlation by design and serves as the
-    naive reference the annulus pipeline is compared against.
+    One workspace serves the whole grid.  This selector ignores error
+    correlation by design and serves as the naive reference the annulus
+    pipeline is compared against.
     """
     grid = _validate_grid(grid)
-    ws = _Workspace(data)
-    return float(grid[_pick([_gcv_score_ws(ws, ko, float(h))[0] for h in grid])])
+    return float(grid[_pick([gcv for _, _, gcv in _scan(_Workspace(data), ko, grid)])])
+
+
+def gcv_scan(data: Dataset) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """(grid, fits, GCV scores) over the product Epanechnikov kernel's default
+    grid, all from one workspace, so the geometry is built once."""
+    ko, ws = ProductEpanechnikovKernel(data.dim), _Workspace(data)
+    grid = default_grid(data, ko, workspace=ws)
+    fits, _, scores = zip(*_scan(ws, ko, grid))
+    return grid, fits, np.array(scores)
 
 
 def variance_fit_bandwidth(h_o: float, n: int, dim: int) -> float:

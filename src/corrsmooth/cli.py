@@ -21,9 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandwidth import _validate_grid, elbow_scan, select_h_o
+from .bandwidth import DEFAULT_GRID_SIZE, _validate_grid, elbow_scan, select_h_o
 from .covariance import (
     _RHO_MODES,
+    DEFAULT_B_CANDIDATES,
     DEFAULT_N_STAR,
     DELTA_N_DEFAULT,
     default_b_candidates,
@@ -194,7 +195,7 @@ def cmd_fit(cfg: dict) -> int:
     outdir = _outdir(cfg)
     ko = ProductEpanechnikovKernel(data.dim)
     kz = _annulus_kernel(cfg, data.dim)
-    sel = select_h_o(data, kz, ko, grid, cfg["grid_size"])
+    sel = select_h_o(data, kz, grid, cfg["grid_size"])
     h_o = sel.h_o
     fit = fit_all(data, h_o, ko)
 
@@ -320,8 +321,7 @@ def cmd_covariance(cfg: dict) -> int:
     if b_candidates is None:
         b_candidates = default_b_candidates(data, size=cfg["b_count"])
     if h_o is None:
-        ko = ProductEpanechnikovKernel(data.dim)
-        h_o = select_h_o(data, _annulus_kernel(cfg, data.dim), ko, grid, cfg["grid_size"]).h_o
+        h_o = select_h_o(data, _annulus_kernel(cfg, data.dim), grid, cfg["grid_size"]).h_o
     chain = error_covariance(
         data, h_o, b_candidates=b_candidates, delta_n=cfg["delta_n"], n_star=cfg["n_star"],
         truncation_t=cfg["truncation_t"] if cfg["truncation_t"] >= 0.0 else None,
@@ -373,6 +373,22 @@ def cmd_covariance(cfg: dict) -> int:
     return 0
 
 
+# scenario-line key -> (CorrelationModel or SimScenario field, type); a key a
+# line leaves out takes that class's default, and methods is the one other key
+_MODEL_KEYS = {
+    "family": ("family", str), "c": ("c", float), "alpha": ("alpha", float),
+    "D": ("dim", int), "sigma2": ("sigma2", float),
+}
+_RUN_KEYS = {"n": ("n", int), "seed": ("seed", int), "trials": ("n_trials", int)}
+_SCENARIO_KEYS = {*_MODEL_KEYS, *_RUN_KEYS, "methods"}
+_REQUIRED_KEYS = ("family", "c", "D", "n", "seed", "methods")
+
+
+def _given(fields: dict, keys: dict) -> dict:
+    """The scenario line's fields among keys, as their class's field names and types."""
+    return {name: kind(fields[key]) for key, (name, kind) in keys.items() if key in fields}
+
+
 def _parse_scenario_file(path: str):
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -386,27 +402,25 @@ def _parse_scenario_file(path: str):
             continue
         fields = {}
         for token in line.split():
-            if "=" not in token:
+            key, eq, value = token.partition("=")
+            if not eq:
                 raise UsageError(f"{path}:{lineno}: expected key=value tokens")
-            key, value = token.split("=", 1)
+            if key not in _SCENARIO_KEYS:
+                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in fields:
+                raise UsageError(f"{path}:{lineno}: repeated key {key!r}")
             fields[key] = value
+        missing = [key for key in _REQUIRED_KEYS if key not in fields]
+        if missing:
+            raise UsageError(f"{path}:{lineno}: missing key {missing[0]!r}")
         try:
-            model = CorrelationModel(
-                family=fields["family"],
-                c=float(fields["c"]),
-                alpha=float(fields.get("alpha", "1.0")),
-                dim=int(fields["D"]),
-                sigma2=float(fields.get("sigma2", "0.1")),
-            )
+            model = CorrelationModel(**_given(fields, _MODEL_KEYS))
             scn = SimScenario(
-                mu_id="mu2d" if model.dim == 2 else "mu3d",
-                n=int(fields["n"]),
-                model=model,
-                seed=int(fields["seed"]),
-                n_trials=int(fields.get("trials", "1")),
+                mu_id="mu2d" if model.dim == 2 else "mu3d", model=model,
+                **_given(fields, _RUN_KEYS),
             )
             methods = _method_specs(m for m in fields["methods"].split(";") if m)
-        except (KeyError, ValueError) as err:
+        except ValueError as err:
             raise UsageError(f"{path}:{lineno}: {err}") from err
         scenarios.append(scn)
         methods_per_scenario.append(methods)
@@ -491,19 +505,19 @@ class _Parser(argparse.ArgumentParser):
 
 _FIT_DEFAULTS = dict(
     input="", metric="euclidean", c1=1.0, c2_offset=DEFAULT_C2_OFFSET,
-    objective=MIN_AMISE, grid="", grid_size=30, surface_grid=25,
+    objective=MIN_AMISE, grid="", grid_size=DEFAULT_GRID_SIZE, surface_grid=25,
     output_dir="corrsmooth_out/fit",
 )
 _ELBOW_DEFAULTS = dict(
     input="", metric="euclidean", c1_list="0.25:6.0:0.25", c2_offset=DEFAULT_C2_OFFSET,
-    objective=MIN_AMISE, stability_tol=0.10, grid_size=30,
+    objective=MIN_AMISE, stability_tol=0.10, grid_size=DEFAULT_GRID_SIZE,
     output_dir="corrsmooth_out/elbow",
 )
 _COV_DEFAULTS = dict(
     input="", metric="euclidean", fit_dir="", c1=1.0, c2_offset=DEFAULT_C2_OFFSET,
-    objective=MIN_AMISE, grid="", grid_size=30, b_candidates="", b_count=25,
-    delta_n=DELTA_N_DEFAULT, n_star=DEFAULT_N_STAR, truncation_t=-1.0, rho_mode="by_chat0",
-    output_dir="corrsmooth_out/covariance",
+    objective=MIN_AMISE, grid="", grid_size=DEFAULT_GRID_SIZE, b_candidates="",
+    b_count=DEFAULT_B_CANDIDATES, delta_n=DELTA_N_DEFAULT, n_star=DEFAULT_N_STAR,
+    truncation_t=-1.0, rho_mode="by_chat0", output_dir="corrsmooth_out/covariance",
 )
 _SIM_DEFAULTS = dict(
     scenarios="", trials=0, objective=MIN_PRODUCT, n_star=DEFAULT_N_STAR,

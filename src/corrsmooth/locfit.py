@@ -22,6 +22,7 @@ the largest entry of that system.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -416,6 +417,11 @@ def load_csv(path, metric: str = "euclidean") -> Dataset:
             coord_idx.append(header.index(name))
         if not coord_idx:
             raise ValueError(f"{path}: no coordinate columns x1..xD found")
+        for i, name in enumerate(header):
+            if re.fullmatch(r"x\d+", name) and i not in coord_idx:
+                raise ValueError(
+                    f"{path}: stray coordinate column {name}; expected x1..xD, no gap or repeat"
+                )
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):

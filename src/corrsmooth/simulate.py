@@ -28,11 +28,11 @@ import numpy as np
 from scipy import integrate
 from scipy.spatial.distance import cdist
 
-from .bandwidth import _gcv_score_ws, _pick, default_grid, select_h_o
+from .bandwidth import _pick, gcv_scan, select_h_o
 from .covariance import DEFAULT_N_STAR, DELTA_N_DEFAULT, error_covariance, residual_covariance
 from .errors import CorrsmoothError, SingularFitError
-from .kernels import MIN_PRODUCT, ProductEpanechnikovKernel, build_annulus_kernel, sphere_surface
-from .locfit import Dataset, _metric_distances, _Workspace, hat_matrix
+from .kernels import MIN_PRODUCT, build_annulus_kernel, sphere_surface
+from .locfit import Dataset, _metric_distances, hat_matrix
 
 __all__ = [
     "FAMILIES",
@@ -186,19 +186,12 @@ class SimulatedData:
 
     @cached_property
     def product_scan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(grid, GCV scores, MSE_prac) over the product kernel's default grid, built
-        on first use: one solve per bandwidth serves the GCV row and minEpan.  MSE_prac
-        is inf where the fit is singular.  One workspace serves the grid and the fits,
-        so the displacements are built once; no fit or workspace outlives the scan."""
-        ko = ProductEpanechnikovKernel(self.dataset.dim)
-        ws = _Workspace(self.dataset)
-        grid = default_grid(self.dataset, ko, workspace=ws)
-        gcv, prac = np.full(grid.shape, np.inf), np.full(grid.shape, np.inf)
-        for k, h in enumerate(grid):
-            gcv[k], fit = _gcv_score_ws(ws, ko, float(h))
-            if not fit.singular_count:
-                prac[k] = mse_prac(fit.fitted, self.mu_true)
-        return grid, gcv, prac
+        """(grid, GCV scores, MSE_prac) of bandwidth.gcv_scan, built on first use:
+        one solve per bandwidth serves the GCV row and minEpan.  MSE_prac is inf
+        where the fit is singular; no fit outlives the scan."""
+        grid, fits, gcv = gcv_scan(self.dataset)
+        prac = [np.inf if f.singular_count else mse_prac(f.fitted, self.mu_true) for f in fits]
+        return grid, gcv, np.array(prac)
 
 
 _BLAS_PIN_LOCK = threading.Lock()
@@ -441,10 +434,8 @@ def run_method_trial(
 ) -> TrialOutcome:
     """Full pipeline for one method on one simulated trial."""
     data = sim.dataset
-    dim = data.dim
-    ko = ProductEpanechnikovKernel(dim)
     if spec.kind == "za":
-        h = select_h_o(data, build_annulus_kernel(spec.c1, spec.c2, dim, objective), ko).h_o
+        h = select_h_o(data, build_annulus_kernel(spec.c1, spec.c2, data.dim, objective)).h_o
     elif spec.kind == "gcv":
         grid, scores, _ = sim.product_scan
         h = float(grid[_pick(scores)])

@@ -81,7 +81,7 @@ def sp2():
         for t in range(N_TRIALS):
             sim = generate(scn, t)
             data = sim.dataset
-            h_o = select_h_o(data, kz, ko).h_o
+            h_o = select_h_o(data, kz).h_o
             fit = fit_all(data, h_o, ko)
             assert fit.singular_count == 0
             h_gcv = gcv_select(data, ko, default_grid(data, ko))

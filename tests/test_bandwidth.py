@@ -89,12 +89,11 @@ def test_select_h_o_identity_and_linearity():
     data = Dataset(points=2.0 * data.points, responses=data.responses)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sel = select_h_o(data, KZ, KZ, grid=[0.5])
-        h1 = select_h_o(data, KZ, KO, grid=[0.5]).h_o
-        h2 = select_h_o(data, KZ, KO, grid=[1.0]).h_o
+        sel = select_h_o(data, KZ, grid=[0.5])
+        h2 = select_h_o(data, KZ, grid=[1.0]).h_o
+    h1 = sel.h_o
     assert sel.h_z == 0.5
-    assert sel.h_o == pytest.approx(0.5)  # identical kernels
-    assert sel.factor_ratio == pytest.approx(1.0)
+    assert sel.factor_ratio == factor_ratio(KZ, KO)  # the target is the product kernel
     assert h1 == 0.5 * factor_ratio(KZ, KO)
     assert h2 == pytest.approx(2.0 * h1)  # doubling h_z doubles h_o
 
@@ -104,7 +103,7 @@ def test_select_h_o_default_grid_matches_select_h_z():
     sim = generate(SimScenario("mu2d", 200, model, seed=12, n_trials=1), 0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sel = select_h_o(sim.dataset, KZ, KO, grid_size=12)
+        sel = select_h_o(sim.dataset, KZ, grid_size=12)
         ref = select_h_z(sim.dataset, KZ, default_grid(sim.dataset, KZ, size=12))
     assert sel.grid.tobytes() == ref.grid.tobytes()
     assert sel.rss_trace.tobytes() == ref.rss_trace.tobytes()
@@ -188,7 +187,7 @@ def test_gcv_undersmooths_under_strong_correlation():
     kz = build_annulus_kernel(2.0, 2.5, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        h_o = select_h_o(sim.dataset, kz, KO).h_o
+        h_o = select_h_o(sim.dataset, kz).h_o
         h_gcv = gcv_select(sim.dataset, KO, default_grid(sim.dataset, KO))
     assert h_gcv < h_o
 

@@ -82,6 +82,16 @@ def test_fit_missing_y_column(tmp_path):
     assert code != 0
 
 
+@pytest.mark.parametrize("command", ["fit", "elbow", "covariance"])
+def test_stray_coordinate_column_exits_1_before_output(tmp_path, capsys, command):
+    path = tmp_path / "gap.csv"
+    path.write_text("x1,x2,x4,y\n" + "".join(f"0.{i},0.{i},0.5,1.0\n" for i in range(1, 9)))
+    out = tmp_path / "o"
+    assert main([command, "--input", str(path), "--output-dir", str(out)]) == 1
+    assert "stray coordinate column x4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_rejects_impossible_latitude(tmp_path, capsys):
     path = tmp_path / "geo.csv"
     rows = [[30.0 + 0.1 * i, -90.0 + 0.2 * i, 1.0] for i in range(10)]
@@ -103,17 +113,20 @@ def test_simulate_rejects_bad_za_spec(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", [
     "c=nan", "c=inf", "sigma2=nan", "sigma2=inf", "methods=za(1,inf)", "seed=-1",
-    "methods=za(1,1.5);za(1,1.5)",
+    "methods=za(1,1.5);za(1,1.5)", "sigma=0.5", "c=2.0 c=9.0",
 ])
 def test_simulate_bad_scenario_value_exits_1_before_output(tmp_path, capsys, bad):
     fields = dict(family="spherical", c="2.0", D="2", n="150", seed="1", trials="1", methods="gcv")
     key, value = bad.split("=", 1)
-    fields[key] = value
+    fields[key] = value  # "c=2.0 c=9.0" gives the line's c token a repeat
     scen = tmp_path / "scenes.txt"
     scen.write_text(" ".join(f"{k}={v}" for k, v in fields.items()) + "\n")
     out = tmp_path / "o"
     assert main(["simulate", "--scenarios", str(scen), "--output-dir", str(out)]) == 1
-    assert ":1:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert ":1:" in err
+    named = {"sigma=0.5": "unknown key 'sigma'", "c=2.0 c=9.0": "repeated key 'c'"}
+    assert named.get(bad, ":1:") in err
     assert not out.exists()
 
 

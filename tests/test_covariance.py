@@ -232,7 +232,7 @@ def test_calibration_contract_on_seeded_run():
         from corrsmooth.bandwidth import select_h_o
         from corrsmooth.kernels import build_annulus_kernel
 
-        h_o = select_h_o(sim.dataset, build_annulus_kernel(2.0, 2.5, 2), KO).h_o
+        h_o = select_h_o(sim.dataset, build_annulus_kernel(2.0, 2.5, 2)).h_o
         chain = error_covariance(sim.dataset, h_o)
     s2, trace = chain.curve.sigma2_hat, chain.calibration
     assert (s2 - 0.1) ** 2 < 1e-3  # squared error at the table's scale

@@ -45,7 +45,7 @@ import corrsmooth
 import corrsmooth.covariance as covariance_mod
 import corrsmooth.simulate as simulate_mod
 
-from corrsmooth.bandwidth import default_grid, gcv_score, gcv_select
+from corrsmooth.bandwidth import default_grid, gcv_scan, gcv_score, gcv_select
 from corrsmooth.covariance import (
     _PILOT_POINTS,
     CorrelationCurve,
@@ -226,6 +226,15 @@ def test_gcv_matches_reference_on_full_grid(dim, mu_id):
     new = [gcv_score(sim.dataset, ko, float(h)) for h in grid]
     assert new == ref
     assert gcv_select(sim.dataset, ko, grid) == grid[int(np.argmin(ref))]
+    # the trials' scan gives gcv_score's scores on the default grid, and the
+    # GCV row picks what gcv_select picks there
+    scan_grid, _, scores = gcv_scan(sim.dataset)
+    assert np.array_equal(scan_grid, grid[1:])
+    assert list(scores) == new[1:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        trial = run_method_trial(sim, parse_method("gcv"), n_star=40)
+    assert trial.h == gcv_select(sim.dataset, ko, default_grid(sim.dataset, ko))
 
 
 @pytest.mark.parametrize("dim, h", [(2, 1.0), (3, 0.5)])

@@ -3,7 +3,9 @@ modules below it, at module level and inside functions alike.  A formula
 that two layers need lives in the lower one, so no import cycle is ever
 worked around with a function-level import.  The covariance chain after the
 bandwidth has one home too: the CLI and the trials reach its steps only
-through covariance.error_covariance and covariance.residual_covariance."""
+through covariance.error_covariance and covariance.residual_covariance.
+Likewise the trials' GCV baseline and minEpan scan run only through
+bandwidth.gcv_scan."""
 
 import ast
 from pathlib import Path
@@ -71,5 +73,21 @@ def test_cli_and_trials_do_not_restate_the_covariance_chain():
         for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")))
         for name in names_in(node)
         if name in CHAIN_STEPS
+    ]
+    assert named == []
+
+
+SCAN_INTERNALS = {
+    "_Workspace", "_gcv_score_ws", "_fit_and_hat_diagonal", "default_grid",
+    "ProductEpanechnikovKernel",
+}
+
+
+def test_trials_do_not_restate_the_product_scan():
+    named = [
+        f"simulate names {name}"
+        for node in ast.walk(ast.parse((PACKAGE / "simulate.py").read_text(encoding="utf-8")))
+        for name in names_in(node)
+        if name in SCAN_INTERNALS
     ]
     assert named == []

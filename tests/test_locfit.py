@@ -398,6 +398,16 @@ def test_load_csv_missing_y(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("header", ["x1,x2,x4,y", "x1,x2,x1,y", "x2,x1,x3,x5,y"])
+def test_load_csv_rejects_a_stray_coordinate_column(tmp_path, header):
+    # a coordinate column after a gap, or a repeated one, is named, not dropped
+    stray = header.split(",")[-2]
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n" + ",".join(["0.5"] * header.count(",") + ["1.0"]) + "\n")
+    with pytest.raises(ValueError, match=f"stray coordinate column {stray}"):
+        load_csv(path)
+
+
 def test_load_csv_malformed_row(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x1,y\n0.1,ok\n")

@@ -331,8 +331,9 @@ def test_run_trial_rows_in_order():
 
 
 def test_run_trial_scans_the_product_grid_once(monkeypatch):
-    # GCV and minEpan read one product-kernel scan of the draw: one product
-    # default_grid, and 30 grid fits + 2 final fits + 2 variance fits
+    # GCV and minEpan read one product-kernel scan of the draw, bandwidth's
+    # gcv_scan: one product default_grid, and 30 grid fits + 2 final fits +
+    # 2 variance fits
     import corrsmooth.bandwidth as bandwidth_mod
     import corrsmooth.locfit as locfit_mod
 
@@ -349,7 +350,6 @@ def test_run_trial_scans_the_product_grid_once(monkeypatch):
         return real_systems(ws, kernel, h)
 
     monkeypatch.setattr(bandwidth_mod, "default_grid", counting_grid)
-    monkeypatch.setattr(simulate, "default_grid", counting_grid)
     monkeypatch.setattr(locfit_mod, "_normal_systems", counting_systems)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
