@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 DEFAULT_GRID_SIZE = 30
+DEFAULT_STABILITY_TOL = 0.10
 _SCAN_CANDIDATES = 256
 _NEIGHBOR_COVERAGE = 0.99
 
@@ -209,7 +210,7 @@ def elbow_scan(
     c1_list,
     objective: str = MIN_AMISE,
     c2_offset: float = DEFAULT_C2_OFFSET,
-    stability_tol: float = 0.10,
+    stability_tol: float = DEFAULT_STABILITY_TOL,
     grid_size: int = DEFAULT_GRID_SIZE,
 ) -> ElbowDiagnostic:
     """Scan inner radii and pick the first c1 where the ratio C-bar settles.

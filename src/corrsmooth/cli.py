@@ -21,11 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandwidth import DEFAULT_GRID_SIZE, _validate_grid, elbow_scan, select_h_o
+from .bandwidth import (
+    DEFAULT_GRID_SIZE, DEFAULT_STABILITY_TOL, _validate_grid, elbow_scan, select_h_o,
+)
 from .covariance import (
     _RHO_MODES,
     DEFAULT_B_CANDIDATES,
     DEFAULT_N_STAR,
+    DEFAULT_RHO_MODE,
     DELTA_N_DEFAULT,
     default_b_candidates,
     error_covariance,
@@ -76,23 +79,36 @@ def _write_report(path: Path, items) -> None:
             f.write(f"{key}={_fmt(value)}\n")
 
 
-def _read_key_values(path) -> dict:
-    """The key=value lines of a --config file or of a run's report.txt or
-    config_echo.txt, skipping blanks and # comments; key dashes become _."""
-    values = {}
+def _read_key_values(path, keys=None, *, split: bool = False):
+    """The key=value tokens of a text file, skipping blanks and # comments;
+    key dashes read as _.  Without split a line is one token (its value may
+    hold spaces) and the file is one {key: value} record; with split,
+    whitespace separates tokens and each line is a record, returned as
+    (line number, record) pairs.  A token without '=', a key outside keys
+    (if given) or a key repeated within its record exits 1 naming path:line."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as err:
         raise UsageError(f"cannot read key=value file {path}: {err}") from err
+    records, fields = [], {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
+        if split:
+            fields = {}
+            records.append((lineno, fields))
+        for token in line.split() if split else [line]:
+            key, eq, value = token.partition("=")
+            key = key.strip().replace("-", "_")
+            if not eq:
+                raise UsageError(f"{path}:{lineno}: expected key=value, got {token!r}")
+            if keys is not None and key not in keys:
+                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in fields:
+                raise UsageError(f"{path}:{lineno}: repeated key {key!r}")
+            fields[key] = value.strip()
+    return records if split else fields
 
 
 def _checked(key: str, raw, kind: type):
@@ -119,9 +135,7 @@ def _resolve(args, defaults: dict) -> dict:
     every value given either way goes through _checked."""
     cfg = dict(defaults)
     if args.config:
-        for key, raw in _read_key_values(args.config).items():
-            if key not in cfg:
-                raise UsageError(f"unknown config key {key!r}")
+        for key, raw in _read_key_values(args.config, cfg).items():
             cfg[key] = _checked(key, raw, type(defaults[key]))
     for key in cfg:
         flag_value = getattr(args, key, None)
@@ -289,7 +303,8 @@ def cmd_elbow(cfg: dict) -> int:
 
 def _fit_dir_h_o(cfg: dict, data: Dataset) -> float:
     """h_o from a fit run's report, once that run is known to be a fit of
-    the same input file with the same metric; it must be positive and finite."""
+    the same input file with the same metric; it must be positive and finite,
+    and the run's fitted.csv must hold exactly this input's points and responses."""
     fit_dir = Path(cfg["fit_dir"])
     try:
         report = _read_key_values(fit_dir / "report.txt")
@@ -307,6 +322,12 @@ def _fit_dir_h_o(cfg: dict, data: Dataset) -> float:
         h_o = float(report["h_o"])
         if not 0.0 < h_o < np.inf:
             raise UsageError(f"the fit in {fit_dir} has h_o={report['h_o']!r}, not in (0, inf)")
+        fitted = load_csv(fit_dir / "fitted.csv", metric=data.metric)
+        if not (
+            np.array_equal(fitted.points, data.points)
+            and np.array_equal(fitted.responses, data.responses)
+        ):
+            raise UsageError(f"{fit_dir / 'fitted.csv'} holds other data than {cfg['input']}")
         return h_o
     except (OSError, KeyError, ValueError) as err:
         raise UsageError(f"cannot recover h_o from {fit_dir}: {err}") from err
@@ -390,26 +411,9 @@ def _given(fields: dict, keys: dict) -> dict:
 
 
 def _parse_scenario_file(path: str):
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as err:
-        raise UsageError(f"cannot read scenario file {path}: {err}") from err
     scenarios = []
     methods_per_scenario = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = {}
-        for token in line.split():
-            key, eq, value = token.partition("=")
-            if not eq:
-                raise UsageError(f"{path}:{lineno}: expected key=value tokens")
-            if key not in _SCENARIO_KEYS:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in fields:
-                raise UsageError(f"{path}:{lineno}: repeated key {key!r}")
-            fields[key] = value
+    for lineno, fields in _read_key_values(path, _SCENARIO_KEYS, split=True):
         missing = [key for key in _REQUIRED_KEYS if key not in fields]
         if missing:
             raise UsageError(f"{path}:{lineno}: missing key {missing[0]!r}")
@@ -422,6 +426,8 @@ def _parse_scenario_file(path: str):
             methods = _method_specs(m for m in fields["methods"].split(";") if m)
         except ValueError as err:
             raise UsageError(f"{path}:{lineno}: {err}") from err
+        if not methods:
+            raise UsageError(f"{path}:{lineno}: methods names no method")
         scenarios.append(scn)
         methods_per_scenario.append(methods)
     if not scenarios:
@@ -510,14 +516,14 @@ _FIT_DEFAULTS = dict(
 )
 _ELBOW_DEFAULTS = dict(
     input="", metric="euclidean", c1_list="0.25:6.0:0.25", c2_offset=DEFAULT_C2_OFFSET,
-    objective=MIN_AMISE, stability_tol=0.10, grid_size=DEFAULT_GRID_SIZE,
+    objective=MIN_AMISE, stability_tol=DEFAULT_STABILITY_TOL, grid_size=DEFAULT_GRID_SIZE,
     output_dir="corrsmooth_out/elbow",
 )
 _COV_DEFAULTS = dict(
     input="", metric="euclidean", fit_dir="", c1=1.0, c2_offset=DEFAULT_C2_OFFSET,
     objective=MIN_AMISE, grid="", grid_size=DEFAULT_GRID_SIZE, b_candidates="",
     b_count=DEFAULT_B_CANDIDATES, delta_n=DELTA_N_DEFAULT, n_star=DEFAULT_N_STAR,
-    truncation_t=-1.0, rho_mode="by_chat0", output_dir="corrsmooth_out/covariance",
+    truncation_t=-1.0, rho_mode=DEFAULT_RHO_MODE, output_dir="corrsmooth_out/covariance",
 )
 _SIM_DEFAULTS = dict(
     scenarios="", trials=0, objective=MIN_PRODUCT, n_star=DEFAULT_N_STAR,

@@ -59,7 +59,8 @@ __all__ = [
 
 DELTA_N_DEFAULT = 2e-4
 DEFAULT_N_STAR = 200
-_RHO_MODES = ("by_chat0", "by_sigma2_hat")
+DEFAULT_RHO_MODE = "by_chat0"
+_RHO_MODES = (DEFAULT_RHO_MODE, "by_sigma2_hat")
 DEFAULT_B_CANDIDATES = 25
 _PILOT_POINTS = 256
 _PILOT_BLOCK = 32  # lags per pilot pass
@@ -468,7 +469,9 @@ def covariance_curve(
     )
 
 
-def estimate_correlation(cov: CovarianceEstimate, mode: str = "by_chat0") -> CorrelationCurve:
+def estimate_correlation(
+    cov: CovarianceEstimate, mode: str = DEFAULT_RHO_MODE
+) -> CorrelationCurve:
     """Correlation curve rho_hat = C_hat / C_hat(0) or C_hat / sigma2_hat.
 
     Values are clamped to [-1, 1]; the curve records whether clamping
@@ -517,7 +520,7 @@ def residual_covariance(
     delta_n: float = DELTA_N_DEFAULT,
     n_star: int = DEFAULT_N_STAR,
     truncation_t: float | None = None,
-    rho_mode: str = "by_chat0",
+    rho_mode: str = DEFAULT_RHO_MODE,
 ) -> ErrorCovariance:
     """Calibrate b against sigma2_hat, then estimate the covariance curve at
     the chosen b and its correlation curve, from one residual vector."""

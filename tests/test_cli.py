@@ -113,7 +113,7 @@ def test_simulate_rejects_bad_za_spec(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", [
     "c=nan", "c=inf", "sigma2=nan", "sigma2=inf", "methods=za(1,inf)", "seed=-1",
-    "methods=za(1,1.5);za(1,1.5)", "sigma=0.5", "c=2.0 c=9.0",
+    "methods=za(1,1.5);za(1,1.5)", "sigma=0.5", "c=2.0 c=9.0", "methods=", "methods=;",
 ])
 def test_simulate_bad_scenario_value_exits_1_before_output(tmp_path, capsys, bad):
     fields = dict(family="spherical", c="2.0", D="2", n="150", seed="1", trials="1", methods="gcv")
@@ -319,6 +319,25 @@ def test_config_echo_round_trip(tmp_path, affine_csv):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("lines, named", [
+    pytest.param("grid_size=5\ngrid-size=7\n", ":2: repeated key 'grid_size'", id="repeat"),
+    pytest.param("# a comment\n\nc1=1.0\nsigma=0.5\n", ":4: unknown key 'sigma'", id="unknown"),
+    pytest.param("c1=1.0\ngrid_size\n", ":2: expected key=value, got 'grid_size'", id="no-eq"),
+])
+def test_bad_config_line_exits_1_naming_path_line_and_key(
+    tmp_path, affine_csv, capsys, lines, named
+):
+    config = tmp_path / "fit.cfg"
+    config.write_text(lines)
+    out = tmp_path / "o"
+    code = main([
+        "fit", "--config", str(config), "--input", str(affine_csv), "--output-dir", str(out),
+    ])
+    assert code == 1
+    assert f"{config}{named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["rho_mode=by_nothing", "objective=bogus"])
 def test_config_value_outside_choices_is_usage_error(tmp_path, affine_csv, capsys, line):
     config = tmp_path / "cov.cfg"
@@ -414,6 +433,23 @@ def test_covariance_fit_dir_rejects_other_input(tmp_path, affine_csv, affine_fit
     assert not (tmp_path / "cov").exists()
 
 
+def test_covariance_fit_dir_rejects_a_fit_of_another_file_with_the_same_name(
+    tmp_path, monkeypatch, capsys
+):
+    for name, seed in (("A", 20), ("B", 21)):
+        (tmp_path / name).mkdir()
+        write_dataset_csv(tmp_path / name / "d.csv", make_affine_dataset(n=150, dim=2, seed=seed))
+    monkeypatch.chdir(tmp_path / "A")
+    assert main(["fit", "--input", "d.csv", "--grid-size", "10", "--output-dir", "fit"]) == 0
+    monkeypatch.chdir(tmp_path / "B")
+    code = main([
+        "covariance", "--input", "d.csv", "--fit-dir", "../A/fit", "--output-dir", "cov",
+    ])
+    assert code == 1
+    assert "fitted.csv holds other data than d.csv" in capsys.readouterr().err
+    assert not (tmp_path / "B" / "cov").exists()
+
+
 def test_covariance_fit_dir_rejects_other_metric(tmp_path, affine_csv, affine_fit_dir, capsys):
     code = main([
         "covariance", "--input", str(affine_csv), "--metric", "haversine",
@@ -455,6 +491,7 @@ def _fit_dir_with_h_o(tmp_path, affine_csv, h_o):
     fit_dir.mkdir()
     (fit_dir / "report.txt").write_text(f"command=fit\nh_o={h_o}\n")
     (fit_dir / "config_echo.txt").write_text(f"input={affine_csv}\nmetric=euclidean\n")
+    (fit_dir / "fitted.csv").write_bytes(affine_csv.read_bytes())
     return fit_dir
 
 

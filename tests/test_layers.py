@@ -5,7 +5,8 @@ worked around with a function-level import.  The covariance chain after the
 bandwidth has one home too: the CLI and the trials reach its steps only
 through covariance.error_covariance and covariance.residual_covariance.
 Likewise the trials' GCV baseline and minEpan scan run only through
-bandwidth.gcv_scan."""
+bandwidth.gcv_scan, and the CLI reads every key=value file (config files,
+fit-dir reports, scenario lines) through one reader."""
 
 import ast
 from pathlib import Path
@@ -91,3 +92,24 @@ def test_trials_do_not_restate_the_product_scan():
         if name in SCAN_INTERNALS
     ]
     assert named == []
+
+
+def read_text_calls(node) -> list:
+    """The .read_text(...) calls inside an AST node."""
+    return [
+        call for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "read_text"
+    ]
+
+
+def test_cli_reads_text_files_at_one_call_site():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    (reader,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_read_key_values"
+    ]
+    calls = read_text_calls(tree)
+    assert len(calls) == 1
+    assert calls == read_text_calls(reader)
