@@ -120,13 +120,15 @@ def default_grid(
 
 
 def _validate_grid(grid) -> np.ndarray:
-    """Candidate bandwidths as a float array; a ValueError quoting them unless
-    they are a nonempty 1-d list of finite, positive, increasing values."""
+    """Candidates (bandwidths, b or c1 values) as a float array; a ValueError
+    quoting them unless they are a nonempty 1-d list of finite, positive,
+    strictly increasing values.  Every candidate list is checked here."""
     grid = np.asarray(grid, dtype=float)
     ok = grid.ndim == 1 and grid.size > 0 and np.all(np.isfinite(grid) & (grid > 0.0))
     if not ok or np.any(np.diff(grid) <= 0.0):
         raise ValueError(
-            f"candidates {grid.tolist()} are not finite, positive and strictly increasing"
+            f"candidates {grid.tolist()} are not a nonempty list of finite, positive, "
+            "strictly increasing values"
         )
     return grid
 
@@ -218,15 +220,15 @@ def elbow_scan(
     Per candidate: build the annulus kernel (c2 = c1 + offset), select its
     RSS bandwidth, and record C-bar = (mu(K^2)/mu2^2)^(1/(D+4)) / h.  The
     chosen c1 is the first with two consecutive relative changes below
-    stability_tol.  Failed candidates become gaps, not fatal errors.  One
+    stability_tol.  The c1 list is checked as every candidate list is
+    (_validate_grid); a candidate whose kernel or selection fails numerically
+    (CorrsmoothError) becomes a gap, and a bad argument raises.  One
     workspace serves every candidate's grid and selection, so the distances
     and their sorted rows are built once for the whole scan.
     """
-    c1_arr = np.asarray(list(c1_list), dtype=float)
+    c1_arr = _validate_grid(c1_list)
     if c1_arr.size < 3:
         raise ValueError("need >= 3 candidates for stability detection")
-    if np.any(np.diff(c1_arr) <= 0.0):
-        raise ValueError("c1 candidates must be strictly increasing")
     dim = data.dim
 
     cbar = np.full(c1_arr.shape, np.nan)
@@ -237,7 +239,7 @@ def elbow_scan(
             kz = build_annulus_kernel(c1, c1 + c2_offset, dim, objective)
             grid = default_grid(data, kz, size=grid_size, workspace=ws)
             sel = select_h_z(data, kz, grid, workspace=ws)
-        except (ValueError, CorrsmoothError):
+        except CorrsmoothError:
             continue
         m = kz.moments()
         h_zs[idx] = sel.h_z

@@ -79,13 +79,15 @@ def _write_report(path: Path, items) -> None:
             f.write(f"{key}={_fmt(value)}\n")
 
 
-def _read_key_values(path, keys=None, *, split: bool = False):
+def _read_key_values(path, keys=None, *, split: bool = False, check=None):
     """The key=value tokens of a text file, skipping blanks and # comments;
     key dashes read as _.  Without split a line is one token (its value may
     hold spaces) and the file is one {key: value} record; with split,
     whitespace separates tokens and each line is a record, returned as
-    (line number, record) pairs.  A token without '=', a key outside keys
-    (if given) or a key repeated within its record exits 1 naming path:line."""
+    (line number, record) pairs.  Each value is check(key, value) if check
+    is given.  A token without '=', a key outside keys (if given), a key
+    repeated within its record or a value that check rejects exits 1 naming
+    path:line."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as err:
@@ -107,15 +109,21 @@ def _read_key_values(path, keys=None, *, split: bool = False):
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
             if key in fields:
                 raise UsageError(f"{path}:{lineno}: repeated key {key!r}")
-            fields[key] = value.strip()
+            try:
+                fields[key] = check(key, value.strip()) if check else value.strip()
+            except UsageError as err:
+                raise UsageError(f"{path}:{lineno}: {err}") from err
     return records if split else fields
 
 
-def _checked(key: str, raw, kind: type):
+def _checked(key: str, raw: str, kind: type):
     """raw converted to kind; a UsageError unless the value is one of key's
-    _CHOICES and inside its _BOUNDS interval (NaN is inside none)."""
+    _CHOICES, inside its _BOUNDS interval (NaN is inside none) and, for a
+    key of _LISTS, empty or a valid candidate list (_parse_float_list)."""
     try:
         value = kind(raw)
+        if key in _LISTS and value:
+            _parse_float_list(value)
     except ValueError as err:
         raise UsageError(f"bad value for {key}: {err}") from err
     if key in _CHOICES and value not in _CHOICES[key]:
@@ -132,15 +140,17 @@ def _checked(key: str, raw, kind: type):
 
 def _resolve(args, defaults: dict) -> dict:
     """Command defaults, overridden by the config file, overridden by flags;
-    every value given either way goes through _checked."""
+    every value given either way is converted by _checked to its default's
+    type, a config value while the reader still knows its path:line."""
+    def check(key, raw):
+        return _checked(key, raw, type(defaults[key]))
+
     cfg = dict(defaults)
     if args.config:
-        for key, raw in _read_key_values(args.config, cfg).items():
-            cfg[key] = _checked(key, raw, type(defaults[key]))
+        cfg.update(_read_key_values(args.config, defaults, check=check))
     for key in cfg:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            cfg[key] = _checked(key, flag_value, type(defaults[key]))
+        if getattr(args, key, None) is not None:
+            cfg[key] = check(key, getattr(args, key))
     return cfg
 
 
@@ -155,33 +165,21 @@ def _outdir(cfg: dict) -> Path:
     return out
 
 
-def _parse_float_list(cfg: dict, key: str) -> np.ndarray:
-    """cfg[key] as 'a,b,c' or 'start:stop:step' range syntax (stop included,
-    step > 0); the list must be nonempty, finite and strictly increasing."""
-    text = cfg[key].strip()
-    try:
-        if ":" in text:
-            start, stop, step = (float(p) for p in text.split(":"))
-            if not step > 0.0:
-                raise ValueError("the step must be positive")
-            values = np.arange(start, stop + step / 2.0, step)
-        else:
-            values = np.asarray([float(p) for p in text.split(",") if p.strip()])
-        if values.size == 0 or not np.all(np.isfinite(values)) or np.any(np.diff(values) <= 0.0):
-            raise ValueError("not a nonempty, finite, strictly increasing list")
-    except ValueError as err:
-        raise UsageError(f"bad value for {key}: {text!r}: {err}") from err
-    return values
+def _parse_float_list(text: str) -> np.ndarray:
+    """text as 'a,b,c' or 'start:stop:step' range syntax (stop included,
+    step > 0), checked as every candidate list is (_validate_grid)."""
+    text = text.strip()
+    if ":" in text:
+        start, stop, step = (float(p) for p in text.split(":"))
+        if not step > 0.0:
+            raise ValueError(f"the step of {text!r} must be positive")
+        return _validate_grid(np.arange(start, stop + step / 2.0, step))
+    return _validate_grid([float(p) for p in text.split(",") if p.strip()])
 
 
 def _candidates(cfg: dict, key: str):
-    """cfg[key] checked as every candidate grid is checked (_validate_grid), or None."""
-    if not cfg[key]:
-        return None
-    try:
-        return _validate_grid(_parse_float_list(cfg, key))
-    except ValueError as err:
-        raise UsageError(f"bad value for {key}: {err}") from err
+    """cfg[key]'s candidates (_checked has checked the text), or None if it is empty."""
+    return _parse_float_list(cfg[key]) if cfg[key] else None
 
 
 def _annulus_kernel(cfg, dim):
@@ -265,8 +263,8 @@ def cmd_fit(cfg: dict) -> int:
 
 def cmd_elbow(cfg: dict) -> int:
     data = _load_dataset(cfg, "elbow")
-    c1_list = _parse_float_list(cfg, "c1_list")
-    if c1_list.size < 3:
+    c1_list = _candidates(cfg, "c1_list")
+    if c1_list is None or c1_list.size < 3:
         raise UsageError("need >= 3 candidates for stability detection")
     outdir = _outdir(cfg)
     diag = elbow_scan(
@@ -302,23 +300,19 @@ def cmd_elbow(cfg: dict) -> int:
 
 
 def _fit_dir_h_o(cfg: dict, data: Dataset) -> float:
-    """h_o from a fit run's report, once that run is known to be a fit of
-    the same input file with the same metric; it must be positive and finite,
-    and the run's fitted.csv must hold exactly this input's points and responses."""
+    """h_o from a fit run, identified by its data: the run's report.txt must
+    name command=fit, this metric and a positive, finite h_o, and its
+    fitted.csv must hold exactly this input's points and responses.  These
+    two files are all it reads; where the input lies does not matter."""
     fit_dir = Path(cfg["fit_dir"])
     try:
         report = _read_key_values(fit_dir / "report.txt")
-        echo = _read_key_values(fit_dir / "config_echo.txt")
         if report.get("command") != "fit":
             raise UsageError(f"{fit_dir} holds no fit run (command={report.get('command')!r})")
-        for key, ours, theirs in (
-            ("input", Path(cfg["input"]).resolve(), Path(echo["input"]).resolve()),
-            ("metric", data.metric, echo["metric"].lower()),
-        ):
-            if ours != theirs:
-                raise UsageError(
-                    f"the fit in {fit_dir} used {key}={echo[key]!r}, not {cfg[key]!r}"
-                )
+        if report["metric"] != data.metric:
+            raise UsageError(
+                f"the fit in {fit_dir} used metric={report['metric']!r}, not {cfg['metric']!r}"
+            )
         h_o = float(report["h_o"])
         if not 0.0 < h_o < np.inf:
             raise UsageError(f"the fit in {fit_dir} has h_o={report['h_o']!r}, not in (0, inf)")
@@ -542,6 +536,8 @@ _CHOICES = {
     "objective": _OBJECTIVES,
     "rho_mode": _RHO_MODES,
 }
+# the candidate lists, kept as text in cfg (and config_echo.txt)
+_LISTS = ("grid", "b_candidates", "c1_list")
 # (low, whether low is excluded, high, whether high is excluded)
 _BOUNDS = {
     "threads": (1, False, np.inf, False), "trials": (0, False, np.inf, False),
@@ -562,18 +558,19 @@ _HELP = {
 
 def _build_parser() -> _Parser:
     """One subparser per command and one flag per key of its defaults table;
-    flags default to None so that _resolve sees which were given."""
+    flags default to None so that _resolve sees which were given, and stay
+    text, so that _checked converts flags and config values alike."""
     parser = _Parser(prog="corrsmooth", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
     for name, func, defaults, help_text in _COMMANDS:
         sub = subs.add_parser(name, help=help_text)
         sub.add_argument("--config", default=None, help="key=value config file; flags win")
         sub.add_argument("--output-dir", dest="output_dir", default=None)
-        for key, default in defaults.items():
+        for key in defaults:
             if key == "output_dir":
                 continue
             sub.add_argument(
-                "--" + key.replace("_", "-"), dest=key, type=type(default), default=None,
+                "--" + key.replace("_", "-"), dest=key, default=None,
                 choices=_CHOICES.get(key), help=_HELP.get(key),
             )
         sub.set_defaults(func=func, defaults=defaults)

@@ -235,15 +235,28 @@ def test_elbow_needs_three_candidates():
 
 
 def test_elbow_gap_handling():
-    # c1 = 0 is infeasible for the annulus builder and must become a gap
+    # c1 = 40 leaves no bandwidth with enough positive-weight neighbors
+    # (NoFeasibleBandwidthError), so it must become a gap, not end the scan
     model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
     sim = generate(SimScenario("mu2d", 250, model, seed=9, n_trials=1), 0)
+    with pytest.raises(NoFeasibleBandwidthError):
+        default_grid(sim.dataset, build_annulus_kernel(40.0, 40.5, 2), size=10)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        diag = elbow_scan(sim.dataset, [0.0, 0.5, 1.0, 1.5, 2.0], grid_size=10)
-    assert not diag.feasible[0]
-    assert np.isnan(diag.cbar_list[0])
+        diag = elbow_scan(sim.dataset, [0.5, 1.0, 1.5, 2.0, 40.0], grid_size=10)
+    assert diag.feasible.tolist() == [True, True, True, True, False]
+    assert np.isnan(diag.cbar_list[-1])
     assert diag.chosen_c1 in (1.0, 1.5, 2.0)
+
+
+@pytest.mark.parametrize("c1_list, c2_offset", [
+    ([0.0, 0.5, 1.0, 1.5], 0.5),  # c1 = 0 is no candidate
+    ([0.5, 1.0, 1.5], -1.0),  # c2 < c1 is a bad argument, not three gaps
+])
+def test_elbow_bad_arguments_raise(c1_list, c2_offset):
+    data = make_affine_dataset(n=80, dim=2, seed=6)
+    with pytest.raises(ValueError):
+        elbow_scan(data, c1_list, c2_offset=c2_offset)
 
 
 @pytest.fixture()
@@ -331,10 +344,9 @@ def test_elbow_reproduction_on_geo_fixture(geo_dataset):
     data, _, _ = geo_dataset
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        diag = elbow_scan(data, np.arange(0.0, 6.01, 0.25), grid_size=20)
+        diag = elbow_scan(data, np.arange(0.25, 6.01, 0.25), grid_size=20)
     assert 0.75 <= diag.chosen_c1 <= 2.0
-    assert not diag.feasible[0]  # c1 = 0 is no annulus; recorded as a gap
-    assert diag.c1_list.size == 25
+    assert diag.c1_list.size == 24
 
 
 def test_variance_fit_bandwidth_exponent_arithmetic():

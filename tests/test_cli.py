@@ -323,6 +323,7 @@ def test_config_echo_round_trip(tmp_path, affine_csv):
     pytest.param("grid_size=5\ngrid-size=7\n", ":2: repeated key 'grid_size'", id="repeat"),
     pytest.param("# a comment\n\nc1=1.0\nsigma=0.5\n", ":4: unknown key 'sigma'", id="unknown"),
     pytest.param("c1=1.0\ngrid_size\n", ":2: expected key=value, got 'grid_size'", id="no-eq"),
+    pytest.param("# a comment\n\nc1=0\n", ":3: bad value for c1: '0'", id="bad-value"),
 ])
 def test_bad_config_line_exits_1_naming_path_line_and_key(
     tmp_path, affine_csv, capsys, lines, named
@@ -382,6 +383,8 @@ def test_config_value_outside_choices_is_usage_error(tmp_path, affine_csv, capsy
     pytest.param(["covariance", "--truncation-t", "nan"], "", id="argv26--None"),
     pytest.param(["covariance", "--truncation-t", "inf"], "", id="argv27--None"),
     pytest.param(["covariance"], "truncation_t=-inf", id="argv28-truncation_t=-inf-None"),
+    pytest.param(["elbow", "--c1-list", "0:2:0.25"], "", id="c1-list-from-zero"),
+    pytest.param(["elbow"], "c1_list=-1:2:0.25", id="config-c1-list-below-zero"),
 ])
 def test_out_of_range_options_exit_1_before_fitting(tmp_path, affine_csv, capsys, argv, config):
     if argv[0] == "simulate":
@@ -395,7 +398,8 @@ def test_out_of_range_options_exit_1_before_fitting(tmp_path, affine_csv, capsys
         argv = [*argv, "--config", str(tmp_path / "run.cfg")]
     out = tmp_path / "o"
     assert main([*argv, "--output-dir", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: bad value for ")
+    place = f"{tmp_path / 'run.cfg'}:1: " if config else ""
+    assert capsys.readouterr().err.startswith(f"error: {place}bad value for ")
     assert not out.exists()  # no rss_trace.csv, covariance.csv or table_*.csv either
 
 
@@ -421,16 +425,37 @@ def affine_fit_dir(tmp_path, affine_csv):
     return fit_out
 
 
-def test_covariance_fit_dir_rejects_other_input(tmp_path, affine_csv, affine_fit_dir, capsys):
+def test_covariance_fit_dir_accepts_a_copy_of_the_fitted_data(
+    tmp_path, affine_csv, affine_fit_dir
+):
+    # the fit is identified by its data, not by where its input lies
     other = tmp_path / "other.csv"
     other.write_bytes(affine_csv.read_bytes())
     code = main([
         "covariance", "--input", str(other), "--fit-dir", str(affine_fit_dir),
-        "--output-dir", str(tmp_path / "cov"),
+        "--n-star", "20", "--output-dir", str(tmp_path / "cov"),
     ])
-    assert code == 1
-    assert "used input=" in capsys.readouterr().err
-    assert not (tmp_path / "cov").exists()
+    assert code == 0
+
+
+def test_covariance_fit_dir_accepts_its_input_named_from_another_directory(
+    tmp_path, monkeypatch
+):
+    for name in ("A", "B"):
+        (tmp_path / name).mkdir()
+    write_dataset_csv(tmp_path / "A" / "d.csv", make_affine_dataset(n=150, dim=2, seed=20))
+    monkeypatch.chdir(tmp_path / "A")
+    assert main(["fit", "--input", "d.csv", "--grid-size", "10", "--output-dir", "fit"]) == 0
+    monkeypatch.chdir(tmp_path / "B")
+    code = main([
+        "covariance", "--input", "../A/d.csv", "--fit-dir", "../A/fit", "--n-star", "20",
+        "--output-dir", "cov",
+    ])
+    assert code == 0
+    report = (tmp_path / "B" / "cov" / "report.txt").read_text()
+    fit_report = (tmp_path / "A" / "fit" / "report.txt").read_text()
+    h_o = next(line for line in fit_report.splitlines() if line.startswith("h_o="))
+    assert h_o in report.splitlines()
 
 
 def test_covariance_fit_dir_rejects_a_fit_of_another_file_with_the_same_name(
@@ -464,7 +489,6 @@ def test_covariance_fit_dir_rejects_non_fit_report(tmp_path, affine_csv, capsys)
     elbow_out = tmp_path / "elbow"
     elbow_out.mkdir()
     (elbow_out / "report.txt").write_text("command=elbow\nchosen_c1=1.0\nh_o=0.3\n")
-    (elbow_out / "config_echo.txt").write_text(f"input={affine_csv}\nmetric=euclidean\n")
     code = main([
         "covariance", "--input", str(affine_csv), "--fit-dir", str(elbow_out),
         "--output-dir", str(tmp_path / "cov"),
@@ -489,8 +513,7 @@ def test_covariance_fit_dir_without_report_exits_1_before_output(tmp_path, affin
 def _fit_dir_with_h_o(tmp_path, affine_csv, h_o):
     fit_dir = tmp_path / "fit"
     fit_dir.mkdir()
-    (fit_dir / "report.txt").write_text(f"command=fit\nh_o={h_o}\n")
-    (fit_dir / "config_echo.txt").write_text(f"input={affine_csv}\nmetric=euclidean\n")
+    (fit_dir / "report.txt").write_text(f"command=fit\nmetric=euclidean\nh_o={h_o}\n")
     (fit_dir / "fitted.csv").write_bytes(affine_csv.read_bytes())
     return fit_dir
 

@@ -6,7 +6,8 @@ bandwidth has one home too: the CLI and the trials reach its steps only
 through covariance.error_covariance and covariance.residual_covariance.
 Likewise the trials' GCV baseline and minEpan scan run only through
 bandwidth.gcv_scan, and the CLI reads every key=value file (config files,
-fit-dir reports, scenario lines) through one reader."""
+fit-dir reports, scenario lines) through one reader.  No numerical layer
+catches a ValueError, so a bad argument or a bug surfaces as itself."""
 
 import ast
 from pathlib import Path
@@ -113,3 +114,23 @@ def test_cli_reads_text_files_at_one_call_site():
     calls = read_text_calls(tree)
     assert len(calls) == 1
     assert calls == read_text_calls(reader)
+
+
+CATCH_VALUE_ERRORS = {"ValueError", "Exception", "BaseException"}
+
+
+def test_numerical_layers_do_not_catch_value_errors():
+    # a ValueError below the CLI is a bad argument or a bug and must surface;
+    # only cli.py and locfit.load_csv's row parser map outside input
+    caught = [
+        f"{module}.py:{handler.lineno}"
+        for module in ("kernels", "bandwidth", "covariance", "simulate")
+        for handler in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")))
+        if isinstance(handler, ast.ExceptHandler) and (
+            handler.type is None  # a bare except
+            or CATCH_VALUE_ERRORS.intersection(
+                name for node in ast.walk(handler.type) for name in names_in(node)
+            )
+        )
+    ]
+    assert caught == []
