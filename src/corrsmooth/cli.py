@@ -60,22 +60,24 @@ def _fmt(value) -> str:
         return repr(value)
     if isinstance(value, np.integer):
         return str(int(value))
-    if value is None:
-        return ""
     return str(value)
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, columns: dict) -> None:
+    """A CSV artifact from an ordered {header: column} dict of equal-length
+    columns: the headers, then row k of each column's k-th value, as _fmt
+    writes it (NaN as an empty cell).  Every CLI table is written here."""
     with path.open("w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerow(columns)
+        writer.writerows([_fmt(v) for v in row] for row in zip(*columns.values(), strict=True))
 
 
-def _write_report(path: Path, items) -> None:
+def _write_report(path: Path, items: dict) -> None:
+    """A key=value file (a run report or config echo), one line per item of
+    an ordered dict, each value as _fmt writes it."""
     with path.open("w", encoding="utf-8") as f:
-        for key, value in items:
+        for key, value in items.items():
             f.write(f"{key}={_fmt(value)}\n")
 
 
@@ -161,7 +163,7 @@ def _outdir(cfg: dict) -> Path:
         raise UsageError("output_dir must not be empty")
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    _write_report(out / "config_echo.txt", sorted(cfg.items()))
+    _write_report(out / "config_echo.txt", dict(sorted(cfg.items())))
     return out
 
 
@@ -180,6 +182,24 @@ def _parse_float_list(text: str) -> np.ndarray:
 def _candidates(cfg: dict, key: str):
     """cfg[key]'s candidates (_checked has checked the text), or None if it is empty."""
     return _parse_float_list(cfg[key]) if cfg[key] else None
+
+
+def _check_annuli(cfg: dict, c1_values) -> None:
+    """A UsageError unless each c1 and cfg's c2_offset give radii
+    c1 < c1 + c2_offset < inf, as build_annulus_kernel needs; every command
+    that builds annulus kernels calls this before making its output directory."""
+    for c1 in map(float, c1_values):
+        c2 = c1 + cfg["c2_offset"]
+        if not c1 < c2 < np.inf:
+            raise UsageError(
+                f"bad value for c2_offset: c1 + c2_offset = {c2!r} is not in (c1, inf) "
+                f"for c1={c1!r}"
+            )
+
+
+def _coordinates(points) -> dict:
+    """The columns x1..xD of an (m, D) point array."""
+    return {f"x{d + 1}": points[:, d] for d in range(points.shape[1])}
 
 
 def _annulus_kernel(cfg, dim):
@@ -204,6 +224,7 @@ def _load_dataset(cfg, command: str) -> Dataset:
 def cmd_fit(cfg: dict) -> int:
     data = _load_dataset(cfg, "fit")
     grid = _candidates(cfg, "grid")
+    _check_annuli(cfg, [cfg["c1"]])
     outdir = _outdir(cfg)
     ko = ProductEpanechnikovKernel(data.dim)
     kz = _annulus_kernel(cfg, data.dim)
@@ -211,22 +232,15 @@ def cmd_fit(cfg: dict) -> int:
     h_o = sel.h_o
     fit = fit_all(data, h_o, ko)
 
-    _write_csv(
-        outdir / "rss_trace.csv",
-        ["h", "rss", "feasible"],
-        [
-            (h, r if np.isfinite(r) else np.nan, int(np.isfinite(r)))
-            for h, r in zip(sel.grid, sel.rss_trace)
-        ],
-    )
-    coord_names = [f"x{d + 1}" for d in range(data.dim)]
-    _write_csv(
-        outdir / "fitted.csv",
-        coord_names + ["y", "fitted", "residual"],
-        np.column_stack(
-            [data.points, data.responses, fit.fitted, fit.residuals]
-        ).tolist(),
-    )
+    feasible = np.isfinite(sel.rss_trace)
+    _write_csv(outdir / "rss_trace.csv", {
+        "h": sel.grid, "rss": np.where(feasible, sel.rss_trace, np.nan),
+        "feasible": feasible.astype(int),
+    })
+    _write_csv(outdir / "fitted.csv", {
+        **_coordinates(data.points), "y": data.responses, "fitted": fit.fitted,
+        "residual": fit.residuals,
+    })
     m = cfg["surface_grid"]
     axes = [
         np.linspace(data.points[:, d].min(), data.points[:, d].max(), m)
@@ -234,29 +248,15 @@ def cmd_fit(cfg: dict) -> int:
     ]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, data.dim)
     surface, singular = fit_points(data, mesh, h_o, ko)
-    _write_csv(
-        outdir / "surface.csv",
-        coord_names + ["mu_hat"],
-        np.column_stack([mesh, surface]).tolist(),
-    )
-    report = [
-        ("command", "fit"),
-        ("n", data.n),
-        ("dim", data.dim),
-        ("metric", data.metric),
-        ("c1", kz.c1),
-        ("c2", kz.c2),
-        ("objective", cfg["objective"]),
-        ("kernel", kz.to_text()),
-        ("h_z", sel.h_z),
-        ("factor_ratio", sel.factor_ratio),
-        ("h_o", h_o),
-        ("rss_min", sel.rss_trace.min()),
-        ("rss_at_h_o", rss(fit) if fit.singular_count == 0 else np.nan),
-        ("singular_count", fit.singular_count),
-        ("surface_singular_count", int(singular.sum())),
-    ]
-    _write_report(outdir / "report.txt", report)
+    _write_csv(outdir / "surface.csv", {**_coordinates(mesh), "mu_hat": surface})
+    _write_report(outdir / "report.txt", {
+        "command": "fit", "n": data.n, "dim": data.dim, "metric": data.metric,
+        "c1": kz.c1, "c2": kz.c2, "objective": cfg["objective"], "kernel": kz.to_text(),
+        "h_z": sel.h_z, "factor_ratio": sel.factor_ratio, "h_o": h_o,
+        "rss_min": sel.rss_trace.min(),
+        "rss_at_h_o": rss(fit) if fit.singular_count == 0 else np.nan,
+        "singular_count": fit.singular_count, "surface_singular_count": int(singular.sum()),
+    })
     print(f"h_z={sel.h_z!r} h_o={h_o!r} singular_count={fit.singular_count}")
     return 0
 
@@ -266,6 +266,7 @@ def cmd_elbow(cfg: dict) -> int:
     c1_list = _candidates(cfg, "c1_list")
     if c1_list is None or c1_list.size < 3:
         raise UsageError("need >= 3 candidates for stability detection")
+    _check_annuli(cfg, c1_list)
     outdir = _outdir(cfg)
     diag = elbow_scan(
         data,
@@ -275,26 +276,14 @@ def cmd_elbow(cfg: dict) -> int:
         stability_tol=cfg["stability_tol"],
         grid_size=cfg["grid_size"],
     )
-    _write_csv(
-        outdir / "elbow.csv",
-        ["c1", "cbar", "h_z", "feasible"],
-        [
-            (c1, cb, hz, int(ok))
-            for c1, cb, hz, ok in zip(
-                diag.c1_list, diag.cbar_list, diag.h_z_list, diag.feasible
-            )
-        ],
-    )
-    _write_report(
-        outdir / "report.txt",
-        [
-            ("command", "elbow"),
-            ("chosen_c1", diag.chosen_c1),
-            ("chosen_index", diag.chosen_index),
-            ("n_candidates", int(diag.c1_list.size)),
-            ("n_feasible", int(diag.feasible.sum())),
-        ],
-    )
+    _write_csv(outdir / "elbow.csv", {
+        "c1": diag.c1_list, "cbar": diag.cbar_list, "h_z": diag.h_z_list,
+        "feasible": diag.feasible.astype(int),
+    })
+    _write_report(outdir / "report.txt", {
+        "command": "elbow", "chosen_c1": diag.chosen_c1, "chosen_index": diag.chosen_index,
+        "n_candidates": int(diag.c1_list.size), "n_feasible": int(diag.feasible.sum()),
+    })
     print(f"chosen_c1={diag.chosen_c1!r}")
     return 0
 
@@ -332,6 +321,8 @@ def cmd_covariance(cfg: dict) -> int:
     grid = _candidates(cfg, "grid")
     b_candidates = _candidates(cfg, "b_candidates")
     h_o = _fit_dir_h_o(cfg, data) if cfg["fit_dir"] else None
+    if h_o is None:
+        _check_annuli(cfg, [cfg["c1"]])
     outdir = _outdir(cfg)
     if b_candidates is None:
         b_candidates = default_b_candidates(data, size=cfg["b_count"])
@@ -344,43 +335,24 @@ def cmd_covariance(cfg: dict) -> int:
     )
     cal, curve, rho = chain.calibration, chain.curve, chain.rho
 
-    chosen_idx = int(np.argmin(np.abs(cal.b_candidates - cal.chosen_b)))
-    _write_csv(
-        outdir / "calibration.csv",
-        ["b", "sigma2_tilde", "discrepancy", "chosen"],
-        [
-            (b, t, d, int(i == chosen_idx))
-            for i, (b, t, d) in enumerate(
-                zip(cal.b_candidates, cal.sigma2_tilde, cal.discrepancy)
-            )
-        ],
-    )
-    _write_csv(
-        outdir / "covariance.csv",
-        ["t", "c_hat", "rho_hat", "flag"],
-        [
-            (t, c, r, int(flag))
-            for t, c, r, flag in zip(curve.t_grid, curve.c_hat, rho.rho, curve.flags)
-        ],
-    )
-    _write_report(
-        outdir / "report.txt",
-        [
-            ("command", "covariance"),
-            ("h_o", h_o),
-            ("h_t", chain.h_t),
-            ("sigma2_hat", curve.sigma2_hat),
-            ("sigma2_tilde", curve.sigma2_tilde),
-            ("chosen_b", cal.chosen_b),
-            ("delta_n", cal.delta_n),
-            ("calibration_fallback", int(cal.fallback)),
-            ("truncation_t", curve.truncation_t),
-            ("rho_mode", cfg["rho_mode"]),
-            ("rho_clamped", int(rho.clamped)),
-            ("dropped_grid_points", int(curve.dropped.size)),
-            ("distance_unit", "km" if data.metric == "haversine" else "coordinate"),
-        ],
-    )
+    _write_csv(outdir / "calibration.csv", {
+        "b": cal.b_candidates, "sigma2_tilde": cal.sigma2_tilde,
+        "discrepancy": cal.discrepancy,
+        "chosen": (cal.b_candidates == cal.chosen_b).astype(int),  # the candidates are unique
+    })
+    _write_csv(outdir / "covariance.csv", {
+        "t": curve.t_grid, "c_hat": curve.c_hat, "rho_hat": rho.rho,
+        "flag": curve.flags.astype(int),
+    })
+    _write_report(outdir / "report.txt", {
+        "command": "covariance", "h_o": h_o, "h_t": chain.h_t,
+        "sigma2_hat": curve.sigma2_hat, "sigma2_tilde": curve.sigma2_tilde,
+        "chosen_b": cal.chosen_b, "delta_n": cal.delta_n,
+        "calibration_fallback": int(cal.fallback), "truncation_t": curve.truncation_t,
+        "rho_mode": cfg["rho_mode"], "rho_clamped": int(rho.clamped),
+        "dropped_grid_points": int(curve.dropped.size),
+        "distance_unit": "km" if data.metric == "haversine" else "coordinate",
+    })
     print(
         f"b={cal.chosen_b!r} sigma2_hat={curve.sigma2_hat!r} "
         f"sigma2_tilde={curve.sigma2_tilde!r} fallback={int(cal.fallback)}"
@@ -461,35 +433,23 @@ def cmd_simulate(cfg: dict) -> int:
                     progress=progress,
                 )
             )
-    tables = {
-        "table_mse_prac.csv": ("mse_prac_mean", "mse_prac_sd"),
-        "table_mse_sigma2.csv": ("mse_sigma2_mean", "mse_sigma2_sd"),
-        "table_sse_cor.csv": ("sse_cor_mean", "sse_cor_sd"),
-    }
-    for filename, (mean_key, sd_key) in tables.items():
-        _write_csv(
-            outdir / filename,
-            ["model", "c", "method", "mean", "sd"],
-            [
-                (r.family, r.c, r.method, getattr(r, mean_key), getattr(r, sd_key))
-                for r in rows
-            ],
-        )
-    _write_csv(
-        outdir / "failures.csv",
-        ["model", "c", "method", "failures", "n_trials"],
-        [(r.family, r.c, r.method, r.failures, r.n_trials) for r in rows],
-    )
-    _write_report(
-        outdir / "report.txt",
-        [
-            ("command", "simulate"),
-            ("scenario_file", Path(path).name),
-            ("n_scenarios", len(scenarios)),
-            ("rows", len(rows)),
-            ("total_failures", sum(r.failures for r in rows)),
-        ],
-    )
+
+    def column(attr):
+        return [getattr(r, attr) for r in rows]
+
+    labels = {"model": column("family"), "c": column("c"), "method": column("method")}
+    for stat in ("mse_prac", "mse_sigma2", "sse_cor"):
+        _write_csv(outdir / f"table_{stat}.csv", {
+            **labels, "mean": column(f"{stat}_mean"), "sd": column(f"{stat}_sd"),
+        })
+    _write_csv(outdir / "failures.csv", {
+        **labels, "failures": column("failures"), "n_trials": column("n_trials"),
+    })
+    _write_report(outdir / "report.txt", {
+        "command": "simulate", "scenario_file": Path(path).name,
+        "n_scenarios": len(scenarios), "rows": len(rows),
+        "total_failures": sum(r.failures for r in rows),
+    })
     print(f"wrote {len(rows)} result rows to {outdir}")
     return 0
 
@@ -543,8 +503,8 @@ _BOUNDS = {
     "threads": (1, False, np.inf, False), "trials": (0, False, np.inf, False),
     "grid_size": (1, False, np.inf, False), "surface_grid": (1, False, np.inf, False),
     "b_count": (1, False, np.inf, False), "n_star": (2, False, np.inf, False),
-    "delta_n": (0.0, False, np.inf, False), "c1": (0.0, True, np.inf, False),
-    "c2_offset": (0.0, True, np.inf, False), "zeta": (0.0, True, 1.0, True),
+    "delta_n": (0.0, False, np.inf, False), "c1": (0.0, True, np.inf, True),
+    "c2_offset": (0.0, True, np.inf, True), "zeta": (0.0, True, 1.0, True),
     "stability_tol": (0.0, True, np.inf, False), "truncation_t": (-np.inf, True, np.inf, True),
 }
 _HELP = {
@@ -559,7 +519,8 @@ _HELP = {
 def _build_parser() -> _Parser:
     """One subparser per command and one flag per key of its defaults table;
     flags default to None so that _resolve sees which were given, and stay
-    text, so that _checked converts flags and config values alike."""
+    text, so that _checked converts and checks flags and config values alike
+    (a key's _CHOICES show in --help as its metavar only)."""
     parser = _Parser(prog="corrsmooth", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
     for name, func, defaults, help_text in _COMMANDS:
@@ -570,8 +531,8 @@ def _build_parser() -> _Parser:
             if key == "output_dir":
                 continue
             sub.add_argument(
-                "--" + key.replace("_", "-"), dest=key, default=None,
-                choices=_CHOICES.get(key), help=_HELP.get(key),
+                "--" + key.replace("_", "-"), dest=key, default=None, help=_HELP.get(key),
+                metavar="{%s}" % ",".join(_CHOICES[key]) if key in _CHOICES else None,
             )
         sub.set_defaults(func=func, defaults=defaults)
     return parser
@@ -586,7 +547,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (CorrsmoothError, ValueError) as err:
+    except CorrsmoothError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
     except OSError as err:

@@ -37,7 +37,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bandwidth import _validate_grid, variance_fit_bandwidth
-from .errors import DegenerateCorrelationError, EmptyWindowError, SingularFitError
+from .errors import (
+    DegenerateCorrelationError, EmptyWindowError, NoFeasibleBandwidthError, SingularFitError,
+)
 from .kernels import BoundaryKernel, ProductEpanechnikovKernel
 from .locfit import Dataset, FitResult, PairIndex, fit_all, rss
 
@@ -280,11 +282,12 @@ def sigma2_rss(data: Dataset, h_t: float, ko) -> float:
 
 def default_b_candidates(data: Dataset, size: int = DEFAULT_B_CANDIDATES) -> np.ndarray:
     """Log-spaced candidates from the minimum positive pair distance (visibly
-    undersmoothing) up to half the median pair distance."""
+    undersmoothing) up to half the median pair distance; with no positive
+    distance, NoFeasibleBandwidthError, as from default_grid."""
     d = data.pair_index.dist  # ascending
     first_positive = int(np.searchsorted(d, 0.0, side="right"))
     if first_positive == d.size:
-        raise ValueError("all design points coincide; no b candidates")
+        raise NoFeasibleBandwidthError("all design points coincide; no b candidates")
     lo = float(d[first_positive])
     mid = d.size // 2  # np.median of the sorted values, with its bits
     hi = float(d[mid] if d.size % 2 else (d[mid - 1] + d[mid]) / 2.0) / 2.0

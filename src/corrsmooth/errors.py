@@ -23,7 +23,7 @@ class NoElbowError(CorrsmoothError):
     """The stability heuristic found no elbow in the scanned trace."""
 
 
-class DegenerateCorrelationError(CorrsmoothError, ValueError):
+class DegenerateCorrelationError(CorrsmoothError):
     """The correlation curve's normalizing variance is nonpositive or not finite."""
 
 

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from corrsmooth import cli
 from corrsmooth.cli import main
 
 from conftest import make_affine_dataset, make_geo_dataset
@@ -547,3 +548,56 @@ def test_covariance_singular_final_fit_exits_2_before_the_variance_fit(
 def test_bench_is_not_a_command(capsys):
     assert main(["bench"]) == 1
     assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["fit", "--c1", "inf"], id="fit-c1-inf"),
+    pytest.param(["fit", "--c2-offset", "inf"], id="fit-c2-offset-inf"),
+    pytest.param(["fit", "--c1", "1e200"], id="fit-c2-rounds-to-c1"),
+    pytest.param(["covariance", "--c1", "1e308", "--c2-offset", "1e308"], id="cov-c2-overflows"),
+    pytest.param(["elbow", "--c1-list", "1e200,2e200,3e200"], id="elbow-c2-rounds-to-c1"),
+])
+def test_annulus_radii_that_no_kernel_can_have_exit_1_before_output(
+    tmp_path, affine_csv, capsys, argv
+):
+    out = tmp_path / "o"
+    assert main([*argv, "--input", str(affine_csv), "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: bad value for c")
+    assert not out.exists()
+
+
+def test_covariance_fit_dir_builds_no_annulus_kernel(tmp_path, affine_csv, affine_fit_dir):
+    # with --fit-dir the radii go unused, so they are not checked
+    assert main([
+        "covariance", "--input", str(affine_csv), "--fit-dir", str(affine_fit_dir),
+        "--c1", "1e200", "--output-dir", str(tmp_path / "cov"),
+    ]) == 0
+
+
+def test_choice_flags_follow_the_config_rule(tmp_path, affine_csv, capsys):
+    out = tmp_path / "o"
+    code = main([
+        "fit", "--metric", "HAVERSINE", "--input", str(affine_csv), "--output-dir", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: bad value for metric: 'HAVERSINE'")
+    assert not out.exists()
+
+
+def test_a_value_error_inside_a_command_is_a_bug_not_a_numerical_failure(
+    tmp_path, affine_csv, monkeypatch
+):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(cli, "select_h_o", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["fit", "--input", str(affine_csv), "--output-dir", str(tmp_path / "o")])
+
+
+def test_covariance_on_coincident_points_exits_2(tmp_path, capsys):
+    path = tmp_path / "same.csv"
+    path.write_text("x1,x2,y\n" + "".join(f"0.5,0.5,{k}.0\n" for k in range(6)))
+    code = main(["covariance", "--input", str(path), "--output-dir", str(tmp_path / "cov")])
+    assert code == 2
+    assert "numerical failure: all design points coincide" in capsys.readouterr().err

@@ -19,6 +19,7 @@ from corrsmooth.errors import (
     CorrsmoothError,
     DegenerateCorrelationError,
     EmptyWindowError,
+    NoFeasibleBandwidthError,
     SingularFitError,
 )
 from corrsmooth.kernels import ProductEpanechnikovKernel
@@ -273,10 +274,10 @@ def test_correlation_rejects_nonpositive_denominator():
         t_grid=np.array([0.0]), c_hat=np.array([-0.1]), b=0.05,
         sigma2_hat=np.nan, sigma2_tilde=-0.1, truncation_t=0.0,
     )
-    with pytest.raises(ValueError, match="denominator") as err:
+    with pytest.raises(DegenerateCorrelationError, match="denominator") as err:
         estimate_correlation(cov, "by_chat0")
-    assert isinstance(err.value, DegenerateCorrelationError)
     assert isinstance(err.value, CorrsmoothError)
+    assert not isinstance(err.value, ValueError)  # a numerical failure, not a bad argument
     with pytest.raises(ValueError, match="mode"):
         estimate_correlation(cov, "raw")
 
@@ -509,6 +510,13 @@ def test_default_b_candidates_span():
     assert cands.size == 25
     assert cands[0] == pytest.approx(d[d > 0].min())
     assert cands[-1] == pytest.approx(np.median(d) / 2.0)
+
+
+def test_default_b_candidates_on_coincident_points_is_a_numerical_failure():
+    # the same data condition that default_grid reports, with the same error
+    data = Dataset(points=np.ones((6, 2)), responses=np.arange(6.0))
+    with pytest.raises(NoFeasibleBandwidthError, match="coincide"):
+        default_b_candidates(data)
 
 
 @pytest.mark.parametrize("kwargs", [{"sigma2_hat": np.nan}, {"delta_n": np.nan}],

@@ -6,8 +6,11 @@ bandwidth has one home too: the CLI and the trials reach its steps only
 through covariance.error_covariance and covariance.residual_covariance.
 Likewise the trials' GCV baseline and minEpan scan run only through
 bandwidth.gcv_scan, and the CLI reads every key=value file (config files,
-fit-dir reports, scenario lines) through one reader.  No numerical layer
-catches a ValueError, so a bad argument or a bug surfaces as itself."""
+fit-dir reports, scenario lines) through one reader and writes every CSV
+artifact through one writer.  No numerical layer catches a ValueError, and
+the CLI's exit codes map only its own usage errors, the package's numerical
+failures (errors.CorrsmoothError) and I/O errors, so a bad argument or a bug
+surfaces as itself."""
 
 import ast
 from pathlib import Path
@@ -80,7 +83,7 @@ def test_cli_and_trials_do_not_restate_the_covariance_chain():
 
 
 SCAN_INTERNALS = {
-    "_Workspace", "_gcv_score_ws", "_fit_and_hat_diagonal", "default_grid",
+    "_Workspace", "_scan", "_fit_and_hat_diagonal", "default_grid",
     "ProductEpanechnikovKernel",
 }
 
@@ -105,15 +108,48 @@ def read_text_calls(node) -> list:
     ]
 
 
-def test_cli_reads_text_files_at_one_call_site():
+def cli_function(name: str):
+    """The AST of cli.py's top-level function name."""
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
-    (reader,) = [
-        node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "_read_key_values"
+    (func,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name
     ]
+    return tree, func
+
+
+def test_cli_reads_text_files_at_one_call_site():
+    tree, reader = cli_function("_read_key_values")
     calls = read_text_calls(tree)
     assert len(calls) == 1
     assert calls == read_text_calls(reader)
+
+
+def csv_writer_uses(node) -> list:
+    """The csv.writer references inside an AST node."""
+    return [
+        use for use in ast.walk(node)
+        if isinstance(use, ast.Attribute) and use.attr == "writer"
+        and isinstance(use.value, ast.Name) and use.value.id == "csv"
+    ]
+
+
+def test_cli_writes_csv_files_at_one_call_site():
+    tree, writer = cli_function("_write_csv")
+    uses = csv_writer_uses(tree)
+    assert len(uses) == 1
+    assert uses == csv_writer_uses(writer)
+
+
+def test_cli_exit_codes_map_only_usage_numerical_and_io_errors():
+    # any other exception is a bug and ends with its traceback
+    _, main = cli_function("main")
+    handlers = [node for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)]
+    assert all(handler.type is not None for handler in handlers)  # no bare except
+    caught = sorted(
+        name for handler in handlers
+        for node in ast.walk(handler.type) for name in names_in(node)
+    )
+    assert caught == ["CorrsmoothError", "OSError", "UsageError"]
 
 
 CATCH_VALUE_ERRORS = {"ValueError", "Exception", "BaseException"}
