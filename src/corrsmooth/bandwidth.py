@@ -8,10 +8,13 @@ unspecified constants): it spans the smallest bandwidth at which nearly
 all points have enough positive-weight neighbors up to the bandwidth at
 which the kernel's reach covers the point cloud.
 
-One private scan does every grid criterion's per-candidate work: one solve
-per bandwidth gives the in-sample fit, its RSS and its GCV score, which
-select_h_z, gcv_score, gcv_select and gcv_scan (the simulation's GCV
-baseline and minEpan scan) read.
+One private scan does every single-kernel grid criterion's per-candidate
+work on the dense weights: one solve per bandwidth gives the in-sample fit,
+its RSS and its GCV score, which select_h_z, gcv_score, gcv_select and
+gcv_scan (the simulation's GCV baseline and minEpan scan) read.  The elbow
+scan selects many annulus kernels on one design, so it takes all their RSS
+traces from one pass of per-row prefix sums (locfit._window_rss) and picks
+each as select_h_z does.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .kernels import (
     RadialAnnulusKernel,
     build_annulus_kernel,
 )
-from .locfit import Dataset, _fit_and_hat_diagonal, _Workspace, rss
+from .locfit import Dataset, _fit_and_hat_diagonal, _window_rss, _Workspace, rss
 from .locfit import fit_all  # noqa: F401  (perfbench's tracer test checks this binding)
 
 __all__ = [
@@ -143,6 +146,19 @@ def _pick(trace) -> int:
     return int(np.argmin(trace))
 
 
+def _pick_h_z(grid, trace) -> float:
+    """The grid bandwidth at the RSS trace's pick (_pick), with a warning to
+    the selection's caller when it sits on the grid boundary."""
+    best = _pick(trace)
+    if best in (0, grid.size - 1):
+        warnings.warn(
+            f"selected bandwidth {grid[best]:.6g} sits on the grid boundary; "
+            "consider widening the grid",
+            stacklevel=3,
+        )
+    return float(grid[best])
+
+
 def _scan(ws: _Workspace, kernel, grid):
     """(in-sample fit, RSS, GCV score) per grid bandwidth from one solve each;
     GCV is RSS/(1 - tr(H)/n)^2 with tr(H) the sum of the solve's hat diagonal.
@@ -168,14 +184,7 @@ def select_h_z(
     """
     grid = _validate_grid(grid)
     trace = np.array([score for _, score, _ in _scan(workspace or _Workspace(data), kz, grid)])
-    best = _pick(trace)
-    if best in (0, grid.size - 1):
-        warnings.warn(
-            f"selected bandwidth {grid[best]:.6g} sits on the grid boundary; "
-            "consider widening the grid",
-            stacklevel=2,
-        )
-    return BandwidthSelection(h_z=float(grid[best]), grid=grid, rss_trace=trace)
+    return BandwidthSelection(h_z=_pick_h_z(grid, trace), grid=grid, rss_trace=trace)
 
 
 def factor_ratio(kz, ko) -> float:
@@ -217,14 +226,17 @@ def elbow_scan(
 ) -> ElbowDiagnostic:
     """Scan inner radii and pick the first c1 where the ratio C-bar settles.
 
-    Per candidate: build the annulus kernel (c2 = c1 + offset), select its
-    RSS bandwidth, and record C-bar = (mu(K^2)/mu2^2)^(1/(D+4)) / h.  The
-    chosen c1 is the first with two consecutive relative changes below
+    Per candidate: build the annulus kernel (c2 = c1 + offset) and its
+    default grid, pick its RSS bandwidth h as select_h_z does, with the same
+    grid-boundary warning, and record C-bar = (mu(K^2)/mu2^2)^(1/(D+4)) / h.
+    The chosen c1 is the first with two consecutive relative changes below
     stability_tol.  The c1 list is checked as every candidate list is
-    (_validate_grid); a candidate whose kernel or selection fails numerically
-    (CorrsmoothError) becomes a gap, and a bad argument raises.  One
-    workspace serves every candidate's grid and selection, so the distances
-    and their sorted rows are built once for the whole scan.
+    (_validate_grid); a candidate whose kernel, grid or pick fails
+    numerically (CorrsmoothError) becomes a gap, and a bad argument raises.
+    One workspace serves the whole scan: its distances give every grid, and
+    one pass over its rows gives every candidate's RSS trace without the
+    dense weights (locfit._window_rss), agreeing with select_h_z's trace
+    to rounding.
     """
     c1_arr = _validate_grid(c1_list)
     if c1_arr.size < 3:
@@ -234,16 +246,22 @@ def elbow_scan(
     cbar = np.full(c1_arr.shape, np.nan)
     h_zs = np.full(c1_arr.shape, np.nan)
     ws = _Workspace(data)
+    candidates = []
     for idx, c1 in enumerate(c1_arr):
         try:
             kz = build_annulus_kernel(c1, c1 + c2_offset, dim, objective)
             grid = default_grid(data, kz, size=grid_size, workspace=ws)
-            sel = select_h_z(data, kz, grid, workspace=ws)
+        except CorrsmoothError:
+            continue
+        candidates.append((idx, kz, _validate_grid(grid)))
+    traces = _window_rss(ws, [kz.windows(grid) for _, kz, grid in candidates])
+    for (idx, kz, grid), trace in zip(candidates, traces):
+        try:
+            h_zs[idx] = _pick_h_z(grid, trace)
         except CorrsmoothError:
             continue
         m = kz.moments()
-        h_zs[idx] = sel.h_z
-        cbar[idx] = (m.muK2 / m.mu2**2) ** (1.0 / (dim + 4)) / sel.h_z
+        cbar[idx] = (m.muK2 / m.mu2**2) ** (1.0 / (dim + 4)) / h_zs[idx]
 
     feasible = np.isfinite(cbar)
     if not feasible.any():

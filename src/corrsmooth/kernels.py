@@ -13,7 +13,10 @@ Conventions:
     (locfit._Workspace), so no caller branches on the kernel kind:
     geometry(ws) is what weights(geometry, h) turns into the dense (m, n)
     weights, and reach(ws) the sorted distance rows the bandwidth grid
-    scans.  Both reject a workspace of another dimension.
+    scans.  Both reject a workspace of another dimension.  The annulus
+    kernel's windows(grid) gives its weights at each bandwidth as a
+    polynomial in distance on a window of a sorted row, which the elbow
+    scan's prefix-sum pass reads.
 
 The annulus kernel is a cubic polynomial in r supported on [c1, c2] and
 identically zero elsewhere, normalized to integrate to 1 over R^D.  Its
@@ -71,6 +74,17 @@ def _same_dim(kernel, ws):
     return ws
 
 
+def _last_within(c, h):
+    """Per bandwidth h, the greatest double d with fl(d / h) <= c, found by
+    ulp steps from c h; fl(d / h) is nondecreasing in d."""
+    d = c * h
+    while np.any(over := d / h > c):
+        d = np.where(over, np.nextafter(d, 0.0), d)
+    while np.any(fits := np.nextafter(d, np.inf) / h <= c):
+        d = np.where(fits, np.nextafter(d, np.inf), d)
+    return d
+
+
 def _radial_mass(c1: float, c2: float, power: int) -> float:
     """int_{c1}^{c2} r^power dr."""
     return (c2 ** (power + 1) - c1 ** (power + 1)) / (power + 1)
@@ -124,6 +138,21 @@ class RadialAnnulusKernel:
         """The workspace's per-row sorted distances for default_grid's scan,
         and the support (c1, c2) in units of h."""
         return _same_dim(self, ws).sorted_distances, self.c1, self.c2
+
+    def windows(self, grid):
+        """weights() at each bandwidth h of grid as a polynomial in distance
+        on a window: (edges, powers), with (W, 2) edges and (W, 4) powers.
+
+        A distance d lies in the support exactly when edges[w, 0] < d <=
+        edges[w, 1], the greatest doubles with fl(d / h) < c1 and fl(d / h)
+        <= c2, so ties at c1 h and c2 h fall as in weights().  There the
+        weight is sum_k powers[w, k] d^k, the profile's coefficients times
+        h^-k for k = 0..3.
+        """
+        h = np.asarray(grid, dtype=float)
+        edges = np.stack([_last_within(np.nextafter(self.c1, 0.0), h), _last_within(self.c2, h)])
+        a, b, c, d = self.coeffs
+        return edges.T, np.stack([np.full_like(h, d), c / h, b / h**2, a / h**3], axis=1)
 
     def moments(self) -> KernelMoments:
         """mu2 and mu(K^2), exact for the cubic profile."""

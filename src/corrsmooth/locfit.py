@@ -12,7 +12,9 @@ every kernel and bandwidth of a selection.  A system's weighted sums come
 from one BLAS product of the dense (m, n) weights with the moments, and
 each system A is solved once, for the smoother-row coefficients
 z = A^-1 e1 (A is symmetric): the fit is z . rhs, and row i of the hat
-matrix is w_ij (z0 + z1 . (x_j - x_i)).
+matrix is w_ij (z0 + z1 . (x_j - x_i)).  Only the RSS traces of many
+annulus kernels at once (_window_rss) take their sums from prefix sums
+along sorted rows instead, with the same solve.
 
 Singularity is decided by partial-pivoted elimination on the normal
 matrix: a fit is singular when some pivot falls below 1e-12 relative to
@@ -46,6 +48,7 @@ __all__ = [
 
 EARTH_RADIUS_KM = 6371.0088
 _PIVOT_RTOL = 1e-12
+_PREFIX_BYTES = 4 << 20  # per chunk of rows in _window_rss
 _METRICS = ("euclidean", "haversine")
 
 
@@ -315,6 +318,67 @@ def _normal_systems(ws: _Workspace, kernel, h: float):
     rhs[:, 0] = t0
     rhs[:, 1:] = t1 - xt * t0[:, None]
     return weights, a, rhs
+
+
+def _window_rss(ws: _Workspace, windows) -> list:
+    """In-sample RSS at every window of every (edges, powers) pair in
+    windows (see RadialAnnulusKernel.windows), one trace per pair; +inf
+    marks a window where some local system is singular.
+
+    Window w weights design point j at target i by sum_k powers[w, k] d^k
+    where edges[w, 0] < d = d_ij <= edges[w, 1], and by 0 elsewhere.  One
+    pass over the targets' rows serves every window: each row is sorted
+    once, and prefix sums along it of d^k times the target-centered moments
+    [1, u, upper(u u^T), y, u y], u = x_j - x_i, give a window's weighted
+    sums as the difference of two prefix entries found by searchsorted, so
+    no (n, n) weights are formed.  Rows go in chunks of about _PREFIX_BYTES
+    of prefix sums.  The sums add the terms in another order than
+    _normal_systems, so the traces agree with its RSS to rounding, not bit
+    for bit.  ws must target the design points.
+    """
+    if not windows:
+        return []
+    edges, powers = (np.concatenate(part) for part in zip(*windows))
+    x, y, d = ws.design, ws.data.responses, ws.data.dim
+    n, w, p = ws.data.n, edges.shape[0], powers.shape[1]
+    upper = np.triu_indices(d)
+    cols = 2 + 2 * d + upper[0].size
+    chunk = max(1, _PREFIX_BYTES // (8 * (n + 1) * p * cols))
+    residuals = np.empty((n, w))
+    singular = np.zeros(w, dtype=bool)
+    for start in range(0, n, chunk):
+        rows = np.arange(start, min(start + chunk, n))
+        dist = ws.distances[rows]
+        order = np.argsort(dist, axis=1, kind="stable")
+        s = np.take_along_axis(dist, order, axis=1)[..., None]
+        u, yj = x[order] - ws.targets[rows, None], y[order][..., None]
+        prefix = np.zeros((rows.size, n + 1, p, cols))
+        terms = prefix[:, 1:]
+        np.concatenate(
+            [np.ones_like(yj), u, u[..., upper[0]] * u[..., upper[1]], yj, u * yj],
+            axis=2, out=terms[:, :, 0],
+        )
+        for k in range(1, p):
+            np.multiply(terms[:, :, k - 1], s, out=terms[:, :, k])
+        np.cumsum(terms, axis=1, out=terms)
+        lo, hi = (
+            np.array([np.searchsorted(row, e, "right") for row in s[..., 0]]) for e in edges.T
+        )
+        at = np.arange(rows.size)[:, None]
+        sums = np.einsum("rwkc,wk->rwc", prefix[at, hi] - prefix[at, lo], powers)
+        sums = sums.reshape(-1, cols)
+        a = np.empty((sums.shape[0], d + 1, d + 1))
+        a[:, 0, 0] = sums[:, 0]
+        a[:, 0, 1:] = a[:, 1:, 0] = sums[:, 1 : 1 + d]
+        a[:, 1 + upper[0], 1 + upper[1]] = sums[:, 1 + d : -1 - d]
+        a[:, 1 + upper[1], 1 + upper[0]] = sums[:, 1 + d : -1 - d]
+        z, bad = _solve_batched(a)
+        fits = np.einsum("ik,ik->i", z, sums[:, -1 - d :]).reshape(-1, w)
+        residuals[rows] = y[rows, None] - fits
+        singular |= bad.reshape(-1, w).any(axis=0)
+    rss = np.einsum("iw,iw->w", residuals, residuals) / n
+    rss[singular] = np.inf
+    return np.split(rss, np.cumsum([e.shape[0] for e, _ in windows])[:-1])
 
 
 def _smoother_rows(ws: _Workspace, kernel, h: float):

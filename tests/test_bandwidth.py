@@ -198,13 +198,13 @@ def test_elbow_constant_trace_picks_second_element(monkeypatch):
 
     data = make_affine_dataset(n=80, dim=2, seed=6)
     c1s = np.array([0.5, 1.0, 1.5, 2.0])
+    kernels = iter([build_annulus_kernel(c1, c1 + 0.5, 2) for c1 in c1s])
 
-    def fake_select(d, kz, grid, workspace=None):
-        m = kz.moments()
-        h = (m.muK2 / m.mu2**2) ** (1.0 / 6.0) / 7.0  # forces C-bar == 7
-        return bw.BandwidthSelection(h_z=h, grid=grid, rss_trace=np.array([0.0]))
+    def fake_pick(grid, trace):  # one call per candidate, in c1 order
+        m = next(kernels).moments()
+        return (m.muK2 / m.mu2**2) ** (1.0 / 6.0) / 7.0  # forces C-bar == 7
 
-    monkeypatch.setattr(bw, "select_h_z", fake_select)
+    monkeypatch.setattr(bw, "_pick_h_z", fake_pick)
     diag = bw.elbow_scan(data, c1s)
     assert_allclose(diag.cbar_list, 7.0)
     assert diag.chosen_index == 1
@@ -216,14 +216,14 @@ def test_elbow_strictly_decreasing_trace_errors(monkeypatch):
 
     data = make_affine_dataset(n=80, dim=2, seed=6)
     c1s = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
+    kernels = iter([build_annulus_kernel(c1, c1 + 0.5, 2) for c1 in c1s])
     values = iter([16.0, 8.0, 4.0, 2.0, 1.0])
 
-    def fake_select(d, kz, grid, workspace=None):
-        m = kz.moments()
-        h = (m.muK2 / m.mu2**2) ** (1.0 / 6.0) / next(values)
-        return bw.BandwidthSelection(h_z=h, grid=grid, rss_trace=np.array([0.0]))
+    def fake_pick(grid, trace):  # one call per candidate, in c1 order
+        m = next(kernels).moments()
+        return (m.muK2 / m.mu2**2) ** (1.0 / 6.0) / next(values)
 
-    monkeypatch.setattr(bw, "select_h_z", fake_select)
+    monkeypatch.setattr(bw, "_pick_h_z", fake_pick)
     with pytest.raises(NoElbowError, match="no elbow"):
         bw.elbow_scan(data, c1s)
 
@@ -347,6 +347,23 @@ def test_elbow_reproduction_on_geo_fixture(geo_dataset):
         diag = elbow_scan(data, np.arange(0.25, 6.01, 0.25), grid_size=20)
     assert 0.75 <= diag.chosen_c1 <= 2.0
     assert diag.c1_list.size == 24
+
+
+def test_elbow_warns_of_grid_boundary_picks_as_the_dense_selections_do(geo_dataset):
+    # the elbow picks from its one prefix-sum pass, select_h_o from one dense
+    # scan per kernel; both say the same for every pick on the grid's edge
+    data, _, _ = geo_dataset
+    c1s = np.arange(0.25, 3.01, 0.5)
+    with warnings.catch_warnings(record=True) as elbow:
+        warnings.simplefilter("always")
+        elbow_scan(data, c1s, grid_size=6, stability_tol=np.inf)
+    with warnings.catch_warnings(record=True) as dense:
+        warnings.simplefilter("always")
+        for c1 in c1s:
+            select_h_o(data, build_annulus_kernel(c1, c1 + 0.5, 2), grid_size=6)
+    assert len(elbow) == 3  # three of the six picks sit on a grid edge
+    assert [str(w.message) for w in elbow] == [str(w.message) for w in dense]
+    assert all("sits on the grid boundary" in str(w.message) for w in elbow)
 
 
 def test_variance_fit_bandwidth_exponent_arithmetic():

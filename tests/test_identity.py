@@ -27,6 +27,12 @@ solution, and the hat coefficients within a stated tolerance; the weights
 themselves stay byte-equal.  An 80-bit oracle, with each system built at
 its own target, holds the fits to their conditioning and the singular
 masks to equality.
+
+The elbow scan's RSS traces come from one pass of per-row prefix sums for
+all its kernels and bandwidths, not from the dense weights.  Its windows
+are held to the dense support by ==, its traces to the 80-bit oracle within
+what the oracle's bound on each fit can move an RSS, its feasibility flags
+to the dense scan's, and its picks to the dense selections' by ==.
 """
 
 import functools
@@ -42,10 +48,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corrsmooth
+import corrsmooth.bandwidth as bandwidth_mod
 import corrsmooth.covariance as covariance_mod
 import corrsmooth.simulate as simulate_mod
 
-from corrsmooth.bandwidth import default_grid, gcv_scan, gcv_score, gcv_select
+from corrsmooth.bandwidth import (
+    _scan,
+    default_grid,
+    elbow_scan,
+    gcv_scan,
+    gcv_score,
+    gcv_select,
+    select_h_o,
+)
 from corrsmooth.covariance import (
     _PILOT_POINTS,
     CorrelationCurve,
@@ -69,6 +84,7 @@ from corrsmooth.locfit import (
     _haversine,
     _metric_distances,
     _normal_systems,
+    _window_rss,
     _Workspace,
     fit_all,
     fit_points,
@@ -585,6 +601,109 @@ def test_fits_match_extended_precision_oracle(name, annulus):
         assert np.array_equal(np.isnan(fitted), singular)
         ok = ~singular
         assert (np.abs(fitted - est)[ok] <= scale * kappa[ok]).all()
+
+
+def _window_positions(rows, edges):
+    """Per window of (W, 2) edges and sorted row, the mask of the positions in
+    [lo, hi) that the elbow's pass sums: lo and hi by searchsorted(..., "right")."""
+    lo, hi = (np.array([np.searchsorted(row, e, "right") for row in rows]).T for e in edges.T)
+    pos = np.arange(rows.shape[1])
+    return (pos >= lo[:, :, None]) & (pos < hi[:, :, None])
+
+
+@pytest.mark.parametrize("name", ["lattice", "haversine"])
+def test_elbow_windows_hold_exactly_the_dense_support(name, monkeypatch):
+    sets = dict(_grid_datasets()) if name == "lattice" else dict(_oracle_datasets())
+    data = sets[name]
+    scanned = []
+
+    def recording_window_rss(ws, windows):
+        scanned.extend(windows)
+        return _window_rss(ws, windows)
+
+    monkeypatch.setattr(bandwidth_mod, "_window_rss", recording_window_rss)
+    c1s = np.arange(0.5, 3.01, 0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        elbow_scan(data, c1s, stability_tol=np.inf)
+    assert len(scanned) == c1s.size
+    ws = _Workspace(data)
+    rows, ties = ws.sorted_distances, {"c1": 0, "c2": 0}
+    for c1, (edges, _) in zip(c1s, scanned):
+        kernel = build_annulus_kernel(c1, c1 + 0.5, 2)
+        # bandwidths that put a distance at c1 h or at c2 h: exact lattice
+        # ones, and on the sphere d / c, which lands there for many d
+        tied = [2.0, 4.0, 10.0] if name == "lattice" else [
+            d / c for d in rows[0, 10:25] for c in (kernel.c1, kernel.c2)
+        ]
+        hs = np.concatenate([default_grid(data, kernel, workspace=ws), tied])
+        windows = _window_positions(rows, np.concatenate([edges, kernel.windows(tied)[0]]))
+        for h, window in zip(hs, windows, strict=True):
+            r = rows / h
+            assert np.array_equal(window, (r >= kernel.c1) & (r <= kernel.c2))
+            ties["c1"] += int((r == kernel.c1).any())
+            ties["c2"] += int((r == kernel.c2).any())
+    assert ties["c1"] > 0 and ties["c2"] > 0  # both inclusive edges are hit
+
+
+# A fit within delta_i of the oracle's moves the mean squared residual by at
+# most mean(delta_i (2 |r_i| + delta_i)), r the oracle's residuals, with
+# delta_i = _ORACLE_EPS_MULT eps kappa_i max|y| as for the fits above.  The
+# worst measured was a quarter of that (euclidean, za(1,1.5), the grid's top,
+# where a window's sums cancel most of their prefix sums).
+@pytest.mark.parametrize("annulus", [(1.0, 1.5), (0.5, 1.0)], ids=["za(1,1.5)", "za(0.5,1)"])
+@pytest.mark.parametrize("name", ["euclidean", "haversine"])
+def test_elbow_rss_matches_extended_precision_oracle(name, annulus):
+    data = dict(_oracle_datasets())[name]
+    kernel = build_annulus_kernel(*annulus, 2)
+    ws = _Workspace(data)
+    grid = default_grid(data, kernel, workspace=ws)
+    (trace,) = _window_rss(ws, [kernel.windows(grid)])
+    dense = np.array([score for _, score, _ in _scan(ws, kernel, grid)])
+    assert np.array_equal(np.isfinite(trace), np.isfinite(dense))
+    scale = _ORACLE_EPS_MULT * np.finfo(float).eps * np.abs(data.responses).max()
+    for h, score in zip(grid, trace):
+        est, singular, kappa = oracle_fits(data, kernel, float(h))
+        assert np.isfinite(score) == (not singular.any())
+        if singular.any():
+            continue
+        r, delta = data.responses - est, scale * kappa
+        assert abs(score - r @ r / data.n) <= np.mean(delta * (2.0 * np.abs(r) + delta))
+
+
+def _golden_cli_sites():
+    """The 120 lat/lon sites and responses of tests/test_golden_cli.py's CSV."""
+    rng = np.random.default_rng(2718)
+    lat = 30.0 + 3.0 * rng.random(120)
+    lon = -92.0 + 4.0 * rng.random(120)
+    y = 2.0 * np.sin(np.pi * (lon + 92.0) / 2.0) + 2.0 * ((lat - 30.0) / 3.0) ** 2
+    y = y + 0.3 * rng.standard_normal(120)
+    return Dataset(points=np.column_stack([lat, lon]), responses=y, metric="haversine")
+
+
+def _cube_sites():
+    """A 3-d design, whose systems have three entries of u u^T above the diagonal."""
+    rng = np.random.default_rng(3)
+    x = rng.random((200, 3))
+    return Dataset(points=x, responses=np.sin(3.0 * x.sum(axis=1)) + 0.2 * rng.normal(size=200))
+
+
+@pytest.mark.parametrize("name, grid_size", [
+    ("euclidean", 30), ("haversine", 30), ("golden_cli", 8), ("cube", 12),
+])
+def test_elbow_picks_match_the_dense_selections(name, grid_size):
+    extra = {"golden_cli": _golden_cli_sites, "cube": _cube_sites}
+    data = extra[name]() if name in extra else dict(_oracle_datasets())[name]
+    c1s = np.arange(0.5, 2.51, 0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        diag = elbow_scan(data, c1s, grid_size=grid_size, stability_tol=np.inf)
+        dense = [
+            select_h_o(data, build_annulus_kernel(c1, c1 + 0.5, data.dim), grid_size=grid_size).h_z
+            for c1 in c1s
+        ]
+    assert diag.feasible.all()
+    assert diag.h_z_list.tolist() == dense
 
 
 _GOLDEN_SCRIPT = """
