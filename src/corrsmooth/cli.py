@@ -41,6 +41,7 @@ from .kernels import (
     MIN_PRODUCT,
     ProductEpanechnikovKernel,
     build_annulus_kernel,
+    check_radii,
 )
 from .locfit import _METRICS, Dataset, fit_all, fit_points, load_csv, rss
 from .simulate import CorrelationModel, SimScenario, ZETA_DEFAULT, _method_specs, run_table
@@ -185,16 +186,14 @@ def _candidates(cfg: dict, key: str):
 
 
 def _check_annuli(cfg: dict, c1_values) -> None:
-    """A UsageError unless each c1 and cfg's c2_offset give radii
-    c1 < c1 + c2_offset < inf, as build_annulus_kernel needs; every command
+    """A UsageError unless each c1 and cfg's c2_offset give radii that
+    kernels.check_radii accepts, as build_annulus_kernel needs; every command
     that builds annulus kernels calls this before making its output directory."""
     for c1 in map(float, c1_values):
-        c2 = c1 + cfg["c2_offset"]
-        if not c1 < c2 < np.inf:
-            raise UsageError(
-                f"bad value for c2_offset: c1 + c2_offset = {c2!r} is not in (c1, inf) "
-                f"for c1={c1!r}"
-            )
+        try:
+            check_radii(c1, c1 + cfg["c2_offset"])
+        except ValueError as err:
+            raise UsageError(f"bad value for c2_offset: {err}") from err
 
 
 def _coordinates(points) -> dict:

@@ -16,7 +16,8 @@ Conventions:
     scans.  Both reject a workspace of another dimension.  The annulus
     kernel's windows(grid) gives its weights at each bandwidth as a
     polynomial in distance on a window of a sorted row, which the elbow
-    scan's prefix-sum pass reads.
+    scan's prefix-sum pass reads; weights() takes its support from them.
+  - check_radii(c1, c2) states the annulus rule 0 < c1 < c2 < inf once.
 
 The annulus kernel is a cubic polynomial in r supported on [c1, c2] and
 identically zero elsewhere, normalized to integrate to 1 over R^D.  Its
@@ -44,6 +45,7 @@ __all__ = [
     "BoundaryKernel",
     "KernelMoments",
     "build_annulus_kernel",
+    "check_radii",
     "sphere_surface",
 ]
 
@@ -122,13 +124,14 @@ class RadialAnnulusKernel:
     def weights(self, dist, h):
         """profile(dist / h) as a C-ordered array.
 
-        The cubic is evaluated at the support positions only and scattered
-        into the zeroed array of radii, so every value equals profile's,
-        whatever the layout of dist.
+        The cubic is evaluated on windows([h])'s support lo < dist <= hi only
+        and scattered into the zeroed array of radii, so every value equals
+        profile's, whatever the layout of dist.
         """
+        lo, hi = self.windows([h])[0][0]
         r = np.divide(dist, h, order="C")
         flat = r.reshape(-1)  # a view, as r is C-contiguous
-        support = np.flatnonzero((flat >= self.c1) & (flat <= self.c2))
+        support = np.flatnonzero((dist > lo) & (dist <= hi))  # in C order
         values = self.cubic(flat[support])
         flat.fill(0.0)
         flat[support] = values
@@ -140,14 +143,15 @@ class RadialAnnulusKernel:
         return _same_dim(self, ws).sorted_distances, self.c1, self.c2
 
     def windows(self, grid):
-        """weights() at each bandwidth h of grid as a polynomial in distance
+        """The kernel at each bandwidth h of grid as a polynomial in distance
         on a window: (edges, powers), with (W, 2) edges and (W, 4) powers.
 
         A distance d lies in the support exactly when edges[w, 0] < d <=
         edges[w, 1], the greatest doubles with fl(d / h) < c1 and fl(d / h)
-        <= c2, so ties at c1 h and c2 h fall as in weights().  There the
-        weight is sum_k powers[w, k] d^k, the profile's coefficients times
-        h^-k for k = 0..3.
+        <= c2, so ties at c1 h and c2 h fall as in profile(d / h); weights()
+        and the elbow scan's prefix-sum pass both take their support from
+        here.  There the weight is sum_k powers[w, k] d^k, the profile's
+        coefficients times h^-k for k = 0..3.
         """
         h = np.asarray(grid, dtype=float)
         edges = np.stack([_last_within(np.nextafter(self.c1, 0.0), h), _last_within(self.c2, h)])
@@ -304,6 +308,16 @@ def _annulus_objective(theta, v, q, objective, dim):
     return quad * mu2
 
 
+def check_radii(c1, c2) -> tuple[float, float]:
+    """Annulus radii (c1, c2) as floats; a ValueError unless 0 < c1 < c2 < inf."""
+    c1, c2 = float(c1), float(c2)
+    if not 0.0 < c1 < np.inf:
+        raise ValueError(f"c1 must be positive and finite (0 < c1 < c2 < inf), got {c1!r}")
+    if not c1 < c2 < np.inf:
+        raise ValueError(f"c2 must exceed c1={c1!r} and be finite (0 < c1 < c2 < inf), got {c2!r}")
+    return c1, c2
+
+
 def build_annulus_kernel(
     c1: float, c2: float, dim: int, objective: str = MIN_AMISE
 ) -> RadialAnnulusKernel:
@@ -317,12 +331,7 @@ def build_annulus_kernel(
     the constant profile if the optimum grazes zero.  Kernels are cached per
     (c1, c2, dim, objective).
     """
-    c1 = float(c1)
-    c2 = float(c2)
-    if not 0.0 < c1 < np.inf:
-        raise ValueError(f"c1 must be positive and finite, got {c1}")
-    if not c1 < c2 < np.inf:
-        raise ValueError(f"c2 must exceed c1 and be finite, got (c1={c1}, c2={c2})")
+    c1, c2 = check_radii(c1, c2)
     if int(dim) != dim or dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim}")
     dim = int(dim)

@@ -14,7 +14,8 @@ each system A is solved once, for the smoother-row coefficients
 z = A^-1 e1 (A is symmetric): the fit is z . rhs, and row i of the hat
 matrix is w_ij (z0 + z1 . (x_j - x_i)).  Only the RSS traces of many
 annulus kernels at once (_window_rss) take their sums from prefix sums
-along sorted rows instead, with the same solve.
+along sorted rows instead.  Both paths hand their target-centered sums to
+one assembly (_local_systems) and one solve.
 
 Singularity is decided by partial-pivoted elimination on the normal
 matrix: a fit is singular when some pivot falls below 1e-12 relative to
@@ -286,38 +287,34 @@ def _solve_batched(a: np.ndarray):
     return z, singular
 
 
+def _local_systems(sums: np.ndarray, d: int):
+    """The (m, D+1, D+1) normal matrices a and (m, D+1) right-hand sides rhs
+    of target-centered weighted sums, one row [1, u, upper(u u^T), y, u y]
+    per system (u = x_j - x_i), for the dense and the prefix-sum paths."""
+    upper = np.triu_indices(d)
+    a = np.empty((sums.shape[0], d + 1, d + 1))
+    a[:, 0, 0] = sums[:, 0]
+    a[:, 0, 1:] = a[:, 1:, 0] = sums[:, 1 : 1 + d]
+    # one entry for both triangles: z = A^-1 e1 is the smoother row only if A is symmetric
+    a[:, 1 + upper[0], 1 + upper[1]] = a[:, 1 + upper[1], 1 + upper[0]] = sums[:, 1 + d : -1 - d]
+    return a, sums[:, -1 - d :]
+
+
 def _normal_systems(ws: _Workspace, kernel, h: float):
     """The kernel's weights at bandwidth h and the weighted normal equations
     (a, rhs) for every target at once, centered at the targets."""
     if not 0.0 < h < np.inf:
         raise ValueError(f"bandwidth must be positive and finite, got {h}")
-    xt = ws.targets
-    m, d = xt.shape[0], ws.data.dim
+    xt, d = ws.targets, ws.data.dim
     weights = kernel.weights(kernel.geometry(ws), h)
     sums = weights @ ws.moments
-    s0 = sums[:, 0]
-    p = sums[:, 1 : 1 + d]
-    s2 = sums[:, 1 + d : 1 + d + d * d].reshape(m, d, d)
-    t0 = sums[:, 1 + d + d * d]
-    t1 = sums[:, 2 + d + d * d :]
-
-    a = np.empty((m, d + 1, d + 1))
-    a[:, 0, 0] = s0
-    a0k = p - s0[:, None] * xt
-    a[:, 0, 1:] = a0k
-    a[:, 1:, 0] = a0k
-    s2 = (
-        s2
-        - xt[:, :, None] * p[:, None, :]
-        - p[:, :, None] * xt[:, None, :]
-        + s0[:, None, None] * xt[:, :, None] * xt[:, None, :]
-    )
-    # z = A^-1 e1 is the smoother row only if A is symmetric to the bit
-    a[:, 1:, 1:] = np.triu(s2) + np.triu(s2, 1).transpose(0, 2, 1)
-    rhs = np.empty((m, d + 1))
-    rhs[:, 0] = t0
-    rhs[:, 1:] = t1 - xt * t0[:, None]
-    return weights, a, rhs
+    s0, p = sums[:, :1], sums[:, 1 : 1 + d]
+    t0, t1 = sums[:, 1 + d + d * d, None], sums[:, 2 + d + d * d :]
+    i, j = np.triu_indices(d)
+    s2 = sums[:, 1 + d + i * d + j] - xt[:, i] * p[:, j] - p[:, i] * xt[:, j]
+    s2 += s0 * xt[:, i] * xt[:, j]
+    centered = np.column_stack([s0, p - s0 * xt, s2, t0, t1 - xt * t0])
+    return (weights, *_local_systems(centered, d))
 
 
 def _window_rss(ws: _Workspace, windows) -> list:
@@ -366,14 +363,9 @@ def _window_rss(ws: _Workspace, windows) -> list:
         )
         at = np.arange(rows.size)[:, None]
         sums = np.einsum("rwkc,wk->rwc", prefix[at, hi] - prefix[at, lo], powers)
-        sums = sums.reshape(-1, cols)
-        a = np.empty((sums.shape[0], d + 1, d + 1))
-        a[:, 0, 0] = sums[:, 0]
-        a[:, 0, 1:] = a[:, 1:, 0] = sums[:, 1 : 1 + d]
-        a[:, 1 + upper[0], 1 + upper[1]] = sums[:, 1 + d : -1 - d]
-        a[:, 1 + upper[1], 1 + upper[0]] = sums[:, 1 + d : -1 - d]
+        a, rhs = _local_systems(sums.reshape(-1, cols), d)
         z, bad = _solve_batched(a)
-        fits = np.einsum("ik,ik->i", z, sums[:, -1 - d :]).reshape(-1, w)
+        fits = np.einsum("ik,ik->i", z, rhs).reshape(-1, w)
         residuals[rows] = y[rows, None] - fits
         singular |= bad.reshape(-1, w).any(axis=0)
     rss = np.einsum("iw,iw->w", residuals, residuals) / n

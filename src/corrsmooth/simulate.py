@@ -31,7 +31,7 @@ from scipy.spatial.distance import cdist
 from .bandwidth import _pick, gcv_scan, select_h_o
 from .covariance import DEFAULT_N_STAR, DELTA_N_DEFAULT, error_covariance, residual_covariance
 from .errors import CorrsmoothError, SingularFitError
-from .kernels import MIN_PRODUCT, build_annulus_kernel, sphere_surface
+from .kernels import MIN_PRODUCT, build_annulus_kernel, check_radii, sphere_surface
 from .locfit import Dataset, _metric_distances, hat_matrix
 
 __all__ = [
@@ -376,9 +376,7 @@ def parse_method(text: str) -> MethodSpec:
         return MethodSpec(kind="gcv")
     match = _ZA_RE.match(token)
     if match:
-        c1, c2 = float(match.group(1)), float(match.group(2))
-        if not 0.0 < c1 < c2 < np.inf:
-            raise ValueError(f"method {text!r} needs finite radii 0 < c1 < c2")
+        c1, c2 = check_radii(match.group(1), match.group(2))
         return MethodSpec(kind="za", c1=c1, c2=c2)
     raise ValueError(f"unknown method {text!r}; expected gcv or za(c1,c2)")
 

@@ -30,7 +30,9 @@ masks to equality.
 
 The elbow scan's RSS traces come from one pass of per-row prefix sums for
 all its kernels and bandwidths, not from the dense weights.  Its windows
-are held to the dense support by ==, its traces to the 80-bit oracle within
+are held to the dense support by ==, the dense weights, whose support is
+the same windows, to the profile byte for byte at bandwidths that put
+distances on both edges, its traces to the 80-bit oracle within
 what the oracle's bound on each fit can move an RSS, its feasibility flags
 to the dense scan's, and its picks to the dense selections' by ==.
 """
@@ -643,6 +645,10 @@ def test_elbow_windows_hold_exactly_the_dense_support(name, monkeypatch):
             assert np.array_equal(window, (r >= kernel.c1) & (r <= kernel.c2))
             ties["c1"] += int((r == kernel.c1).any())
             ties["c2"] += int((r == kernel.c2).any())
+        # the dense weights take their edges from windows() too, so hold them
+        # to the profile itself where the ties fall
+        for h in tied:
+            assert_same_bytes(kernel.weights(ws.distances, h), kernel.profile(ws.distances / h))
     assert ties["c1"] > 0 and ties["c2"] > 0  # both inclusive edges are hit
 
 

@@ -10,7 +10,10 @@ fit-dir reports, scenario lines) through one reader and writes every CSV
 artifact through one writer.  No numerical layer catches a ValueError, and
 the CLI's exit codes map only its own usage errors, the package's numerical
 failures (errors.CorrsmoothError) and I/O errors, so a bad argument or a bug
-surfaces as itself."""
+surfaces as itself.  Each annulus-selection rule is stated once: the dense
+annulus weights take their support from the kernel's windows, one locfit
+function assembles the local systems for the dense and the prefix-sum paths,
+and kernels.check_radii alone compares annulus radii."""
 
 import ast
 from pathlib import Path
@@ -170,3 +173,73 @@ def test_numerical_layers_do_not_catch_value_errors():
         )
     ]
     assert caught == []
+
+
+def module_tree(module: str):
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def functions(tree) -> dict:
+    """Every function or method in an AST, by name."""
+    return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def called_names(node) -> set:
+    """The names of the plain function calls inside an AST node."""
+    return {
+        call.func.id for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+    }
+
+
+def test_dense_annulus_weights_take_their_support_from_windows():
+    (cls,) = [
+        node for node in module_tree("kernels").body
+        if isinstance(node, ast.ClassDef) and node.name == "RadialAnnulusKernel"
+    ]
+    weights = functions(cls)["weights"]
+    named = {name for node in ast.walk(weights) for name in names_in(node)}
+    assert not named & {"c1", "c2"}
+    assert "windows" in named
+
+
+def allocates_square_systems(func) -> bool:
+    """Whether a function allocates an array of shape (..., k + 1, k + 1)."""
+    return any(
+        sum(
+            isinstance(dim, ast.BinOp) and isinstance(dim.op, ast.Add)
+            and isinstance(dim.right, ast.Constant) and dim.right.value == 1
+            for dim in node.elts
+        ) >= 2
+        for node in ast.walk(func) if isinstance(node, ast.Tuple)
+    )
+
+
+def test_one_locfit_function_assembles_the_local_systems():
+    funcs = functions(module_tree("locfit"))
+    (assembler,) = [name for name, func in funcs.items() if allocates_square_systems(func)]
+    for path in ("_normal_systems", "_window_rss"):
+        assert assembler in called_names(funcs[path])
+
+
+RADII = {"c1", "c2", "c2_offset"}
+
+
+def mentions_radii(node) -> bool:
+    """Whether an AST node names an annulus radius or quotes one as a key."""
+    return any(
+        RADII.intersection(names_in(sub))
+        or (isinstance(sub, ast.Constant) and sub.value in RADII)
+        for sub in ast.walk(node)
+    )
+
+
+def test_only_kernels_compares_annulus_radii():
+    for module, checker in (("simulate", "parse_method"), ("cli", "_check_annuli")):
+        tree = module_tree(module)
+        compared = [
+            f"{module}.py:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and mentions_radii(node)
+        ]
+        assert compared == []
+        assert "check_radii" in called_names(functions(tree)[checker])
