@@ -32,7 +32,9 @@ from .kernels import (
     RadialAnnulusKernel,
     build_annulus_kernel,
 )
-from .locfit import Dataset, _fit_and_hat_diagonal, _window_rss, _Workspace, rss
+from .locfit import (
+    _PREFIX_BYTES, Dataset, _counts_below, _fit_and_hat_diagonal, _window_rss, _Workspace, rss,
+)
 from .locfit import fit_all  # noqa: F401  (perfbench's tracer test checks this binding)
 
 __all__ = [
@@ -88,38 +90,70 @@ def default_grid(
     the cloud's metric diameter, and the full Chebyshev diameter for the
     product kernel, where its support spans the whole cloud.
 
-    The kernel's reach gives each point's distances as one sorted row, so
-    a point's neighbor counts for all candidates come from two searchsorted
-    calls on its row.  A selection or scan passes its workspace of data,
-    so the geometry the rows come from also serves its fits (and every
-    annulus kernel of an elbow scan).
+    This is _default_grids for one kernel, raising the
+    NoFeasibleBandwidthError that says why a grid cannot be had.  A
+    selection or scan passes its workspace of data, so the geometry the
+    grid scans also serves its fits.
     """
-    rows, lo, hi = kernel.reach(workspace or _Workspace(data))
-    min_neighbors = 2 * (data.dim + 1)
+    (grid,) = _default_grids(workspace or _Workspace(data), [kernel], size)
+    if isinstance(grid, NoFeasibleBandwidthError):
+        raise grid
+    return grid
+
+
+def _default_grids(ws: _Workspace, kernels, size: int = DEFAULT_GRID_SIZE) -> list:
+    """Per kernel, default_grid's grid on ws's design, or the
+    NoFeasibleBandwidthError that says why it has none.
+
+    The kernels' reach must give the same sorted rows (as every annulus
+    kernel's does: its workspace's sorted distances).  A point's neighbor
+    count at a scan candidate is the number of its row's entries below
+    hi*h less those at most lo*h, and one locfit._counts_below per chunk of
+    rows gives them for every candidate of every kernel at once.
+    """
+    reaches = [kernel.reach(ws) for kernel in kernels]
+    rows = reaches[0][0]
+    n = rows.shape[0]
+    min_neighbors = 2 * (ws.data.dim + 1)
     first_positive = np.count_nonzero(rows <= 0.0, axis=1)
     has_positive = first_positive < rows.shape[1]
     if not has_positive.any():
-        raise NoFeasibleBandwidthError("all design points coincide")
+        return [NoFeasibleBandwidthError("all design points coincide") for _ in kernels]
     diam = float(rows[:, -1].max())
-    h_max = diam / (2.0 * lo) if lo > 0.0 else diam
-    h_lo_scan = float(rows[has_positive, first_positive[has_positive]].min()) / hi
-    if h_lo_scan >= h_max:
-        raise NoFeasibleBandwidthError(
-            f"degenerate bandwidth range [{h_lo_scan:.3g}, {h_max:.3g}]"
+    nearest = float(rows[has_positive, first_positive[has_positive]].min())
+    grids, scans = [None] * len(kernels), {}
+    for at, (_, lo, hi) in enumerate(reaches):
+        h_max = diam / (2.0 * lo) if lo > 0.0 else diam
+        h_lo_scan = nearest / hi
+        if h_lo_scan >= h_max:
+            grids[at] = NoFeasibleBandwidthError(
+                f"degenerate bandwidth range [{h_lo_scan:.3g}, {h_max:.3g}]"
+            )
+        else:
+            scans[at] = (h_max, np.geomspace(h_lo_scan, h_max, _SCAN_CANDIDATES), lo, hi)
+    if not scans:
+        return grids
+    # per scan candidate h: the entries below hi*h, then those at most lo*h
+    thresholds = np.concatenate([
+        part for _, candidates, lo, hi in scans.values()
+        for part in (hi * candidates, np.nextafter(lo * candidates, np.inf))
+    ])
+    covered = np.zeros((len(scans), _SCAN_CANDIDATES), dtype=np.intp)
+    chunk = max(1, _PREFIX_BYTES // (8 * (rows.shape[1] + 2 * thresholds.size)))
+    for start in range(0, n, chunk):
+        counts = _counts_below(rows[start : start + chunk], thresholds)
+        pairs = counts.reshape(-1, len(scans), 2, _SCAN_CANDIDATES)
+        covered += (pairs[:, :, 0] - pairs[:, :, 1] >= min_neighbors).sum(axis=0)
+    for (at, (h_max, candidates, _, _)), count in zip(scans.items(), covered):
+        ok = np.flatnonzero(count / n >= _NEIGHBOR_COVERAGE)
+        h_min = float(candidates[ok[0]]) if ok.size else h_max
+        grids[at] = np.geomspace(h_min, h_max, size) if h_min < h_max else (
+            NoFeasibleBandwidthError(
+                f"no bandwidth gives {min_neighbors} positive-weight neighbors to "
+                f"{_NEIGHBOR_COVERAGE:.0%} of the {n} points; the design may be too sparse"
+            )
         )
-    candidates = np.geomspace(h_lo_scan, h_max, _SCAN_CANDIDATES)
-    inner, outer = lo * candidates, hi * candidates
-    counts = np.empty((rows.shape[0], candidates.size), dtype=np.intp)
-    for i, row in enumerate(rows):
-        counts[i] = np.searchsorted(row, outer, "left") - np.searchsorted(row, inner, "right")
-    covered = np.flatnonzero((counts >= min_neighbors).mean(axis=0) >= _NEIGHBOR_COVERAGE)
-    h_min = float(candidates[covered[0]]) if covered.size else h_max
-    if h_min >= h_max:
-        raise NoFeasibleBandwidthError(
-            f"no bandwidth gives {min_neighbors} positive-weight neighbors to "
-            f"{_NEIGHBOR_COVERAGE:.0%} of the {data.n} points; the design may be too sparse"
-        )
-    return np.geomspace(h_min, h_max, size)
+    return grids
 
 
 def _validate_grid(grid) -> np.ndarray:
@@ -233,10 +267,10 @@ def elbow_scan(
     stability_tol.  The c1 list is checked as every candidate list is
     (_validate_grid); a candidate whose kernel, grid or pick fails
     numerically (CorrsmoothError) becomes a gap, and a bad argument raises.
-    One workspace serves the whole scan: its distances give every grid, and
-    one pass over its rows gives every candidate's RSS trace without the
-    dense weights (locfit._window_rss), agreeing with select_h_z's trace
-    to rounding.
+    One workspace serves the whole scan: one count over its sorted
+    distances gives every grid (_default_grids), and one pass over its rows
+    gives every candidate's RSS trace without the dense weights
+    (locfit._window_rss), agreeing with select_h_z's trace to rounding.
     """
     c1_arr = _validate_grid(c1_list)
     if c1_arr.size < 3:
@@ -246,14 +280,17 @@ def elbow_scan(
     cbar = np.full(c1_arr.shape, np.nan)
     h_zs = np.full(c1_arr.shape, np.nan)
     ws = _Workspace(data)
-    candidates = []
+    built = []
     for idx, c1 in enumerate(c1_arr):
         try:
-            kz = build_annulus_kernel(c1, c1 + c2_offset, dim, objective)
-            grid = default_grid(data, kz, size=grid_size, workspace=ws)
+            built.append((idx, build_annulus_kernel(c1, c1 + c2_offset, dim, objective)))
         except CorrsmoothError:
             continue
-        candidates.append((idx, kz, _validate_grid(grid)))
+    grids = _default_grids(ws, [kz for _, kz in built], grid_size) if built else []
+    candidates = [
+        (idx, kz, _validate_grid(grid)) for (idx, kz), grid in zip(built, grids)
+        if not isinstance(grid, NoFeasibleBandwidthError)
+    ]
     traces = _window_rss(ws, [kz.windows(grid) for _, kz, grid in candidates])
     for (idx, kz, grid), trace in zip(candidates, traces):
         try:

@@ -41,7 +41,7 @@ from .errors import (
     DegenerateCorrelationError, EmptyWindowError, NoFeasibleBandwidthError, SingularFitError,
 )
 from .kernels import BoundaryKernel, ProductEpanechnikovKernel
-from .locfit import Dataset, FitResult, PairIndex, fit_all, rss
+from .locfit import Dataset, FitResult, PairIndex, _Workspace, fit_all, rss
 
 __all__ = [
     "DELTA_N_DEFAULT",
@@ -270,9 +270,10 @@ class CorrelationCurve:
         return _interpolate_truncated(t, self.t_grid, self.rho, self.truncation_t)
 
 
-def sigma2_rss(data: Dataset, h_t: float, ko) -> float:
-    """RSS-based variance estimate at the dedicated (larger) bandwidth h_t."""
-    fit = fit_all(data, h_t, ko)
+def sigma2_rss(data: Dataset, h_t: float, ko, workspace: _Workspace | None = None) -> float:
+    """RSS-based variance estimate at the dedicated (larger) bandwidth h_t,
+    fitted from the given workspace of data, or a new one."""
+    fit = fit_all(data, h_t, ko, workspace=workspace)
     if fit.singular_count:
         raise SingularFitError(
             f"variance fit singular at {fit.singular_count} point(s) for h_t={h_t:.6g}"
@@ -541,11 +542,15 @@ def error_covariance(data: Dataset, h_o: float, **options) -> ErrorCovariance:
     and residual_covariance of the fit's residuals with the keyword options.
 
     A singular final fit raises SingularFitError before the variance fit.
+    Both fits read one workspace, so the displacements are built once; it
+    is dropped before the covariance steps.
     """
-    ko = ProductEpanechnikovKernel(data.dim)
-    fit = fit_all(data, h_o, ko)
+    ko, ws = ProductEpanechnikovKernel(data.dim), _Workspace(data)
+    fit = fit_all(data, h_o, ko, workspace=ws)
     if fit.singular_count:
         raise SingularFitError(f"final fit singular at {fit.singular_count} point(s)")
     h_t = variance_fit_bandwidth(h_o, data.n, data.dim)
-    chain = residual_covariance(data, fit.residuals, sigma2_rss(data, h_t, ko), **options)
+    sigma2_hat = sigma2_rss(data, h_t, ko, workspace=ws)
+    del ws
+    chain = residual_covariance(data, fit.residuals, sigma2_hat, **options)
     return replace(chain, fit=fit, h_t=h_t)

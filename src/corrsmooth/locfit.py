@@ -17,9 +17,11 @@ annulus kernels at once (_window_rss) take their sums from prefix sums
 along sorted rows instead.  Both paths hand their target-centered sums to
 one assembly (_local_systems) and one solve.
 
-Singularity is decided by partial-pivoted elimination on the normal
-matrix: a fit is singular when some pivot falls below 1e-12 relative to
-the largest entry of that system.
+The solve (_solve_batched) is partial-pivoted elimination on the normal
+matrices, held as one contiguous column over the batch per matrix entry,
+so each step is a few whole-column operations for every system at once.
+A fit is singular when some pivot falls below 1e-12 relative to the
+largest entry of that system.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ __all__ = [
 
 EARTH_RADIUS_KM = 6371.0088
 _PIVOT_RTOL = 1e-12
-_PREFIX_BYTES = 4 << 20  # per chunk of rows in _window_rss
+_PREFIX_BYTES = 4 << 20  # per chunk of rows in _window_rss and in the grids' neighbor counts
 _METRICS = ("euclidean", "haversine")
 
 
@@ -257,32 +259,47 @@ def _solve_batched(a: np.ndarray):
 
     As A is symmetric, z is also the first row of A^-1: the coefficients of
     the system's smoother row.  Returns (z, singular_mask); singular systems
-    yield NaN rows.
+    yield NaN rows.  Each entry of the augmented systems [A | e1] is one
+    contiguous column over the batch, so a row swap is a select per entry
+    and each step one product and one difference per entry below the pivot:
+    the first largest |pivot| is taken, and the steps and back-substitution
+    sums are those of elimination on (m, k, k + 1) rows, bit for bit.
     """
     m, k, _ = a.shape
-    scale = np.abs(a).reshape(m, -1).max(axis=1)
+    # aug[r, c] is entry (r, c) of every augmented system [A | e1], one
+    # contiguous (m,) column each
+    aug = np.empty((k, k + 1, m))
+    aug[:, :k] = a.transpose(1, 2, 0)
+    aug[:, k] = 0.0
+    aug[0, k] = 1.0
+    scale = np.abs(aug[:, :k]).reshape(k * k, m).max(axis=0)
     singular = scale <= 0.0
-    aug = np.concatenate([a, np.broadcast_to(np.eye(k)[:, :1], (m, k, 1))], axis=2)
-    rows = np.arange(m)
     for j in range(k):
-        piv = np.abs(aug[:, j:, j]).argmax(axis=1) + j
-        swap_from = aug[rows, j].copy()
-        aug[rows, j] = aug[rows, piv]
-        aug[rows, piv] = swap_from
-        pivots = aug[:, j, j]
+        # rows j.. from column j on: no entry left of column j is read again
+        rows = aug[j:, j:]
+        piv = np.abs(rows[:, 0]).argmax(axis=0)
+        top = rows[0].copy()
+        for r in range(1, rows.shape[0]):
+            take = piv == r
+            top = np.where(take, rows[r], top)
+            rows[r] = np.where(take, rows[0], rows[r])
+        rows[0] = top
+        pivots = top[0]
         singular |= np.abs(pivots) < _PIVOT_RTOL * scale
-        safe = np.where(np.abs(pivots) > 0.0, pivots, 1.0)
+        rows[0, 0] = np.where(np.abs(pivots) > 0.0, pivots, 1.0)
         if j + 1 < k:
-            factors = aug[:, j + 1 :, j] / safe[:, None]
-            aug[:, j + 1 :, j:] -= factors[:, :, None] * aug[:, j : j + 1, j:]
-    z = np.zeros((m, k))
+            factors = rows[1:, 0] / rows[0, 0]
+            rows[1:, 1:] -= factors[:, None] * top[1:]
+    z = np.zeros((k, m))
     for j in range(k - 1, -1, -1):
-        pivots = aug[:, j, j]
-        safe = np.where(np.abs(pivots) > 0.0, pivots, 1.0)
-        acc = aug[:, j, k]
+        acc = aug[j, k]
         if j + 1 < k:
-            acc = acc - np.einsum("ml,ml->m", aug[:, j, j + 1 : k], z[:, j + 1 :])
-        z[:, j] = acc / safe
+            # einsum over (l, m) rows adds otherwise; on C-contiguous (m, l)
+            # stacks it rounds as on the rows of an (m, k, k + 1) array
+            row, known = (np.ascontiguousarray(v.T) for v in (aug[j, j + 1 : k], z[j + 1 :]))
+            acc = acc - np.einsum("ml,ml->m", row, known)
+        z[j] = acc / aug[j, j]
+    z = np.ascontiguousarray(z.T)
     z[singular] = np.nan
     return z, singular
 
@@ -317,6 +334,27 @@ def _normal_systems(ws: _Workspace, kernel, h: float):
     return (weights, *_local_systems(centered, d))
 
 
+def _counts_below(rows: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """(r, T) counts of the entries d < t of each of the r rows, one per
+    threshold t shared by all rows: np.searchsorted(row, t, "left") for a
+    sorted row, and the "right" count at np.nextafter(t, inf), as no double
+    lies between t and it.
+
+    One searchsorted of every entry into the sorted thresholds gives
+    #{t' <= d}, and d < t exactly when #{t' <= d} <= #{t' < t}; so each
+    count is one entry of a per-row bincount's cumulative sum, without a
+    search per row.  The transients are (r, n) and (r, T + 1) integers, so
+    callers pass chunks of rows.
+    """
+    s = np.sort(thresholds)
+    r, size = rows.shape[0], s.size + 1
+    below = np.searchsorted(s, rows, "right")
+    below += size * np.arange(r)[:, None]
+    cumulative = np.bincount(below.ravel(), minlength=r * size).reshape(r, size)
+    np.cumsum(cumulative, axis=1, out=cumulative)
+    return cumulative[:, np.searchsorted(s, thresholds, "left")]
+
+
 def _window_rss(ws: _Workspace, windows) -> list:
     """In-sample RSS at every window of every (edges, powers) pair in
     windows (see RadialAnnulusKernel.windows), one trace per pair; +inf
@@ -327,8 +365,9 @@ def _window_rss(ws: _Workspace, windows) -> list:
     pass over the targets' rows serves every window: each row is sorted
     once, and prefix sums along it of d^k times the target-centered moments
     [1, u, upper(u u^T), y, u y], u = x_j - x_i, give a window's weighted
-    sums as the difference of two prefix entries found by searchsorted, so
-    no (n, n) weights are formed.  Rows go in chunks of about _PREFIX_BYTES
+    sums as the difference of two prefix entries, so no (n, n) weights are
+    formed.  The entries' positions are the counts of a row's distances at
+    most each edge, from one _counts_below per chunk for all windows.  Rows go in chunks of about _PREFIX_BYTES
     of prefix sums.  The sums add the terms in another order than
     _normal_systems, so the traces agree with its RSS to rounding, not bit
     for bit.  ws must target the design points.
@@ -358,9 +397,8 @@ def _window_rss(ws: _Workspace, windows) -> list:
         for k in range(1, p):
             np.multiply(terms[:, :, k - 1], s, out=terms[:, :, k])
         np.cumsum(terms, axis=1, out=terms)
-        lo, hi = (
-            np.array([np.searchsorted(row, e, "right") for row in s[..., 0]]) for e in edges.T
-        )
+        ends = _counts_below(s[..., 0], np.nextafter(edges, np.inf).ravel())
+        lo, hi = ends[:, 0::2], ends[:, 1::2]
         at = np.arange(rows.size)[:, None]
         sums = np.einsum("rwkc,wk->rwc", prefix[at, hi] - prefix[at, lo], powers)
         a, rhs = _local_systems(sums.reshape(-1, cols), d)
@@ -400,9 +438,12 @@ def fit_points(data: Dataset, targets, h: float, kernel):
     return est, singular
 
 
-def fit_all(data: Dataset, h: float, kernel) -> FitResult:
-    """In-sample fit at every design point, recording singular points."""
-    return _fit_and_hat_diagonal(_Workspace(data), kernel, h)[0]
+def fit_all(
+    data: Dataset, h: float, kernel, workspace: _Workspace | None = None
+) -> FitResult:
+    """In-sample fit at every design point, recording singular points; from
+    the given workspace of data (one targeting the design points), or a new one."""
+    return _fit_and_hat_diagonal(workspace or _Workspace(data), kernel, h)[0]
 
 
 def _fit_and_hat_diagonal(ws: _Workspace, kernel, h: float):

@@ -312,6 +312,26 @@ def test_cli_fit_builds_distance_matrix_once(distance_builds, tmp_path):
     assert distance_builds == [150]
 
 
+def test_error_covariance_builds_displacements_once(monkeypatch):
+    import corrsmooth.locfit as locfit_mod
+    from corrsmooth.covariance import error_covariance
+
+    builds = []
+    real = locfit_mod._component_displacements
+
+    def counting(data, targets):
+        builds.append(len(targets))
+        return real(data, targets)
+
+    monkeypatch.setattr(locfit_mod, "_component_displacements", counting)
+    model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)
+    data = generate(SimScenario("mu2d", 150, model, seed=9, n_trials=1), 0).dataset
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        chain = error_covariance(data, 0.3, n_star=40)
+    assert chain.fit.singular_count == 0 and chain.h_t > 0.3
+    assert builds == [150]  # the final fit at h_o and the variance fit at h_t share it
+
 
 def test_annulus_kernel_rejects_a_design_of_another_dimension():
     model = CorrelationModel("spherical", c=2.0, alpha=1.0, dim=2, sigma2=0.1)

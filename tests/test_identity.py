@@ -7,8 +7,11 @@ matrix, the minEpan scan as a fit_all loop, and the bandwidth grid's floor
 found by one n x n neighbor mask per scan candidate.  sse_cor is held to
 its form from before it evaluated the true correlation only below a cut,
 and haversine pairs to their gather over triu_indices, from before they
-were read off the n x n distance matrix.  Every such comparison is exact
-(== or equal bytes), not approximate.
+were read off the n x n distance matrix.  The column-wise solve is held to
+reference_solve's elimination on (m, k, k + 1) rows byte for byte, and the
+one neighbor count that serves all of an elbow's grids to the mask scan
+and its window positions to a searchsorted per row.  Every such comparison
+is exact (== or equal bytes), not approximate.
 
 There are two exceptions.  The covariance layer's pair sums now come from
 one vector pass of segment moments for all lags, which rounds otherwise
@@ -55,6 +58,7 @@ import corrsmooth.covariance as covariance_mod
 import corrsmooth.simulate as simulate_mod
 
 from corrsmooth.bandwidth import (
+    _default_grids,
     _scan,
     default_grid,
     elbow_scan,
@@ -72,7 +76,7 @@ from corrsmooth.covariance import (
     covariance_curve,
     default_b_candidates,
 )
-from corrsmooth.errors import EmptyWindowError
+from corrsmooth.errors import EmptyWindowError, NoFeasibleBandwidthError
 from corrsmooth.kernels import (
     ProductEpanechnikovKernel,
     RadialAnnulusKernel,
@@ -83,9 +87,11 @@ from corrsmooth.locfit import (
     PairIndex,
     _PIVOT_RTOL,
     _component_displacements,
+    _counts_below,
     _haversine,
     _metric_distances,
     _normal_systems,
+    _solve_batched,
     _window_rss,
     _Workspace,
     fit_all,
@@ -210,6 +216,44 @@ def test_lattice_tie_at_hi_h_decides_the_product_floor():
     data = dict(_grid_datasets())["lattice"]
     grid = default_grid(data, ProductEpanechnikovKernel(2))
     assert grid[0] == np.geomspace(1.0, 12.0, 256)[1]
+
+
+def test_one_count_gives_every_elbow_grid():
+    # one _default_grids call for all of an elbow's c1 candidates, on ties at
+    # lo*h and hi*h (lattice), the sphere and a 3-d design
+    sets = dict(_grid_datasets())
+    for name, data in (("lattice", sets["lattice"]), ("haversine", sets["haversine"]),
+                       ("cube", _cube_sites())):
+        ws = _Workspace(data)
+        kernels = [build_annulus_kernel(c1, c1 + 0.5, data.dim) for c1 in np.arange(0.5, 3.01, 0.25)]
+        grids = _default_grids(ws, kernels)
+        rows = ws.sorted_distances
+        pos = np.arange(rows.shape[1])
+        for kernel, grid in zip(kernels, grids, strict=True):
+            assert np.array_equal(grid, reference_default_grid(data, kernel)), name
+            # the elbow pass's window positions, from the same count
+            edges = kernel.windows(grid)[0]
+            ends = _counts_below(rows, np.nextafter(edges, np.inf).ravel())
+            lo, hi = (ends[:, side::2].T[:, :, None] for side in (0, 1))
+            assert np.array_equal((pos >= lo) & (pos < hi), _window_positions(rows, edges)), name
+
+
+def test_one_count_keeps_each_failing_kernel_a_gap():
+    # a regular pentagon: the nearest distance is 0.618 of the diameter, so
+    # c2/c1 <= 1.236 leaves no bandwidth range, and five points never give
+    # the 2(D+1) = 6 neighbors that the other kernels' floors need
+    angle = 2.0 * np.pi * np.arange(5) / 5
+    data = Dataset(points=np.column_stack([np.cos(angle), np.sin(angle)]), responses=np.arange(5.0))
+    c1s = np.arange(0.5, 3.01, 0.25)
+    kernels = [build_annulus_kernel(c1, c1 + 0.5, 2) for c1 in c1s]
+    gaps = _default_grids(_Workspace(data), kernels)
+    for c1, kernel, gap in zip(c1s, kernels, gaps, strict=True):
+        assert isinstance(gap, NoFeasibleBandwidthError)
+        with pytest.raises(NoFeasibleBandwidthError) as raised:
+            default_grid(data, kernel)
+        assert str(gap) == str(raised.value)
+        reason = "degenerate bandwidth range" if (c1 + 0.5) / c1 <= 1.236 else "too sparse"
+        assert reason in str(gap)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -405,6 +449,51 @@ def _unit_rhs(rhs):
 def assert_same_bytes(new, ref):
     assert new.shape == ref.shape and new.dtype == ref.dtype
     assert new.tobytes() == ref.tobytes()
+
+
+_SYSTEM_KINDS = ("symmetric", "general", "integer", "zero", "duplicate", "deficient", "tie")
+
+
+@st.composite
+def batched_systems(draw):
+    """(a, kinds): a batch of k x k systems, k in {2, 3, 4}, each scaled by
+    10^e for e in [-8, 8].  Besides symmetric and general ones: small
+    integers (pivot ties at every step), all zeros, a row and column
+    repeated (a pivot of exactly 0), rank k - 1 products (a pivot of about
+    eps, below the rule) and |a10| = |a00| (a tie for the first pivot)."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    kinds = draw(st.lists(st.sampled_from(_SYSTEM_KINDS), min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    systems = []
+    for kind in kinds:
+        b = rng.normal(size=(k, k))
+        if kind == "deficient":
+            b[:, -1] = b[:, :-1] @ rng.normal(size=k - 1)
+        a = {"general": b, "zero": np.zeros((k, k))}.get(kind, b @ b.T)
+        if kind == "integer":
+            a = rng.integers(-3, 4, size=(k, k)).astype(float)
+            a = a + a.T
+        elif kind == "duplicate":
+            a[-1], a[:, -1] = a[0], a[:, 0]
+        elif kind == "tie":
+            a[1, 0] = a[0, 1] = rng.choice([-1.0, 1.0]) * a[0, 0]
+        systems.append(a * 10.0 ** draw(st.floats(-8.0, 8.0)))
+    return np.stack(systems), np.array(kinds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=batched_systems())
+def test_solve_matches_reference_elimination_byte_for_byte(batch):
+    a, kinds = batch
+    e1 = np.zeros(a.shape[:2])
+    e1[:, 0] = 1.0
+    (ref,), ref_singular = reference_solve(a, e1)
+    given_a = a.copy()
+    z, singular = _solve_batched(a)
+    assert_same_bytes(z, ref)
+    assert_same_bytes(singular, ref_singular)
+    assert z.flags.c_contiguous and np.array_equal(a, given_a)
+    assert singular[np.isin(kinds, ["zero", "duplicate"])].all()
 
 
 # Each entry of a system is a sum of terms no larger than s0 (1 + X)^2 for

@@ -13,7 +13,10 @@ failures (errors.CorrsmoothError) and I/O errors, so a bad argument or a bug
 surfaces as itself.  Each annulus-selection rule is stated once: the dense
 annulus weights take their support from the kernel's windows, one locfit
 function assembles the local systems for the dense and the prefix-sum paths,
-and kernels.check_radii alone compares annulus radii."""
+and kernels.check_radii alone compares annulus radii.  Neighbor counts below
+thresholds shared by all rows (the bandwidth grids' and the elbow's windows)
+come from one locfit helper, not from a search per row, and the elbow scan
+takes all its grids from one such count."""
 
 import ast
 from pathlib import Path
@@ -243,3 +246,32 @@ def test_only_kernels_compares_annulus_radii():
         ]
         assert compared == []
         assert "check_radii" in called_names(functions(tree)[checker])
+
+
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def searchsorted_calls(node) -> list:
+    """The .searchsorted(...) and np.searchsorted(...) calls inside an AST node."""
+    return [
+        call for call in ast.walk(node)
+        if isinstance(call, ast.Call) and "searchsorted" in names_in(call.func)
+    ]
+
+
+def test_neighbor_counts_come_from_one_helper():
+    # the grids and the elbow's windows count a row's entries below shared
+    # thresholds through locfit._counts_below, not by a search per row
+    for module in ("bandwidth", "locfit"):
+        funcs = functions(module_tree(module))
+        searching = {name for name, func in funcs.items() if searchsorted_calls(func)}
+        assert searching <= {"_counts_below"}, module
+        looped = [
+            f"{module}.py:{call.lineno}"
+            for loop in ast.walk(module_tree(module)) if isinstance(loop, LOOPS)
+            for call in searchsorted_calls(loop)
+        ]
+        assert looped == []
+    elbow = functions(module_tree("bandwidth"))["elbow_scan"]
+    assert "default_grid" not in {name for node in ast.walk(elbow) for name in names_in(node)}
+    assert "_default_grids" in called_names(elbow)
